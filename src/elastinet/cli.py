@@ -179,16 +179,21 @@ def _load_config(path: str | None, seed_override: int | None) -> OptimizationCon
     fields = {}
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            fields = json.load(fh)
+            try:
+                fields = json.load(fh)
+            except ValueError as exc:  # malformed JSON or text
+                raise ParseError(f"invalid JSON: {exc}", "/") from None
         if not isinstance(fields, dict):
             raise ParseError("config must be an object", "/")
         if "angle_penalty_schedule" in fields:
+            if not isinstance(fields["angle_penalty_schedule"], list):
+                raise ParseError("angle_penalty_schedule must be a list", "/angle_penalty_schedule")
             fields["angle_penalty_schedule"] = tuple(fields["angle_penalty_schedule"])
     if seed_override is not None:
         fields["seed"] = seed_override
     try:
         return OptimizationConfig(**fields)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidConfigError(str(exc)) from None
 
 

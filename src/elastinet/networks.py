@@ -543,7 +543,7 @@ def _require(doc: dict, key: str, path: str):
 def _finite_pair(value, path: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"expected a number pair: {exc}", path) from None
     if arr.shape != (2,) or not np.all(np.isfinite(arr)):
         raise ParseError("expected a finite [x, y] pair", path)
@@ -591,9 +591,13 @@ def deserialize(doc: dict) -> Network:
         pts_doc = _require(cdoc, "points", f"/curves/{ci}")
         if not isinstance(pts_doc, list) or len(pts_doc) < 2:
             raise ParseError("points must list at least 2 pairs", f"/curves/{ci}/points")
-        pts = np.empty((len(pts_doc), 2))
-        for pi, p in enumerate(pts_doc):
-            pts[pi] = _finite_pair(p, f"/curves/{ci}/points/{pi}")
+        try:
+            pts = np.asarray(pts_doc, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            pts = None
+        if pts is None or pts.shape != (len(pts_doc), 2) or not np.isfinite(pts).all():
+            # pair by pair, to report the first bad one
+            pts = np.array([_finite_pair(p, f"/curves/{ci}/points/{pi}") for pi, p in enumerate(pts_doc)])
         try:
             curves.append(DiscreteCurve(pts, closed=(kind == "closed")))
         except InvalidCurveError as exc:

@@ -138,6 +138,19 @@ class TestMinimizeCommand:
         summary = json.loads((out / "result.json").read_text())
         assert summary["final_F"] == pytest.approx(4 * math.pi, rel=5e-3)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["{bad", '{"angle_penalty_schedule": 5}', '{"angle_penalty_schedule": ["heavy"]}'],
+        ids=["malformed_json", "schedule_not_a_list", "schedule_not_numbers"],
+    )
+    def test_bad_kind_config_exits_2(self, tmp_path, circle_file, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["minimize", circle_file, "--out", str(tmp_path / "run"), "--kind-config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_seed_env_override(self, tmp_path, circle_file, monkeypatch):
         monkeypatch.setenv("ELASTINET_SEED", "777")
         cfg = tmp_path / "cfg.json"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from elastinet.bounds import random_theta_network
+import tracemalloc
+
+from elastinet.bounds import random_drop, random_theta_network
 from elastinet.energy import penalized_energy
 from elastinet.errors import ConstructionFailedError, InvalidConfigError, InvalidInputError
 from elastinet.geometry import DiscreteCurve
@@ -22,6 +24,7 @@ from elastinet.networks import (
     make_standard_double_bubble,
     make_symmetric_double_drop,
     make_teardrop,
+    network_diameter,
     optimal_bubble_radius,
     validate,
 )
@@ -211,6 +214,72 @@ class TestRecoverySequence:
             recovery_sequence(make_circle(1.0, 32), 10)
 
 
+def _orient(o, a, b):
+    return (a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1]) - (a[..., 1] - o[..., 1]) * (b[..., 0] - o[..., 0])
+
+
+def _segment_ends(curve):
+    pts = curve.points
+    if curve.closed:
+        return pts, np.roll(pts, -1, axis=0)
+    return pts[:-1], pts[1:]
+
+
+def _row_crossings(p, q, r, s, eps):
+    """How many segments (r, s) the segment (p, q) crosses, shared endpoints excluded."""
+    hit = (_orient(p, q, r) * _orient(p, q, s) < 0) & (_orient(r, s, p) * _orient(r, s, q) < 0)
+    for a in (p, q):
+        for b in (r, s):
+            hit &= np.linalg.norm(a - b, axis=-1) > eps
+    return int(np.count_nonzero(hit))
+
+
+def all_pairs_report(network):
+    """Reference audit: every pair of segments tested, one segment at a time."""
+    eps = 1e-12 * max(network_diameter(network), 1e-30)
+    ends = [_segment_ends(c) for c in network.curves]
+    self_counts = []
+    for c, (p, q) in zip(network.curves, ends):
+        k = len(p)
+        count = 0
+        for i in range(k):
+            stop = k - 1 if (c.closed and i == 0) else k
+            count += _row_crossings(p[i], q[i], p[i + 2 : stop], q[i + 2 : stop], eps)
+        self_counts.append(count)
+    pairwise = []
+    for i in range(len(ends)):
+        for j in range(i + 1, len(ends)):
+            (p, q), (r, s) = ends[i], ends[j]
+            pairwise.append((i, j, sum(_row_crossings(p[a], q[a], r, s, eps) for a in range(len(p)))))
+    return tuple(self_counts), tuple(pairwise)
+
+
+def assert_matches_all_pairs(net):
+    report = injectivity_report(net)
+    assert (report.self_intersections, report.pairwise_crossings) == all_pairs_report(net)
+    return report
+
+
+def _jittered(net, rng, scale):
+    """The network with its interior vertices moved at random; ends stay put."""
+    curves = []
+    for c in net.curves:
+        pts = c.points.copy()
+        pts[1:-1] += scale * rng.normal(size=pts[1:-1].shape)
+        curves.append(DiscreteCurve(pts, closed=c.closed))
+    return Network(net.kind, tuple(curves), net.junctions)
+
+
+def _gerono(m):
+    """Closed lemniscate x = sin(2t)/2, y = sin(t), sampled off t = 0 and t = pi
+    and mirrored exactly, so its one crossing is exactly the origin."""
+    t = (np.arange(m) + 0.5) * (np.pi / (2 * m))
+    q1 = np.column_stack([np.sin(2 * t) / 2, np.sin(t)])  # 0 < t < pi/2
+    q2 = (q1 * [-1.0, 1.0])[::-1]  # pi/2 < t < pi
+    half = np.vstack([q1, q2])
+    return np.vstack([half, half * [1.0, -1.0]])  # pi < t < 2 pi
+
+
 class TestInjectivity:
     def test_circle_simple(self):
         report = injectivity_report(make_circle(1.0, 100))
@@ -227,6 +296,85 @@ class TestInjectivity:
     def test_bubble_embedded(self):
         report = injectivity_report(make_standard_double_bubble(RBAR, 150))
         assert report.total == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_all_pairs_on_seeded_networks(self, seed):
+        rng = np.random.default_rng(seed)
+        theta = random_theta_network(rng, n=int(rng.integers(12, 120)))
+        drop = random_drop(rng, n=int(rng.integers(12, 120)))
+        for net in (theta, drop):
+            assert_matches_all_pairs(net)
+        # tangled copies, so the counts being compared are not all zero
+        crossed = assert_matches_all_pairs(_jittered(theta, rng, 0.3))
+        looped = assert_matches_all_pairs(_jittered(drop, rng, 0.4))
+        assert crossed.total > 0 and looped.total > 0
+        assert any(c for _, _, c in crossed.pairwise_crossings)
+
+    @pytest.mark.parametrize("m", [3, 10, 57, 400])
+    def test_lemniscate_crossing_on_cell_corner(self, m):
+        # the grid's cell corners include the origin for every cell size
+        pts = _gerono(m)
+        net = Network("closed", (DiscreteCurve(pts, closed=True),))
+        assert assert_matches_all_pairs(net).self_intersections == (1,)
+        shifted = Network("closed", (DiscreteCurve(pts + [0.0, 0.25], closed=True),))
+        assert assert_matches_all_pairs(shifted).self_intersections == (1,)
+
+    def test_t_contact_is_not_a_crossing(self):
+        bar = DiscreteCurve(np.array([[-1.0, 0.0], [1.0, 0.0]]))
+        stem = DiscreteCurve(np.array([[0.0, -1.0], [0.0, 0.0], [0.0, 1.0]]))
+        assert assert_matches_all_pairs(Network("double_drop", (bar, stem))).total == 0
+        through = DiscreteCurve(np.array([[0.0, -1.0], [0.0, 1.0]]))
+        assert assert_matches_all_pairs(Network("double_drop", (bar, through))).total == 1
+
+    def test_collinear_overlap_is_not_a_crossing(self):
+        # the fold runs back along its own first edge, the other curve along it too
+        fold = DiscreteCurve(np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 1.0], [2.0, 1.0], [2.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
+        along = DiscreteCurve(np.array([[-1.0, 0.0], [0.5, 0.0], [0.5, -1.0]]))
+        assert assert_matches_all_pairs(Network("double_drop", (fold, along))).total == 0
+
+    def test_closure_and_junction_contacts(self):
+        for net in (
+            make_teardrop(40),
+            make_symmetric_double_drop(make_teardrop(30)),
+            make_degenerate_figure_eight(60),
+            make_standard_double_bubble(RBAR, 80),
+        ):
+            assert assert_matches_all_pairs(net).total == 0
+
+    def test_recovery_bridge(self):
+        net = recovery_sequence(make_degenerate_figure_eight(120), 10)
+        assert len(net.curves[-1].points) == 3
+        assert assert_matches_all_pairs(net).total == 0
+
+    def test_one_edge_far_longer_than_the_rest(self):
+        rng = np.random.default_rng(3)
+        pts = np.cumsum(rng.normal(size=(400, 2)), axis=0)
+        pts[200] = pts.min(axis=0) - 500.0  # a spike across the whole walk
+        net = Network("closed", (DiscreteCurve(pts, closed=True),))
+        assert assert_matches_all_pairs(net).total > 0
+
+    def test_two_long_edges_crossing(self):
+        steps = np.column_stack([np.linspace(0.0, 1.0, 101), np.zeros(101)])
+        a = DiscreteCurve(np.vstack([steps, [[1000.0, 1000.0]]]))
+        b = DiscreteCurve(np.vstack([[1000.0, 0.0] - steps, [[0.0, 1000.0]]]))
+        report = assert_matches_all_pairs(Network("double_drop", (a, b)))
+        assert report.pairwise_crossings == ((0, 1, 1),)
+
+    @pytest.mark.parametrize("spike", [False, True])
+    def test_memory_stays_linear(self, spike):
+        pts = make_circle(1.0, 20000).curves[0].points.copy()
+        if spike:
+            pts[5000] *= 1000.0  # two edges across a million grid cells
+        circle = Network("closed", (DiscreteCurve(pts, closed=True),))
+        tracemalloc.start()
+        try:
+            report = injectivity_report(circle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.total == 0
+        # all pairs of 20000 segments would need one 400 MB mask per k x k array
+        assert peak < 64 * 2**20
 
 
 class TestDegenerateDescent:

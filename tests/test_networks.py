@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -204,6 +205,36 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load_json(path)
+
+
+class TestPointParsing:
+    @pytest.fixture(scope="class")
+    def circle_doc(self):
+        return serialize(make_circle(1.0, 2000))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[0.5], "0.5, 0.5", [0.5, 0.5, 0.5], [0.5, float("nan")], [0.5, 10**400], [0.5, None], {"x": 0.5}],
+        ids=["ragged", "string", "triple", "nan", "int_overflow", "null", "object"],
+    )
+    def test_bad_pair_reports_its_path(self, circle_doc, bad):
+        doc = json.loads(json.dumps(circle_doc))
+        doc["curves"][0]["points"][1234] = bad
+        with pytest.raises(ParseError) as err:
+            deserialize(doc)
+        assert err.value.path == "/curves/0/points/1234"
+
+    def test_first_bad_pair_is_reported(self, circle_doc):
+        doc = json.loads(json.dumps(circle_doc))
+        doc["curves"][0]["points"][1500] = "x"
+        doc["curves"][0]["points"][1234] = [0.5, float("inf")]
+        with pytest.raises(ParseError) as err:
+            deserialize(doc)
+        assert err.value.path == "/curves/0/points/1234"
+
+    def test_round_trip_2000_points_bitwise(self, circle_doc):
+        back = deserialize(json.loads(json.dumps(circle_doc)))
+        assert back.curves[0].points.tobytes() == make_circle(1.0, 2000).curves[0].points.tobytes()
 
 
 class TestStandardFrame:
