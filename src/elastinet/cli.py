@@ -175,7 +175,7 @@ def cmd_bounds(args) -> int:
     return EXIT_OK if all_hold else EXIT_VALIDATION
 
 
-def _load_config(path: str | None, seed_override: int | None) -> OptimizationConfig:
+def _load_config(path: str | None, seed_override: str | None) -> OptimizationConfig:
     fields = {}
     if path:
         with open(path, "r", encoding="utf-8") as fh:
@@ -185,12 +185,11 @@ def _load_config(path: str | None, seed_override: int | None) -> OptimizationCon
                 raise ParseError(f"invalid JSON: {exc}", "/") from None
         if not isinstance(fields, dict):
             raise ParseError("config must be an object", "/")
-        if "angle_penalty_schedule" in fields:
-            if not isinstance(fields["angle_penalty_schedule"], list):
-                raise ParseError("angle_penalty_schedule must be a list", "/angle_penalty_schedule")
-            fields["angle_penalty_schedule"] = tuple(fields["angle_penalty_schedule"])
-    if seed_override is not None:
-        fields["seed"] = seed_override
+    if seed_override:
+        try:
+            fields["seed"] = int(seed_override)
+        except ValueError:
+            raise InvalidConfigError(f"ELASTINET_SEED must be an integer, got {seed_override!r}") from None
     try:
         return OptimizationConfig(**fields)
     except (TypeError, ValueError) as exc:
@@ -200,8 +199,7 @@ def _load_config(path: str | None, seed_override: int | None) -> OptimizationCon
 def cmd_minimize(args) -> int:
     t0 = time.monotonic()
     net = _load_validated(args.input, args.tol_ang)
-    seed_env = os.environ.get("ELASTINET_SEED")
-    config = _load_config(args.kind_config, int(seed_env) if seed_env else None)
+    config = _load_config(args.kind_config, os.environ.get("ELASTINET_SEED"))
     os.makedirs(args.out, exist_ok=True)
     save_svg(net, os.path.join(args.out, "before.svg"))
 

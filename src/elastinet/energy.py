@@ -1,21 +1,33 @@
 """Penalized elastic energy F_alpha = integral of k^2 ds + alpha * length.
 
-The discrete bending energy of a polyline is sum(psi_i^2 / ell_i) over
-curvature vertices, psi the signed turning angle and ell the dual length.
-Curves meeting a junction carry an extra half-cell term at each clamped end,
-the turning between the prescribed frame direction and the adjacent edge over
-a dual length of half that edge.  With those terms the discrete energy of a
-sampled circular arc matches the continuum to O(h^2) and the discrete
-Cauchy-Schwarz and Gauss-Bonnet chains used by the bound checks hold exactly.
+One kernel, ``polyline_energy``, evaluates the discrete functional of one
+polyline; every other function here, and the minimizer, reads it.  The
+kernel walks the polyline's curvature vertices, each the turn from one edge
+direction to the next: psi is the signed turning angle and ell the dual
+length, half the sum of the two edge lengths.  The bending energy is
+E = sum(psi^2 / ell) and the length L the sum of the edge lengths.
 
-Free ends (open standalone curves, drop closure points) carry no end term:
-their contribution is an angle, not curvature.
+* An interior vertex of an open curve turns between its two edges.
+* A closed curve also turns at its first vertex, from its last edge into its
+  first.
+* A clamped end, where a curve meets a junction, is a zero-length edge along
+  the prescribed frame direction: its vertex is the half cell that turns
+  from the frame into the first edge (or from the last edge into the frame)
+  over half that edge.
+* Free ends (open standalone curves, drop closure points) carry no end term:
+  their contribution is an angle, not curvature.
+
+With those terms the discrete energy of a sampled circular arc matches the
+continuum to O(h^2), and the discrete Cauchy-Schwarz and Gauss-Bonnet chains
+used by the bound checks hold exactly.  On request the kernel also returns
+the exact gradient with respect to the points and to the two clamp angles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +45,8 @@ __all__ = [
     "scaling_identity_check",
     "optimal_rescale",
     "equipartition_defect",
-    "curve_energy_gradient",
+    "polyline_energy",
+    "PolylineEnergy",
 ]
 
 DEGENERATE_LENGTH_FACTOR = 1e-12
@@ -58,48 +71,105 @@ class EnergyReport:
     degenerate_curves: tuple[int, ...] = ()
 
 
-def _edges(points: np.ndarray, closed: bool) -> np.ndarray:
-    if closed:
-        return np.roll(points, -1, axis=0) - points
-    return points[1:] - points[:-1]
+class PolylineEnergy(NamedTuple):
+    """Turning angles, dual lengths and totals of one polyline.
+
+    ``grad`` is dF/dpoints for F = E + L, and ``d_start`` and ``d_end`` are
+    dF/d(angle) of the start and end clamp directions (zero without a clamp);
+    all three are filled in only when the gradient is requested.
+    """
+
+    psi: np.ndarray
+    ell: np.ndarray
+    elastic: float
+    length: float
+    grad: np.ndarray | None = None
+    d_start: float = 0.0
+    d_end: float = 0.0
 
 
-def curvature_samples(curve: DiscreteCurve, clamp_start=None, clamp_end=None):
-    """(kappa, ell) samples including clamped-end half cells.
+def polyline_energy(points, closed=False, clamp_start=None, clamp_end=None, gradient=False):
+    """The discrete energy of one polyline, or None when an edge collapsed.
 
     ``clamp_start`` is the prescribed travel direction leaving the first
     point, ``clamp_end`` the prescribed travel direction arriving at the last;
-    either may be None for a free end.  The dual lengths of all samples of a
-    closed or fully clamped curve partition its total length exactly.
+    either may be None for a free end, and both are ignored on closed curves.
+    The dual lengths of a closed or fully clamped curve partition its length.
     """
-    pts, closed = curve.points, curve.closed
-    e = _edges(pts, closed)
-    a = np.linalg.norm(e, axis=1)
-    if np.any(a == 0.0):
-        raise InvalidCurveError("zero-length edge")
-    t = e / a[:, None]
+    p = np.asarray(points, float)
     if closed:
-        psi = signed_angle(np.roll(e, 1, axis=0), e)
-        ell = 0.5 * (np.roll(a, 1) + a)
-        return psi / ell, ell
-    psi = [signed_angle(e[:-1], e[1:])]
-    ell = [0.5 * (a[:-1] + a[1:])]
-    if clamp_start is not None:
-        psi.insert(0, np.array([float(signed_angle(np.asarray(clamp_start, float), t[0]))]))
-        ell.insert(0, np.array([0.5 * a[0]]))
-    if clamp_end is not None:
-        psi.append(np.array([float(signed_angle(t[-1], np.asarray(clamp_end, float)))]))
-        ell.append(np.array([0.5 * a[-1]]))
-    ell_all = np.concatenate(ell)
-    return np.concatenate(psi) / ell_all, ell_all
+        p = np.concatenate([p, p[:1]])
+    e = p[1:] - p[:-1]
+    a = np.linalg.norm(e, axis=1)
+    length = float(a.sum())
+    if not (a.min() > 0.0 and math.isfinite(length)):
+        return None
+    # Directions d and lengths h of the edges, led by the closing edge of a
+    # closed curve or a zero-length clamp edge, and trailed by a clamp edge:
+    # vertex k turns from d[k] to d[k + 1].
+    lead = int(closed or clamp_start is not None)
+    tail = int(clamp_end is not None and not closed)
+    edges = slice(lead, lead + len(e))
+    d = np.empty((len(e) + lead + tail, 2))
+    h = np.zeros(len(d))
+    d[edges] = e
+    h[edges] = a
+    if closed:
+        d[0], h[0] = e[-1], a[-1]
+    elif lead:
+        d[0] = clamp_start
+    if tail:
+        d[-1] = clamp_end
+    psi = signed_angle(d[:-1], d[1:])
+    ell = 0.5 * (h[:-1] + h[1:])
+    elastic = float(np.sum(psi * psi / ell))
+    if not gradient:
+        return PolylineEnergy(psi, ell, elastic, length)
+
+    # d(edge angle)/d(edge) = w and d(edge length)/d(edge) = t; clamp edges
+    # have neither, their angle derivative is taken at the vertex instead
+    t = np.zeros_like(d)
+    w = np.zeros_like(d)
+    t[edges] = e / a[:, None]
+    w[edges] = rot90(e) / (a * a)[:, None]
+    if closed:
+        t[0], w[0] = t[-1], w[-1]
+    cw = 2.0 * psi / ell
+    cl = -0.5 * psi * psi / (ell * ell)
+    g = np.zeros_like(d)
+    g[1:] += cw[:, None] * w[1:] + cl[:, None] * t[1:]
+    g[:-1] += -cw[:, None] * w[:-1] + cl[:, None] * t[:-1]
+    grad_e = g[edges] + t[edges]
+    if closed:
+        grad_e[-1] += g[0]
+    grad = np.zeros_like(p)
+    grad[1:] += grad_e
+    grad[:-1] -= grad_e
+    if closed:
+        grad[0] += grad[-1]
+        grad = grad[:-1]
+    d_start = -float(cw[0]) if lead and not closed else 0.0
+    d_end = float(cw[-1]) if tail else 0.0
+    return PolylineEnergy(psi, ell, elastic, length, grad, d_start, d_end)
+
+
+def _curve_kernel(curve: DiscreteCurve, clamp_start=None, clamp_end=None) -> PolylineEnergy:
+    out = polyline_energy(curve.points, curve.closed, clamp_start, clamp_end)
+    if out is None:
+        raise InvalidCurveError("zero-length edge")
+    return out
+
+
+def curvature_samples(curve: DiscreteCurve, clamp_start=None, clamp_end=None):
+    """(kappa, ell) samples including clamped-end half cells; see ``polyline_energy``."""
+    out = _curve_kernel(curve, clamp_start, clamp_end)
+    return out.psi / out.ell, out.ell
 
 
 def curve_energy(curve: DiscreteCurve, clamp_start=None, clamp_end=None) -> tuple[float, float]:
     """(elastic, length) of one curve with optional clamped ends."""
-    kappa, ell = curvature_samples(curve, clamp_start, clamp_end)
-    pts = curve.points
-    length = float(np.linalg.norm(_edges(pts, curve.closed), axis=1).sum())
-    return float(np.sum(kappa * kappa * ell)), length
+    out = _curve_kernel(curve, clamp_start, clamp_end)
+    return out.elastic, out.length
 
 
 def elastic_energy(curve: DiscreteCurve) -> float:
@@ -116,13 +186,11 @@ def penalized_energy(network: Network, alpha: float = 1.0) -> EnergyReport:
     degenerate = []
     e_tot = l_tot = 0.0
     for i, c in enumerate(network.curves):
-        length = float(np.linalg.norm(_edges(c.points, c.closed), axis=1).sum())
+        elastic, length = curve_energy(c, *curve_clamps(network, i))
         if length < DEGENERATE_LENGTH_FACTOR * diam:
             degenerate.append(i)
             per.append(CurveEnergy(0.0, 0.0, 0.0))
             continue
-        cs, ce = curve_clamps(network, i)
-        elastic, length = curve_energy(c, cs, ce)
         per.append(CurveEnergy(length, elastic, elastic + alpha * length))
         e_tot += elastic
         l_tot += length
@@ -161,74 +229,3 @@ def equipartition_defect(network: Network) -> float:
     """|E - L| / max(E, L); vanishes after optimal rescaling."""
     report = penalized_energy(network, 1.0)
     return abs(report.elastic - report.length) / max(report.elastic, report.length)
-
-
-def curve_energy_gradient(
-    points: np.ndarray,
-    closed: bool,
-    alpha: float = 1.0,
-    clamp_start=None,
-    clamp_end=None,
-):
-    """Exact gradient of the discrete F_alpha of one polyline.
-
-    Returns (F, elastic, length, dF/dpoints, dF/dtheta_start, dF/dtheta_end)
-    where the theta derivatives are with respect to the clamp direction
-    angles (zero when the corresponding clamp is absent).  Used by the
-    minimizer, which chains these through its DOF parametrizations; kept next
-    to the energy definition so the two cannot drift apart.
-    """
-    p = np.asarray(points, float)
-    m = len(p)
-    e = _edges(p, closed)
-    a = np.linalg.norm(e, axis=1)
-    if np.any(a == 0.0):
-        raise InvalidCurveError("zero-length edge")
-    t = e / a[:, None]
-    w = rot90(e) / (a * a)[:, None]
-
-    grad_e = alpha * t.copy()
-    elastic = 0.0
-    d_theta_s = 0.0
-    d_theta_e = 0.0
-
-    if closed:
-        psi = signed_angle(np.roll(e, 1, axis=0), e)
-        ell = 0.5 * (np.roll(a, 1) + a)
-        elastic += float(np.sum(psi * psi / ell))
-        cw = 2.0 * psi / ell
-        cl = -0.5 * psi * psi / (ell * ell)
-        # vertex i touches edges i-1 and i
-        grad_e += cw[:, None] * w + cl[:, None] * t
-        grad_e += np.roll(-cw, -1)[:, None] * w + np.roll(cl, -1)[:, None] * t
-        grad_p = np.roll(grad_e, 1, axis=0) - grad_e
-    else:
-        if m >= 3:
-            psi = signed_angle(e[:-1], e[1:])
-            ell = 0.5 * (a[:-1] + a[1:])
-            elastic += float(np.sum(psi * psi / ell))
-            cw = 2.0 * psi / ell
-            cl = -0.5 * psi * psi / (ell * ell)
-            grad_e[1:] += cw[:, None] * w[1:] + cl[:, None] * t[1:]
-            grad_e[:-1] += -cw[:, None] * w[:-1] + cl[:, None] * t[:-1]
-        if clamp_start is not None:
-            d = np.asarray(clamp_start, float)
-            psi_s = float(signed_angle(d, t[0]))
-            ell_s = 0.5 * a[0]
-            elastic += psi_s * psi_s / ell_s
-            grad_e[0] += (2.0 * psi_s / ell_s) * w[0] + (-0.5 * psi_s * psi_s / (ell_s * ell_s)) * t[0]
-            d_theta_s = -2.0 * psi_s / ell_s
-        if clamp_end is not None:
-            d = np.asarray(clamp_end, float)
-            psi_e = float(signed_angle(t[-1], d))
-            ell_e = 0.5 * a[-1]
-            elastic += psi_e * psi_e / ell_e
-            grad_e[-1] += -(2.0 * psi_e / ell_e) * w[-1] + (-0.5 * psi_e * psi_e / (ell_e * ell_e)) * t[-1]
-            d_theta_e = 2.0 * psi_e / ell_e
-        grad_p = np.zeros_like(p)
-        grad_p[1:] += grad_e
-        grad_p[:-1] -= grad_e
-
-    length = float(a.sum())
-    f_val = elastic + alpha * length
-    return f_val, elastic, length, grad_p, d_theta_s, d_theta_e

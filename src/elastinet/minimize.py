@@ -1,18 +1,17 @@
 """First-order minimization of the penalized elastic energy over networks.
 
-Degrees of freedom per kind:
+Degrees of freedom, in two classes:
 
-* ``closed``            every vertex is free
-* ``drop``              interior vertices free, the closure point pinned at
-                        the origin (free corner angle)
-* ``theta`` /
-  ``generalized_theta`` two junction positions, two frame angles, the six
-                        slaved first/last edge lengths, and the interior
-                        vertices; the first and last edge of every curve lie
-                        exactly along the junction frame, so the prescribed
-                        angles hold to machine precision along the whole run
-* ``degenerate_theta``  four-point pinned at the origin, one frame angle,
-                        four slaved edge lengths, interior vertices
+* curves without junctions (``closed``, ``drop``): every vertex of a closed
+  curve; the interior vertices of a drop, whose closure point stays pinned at
+  the origin (free corner angle);
+* junction networks (``theta``, ``generalized_theta``, ``degenerate_theta``):
+  junction positions, one frame angle per junction, one slaved end-edge
+  length per junction slot and the interior vertices.  The slot table
+  ``networks.end_slots`` says which curve end meets which slot.  The first
+  and last edge of every curve lie exactly along the junction frame, so the
+  prescribed angles hold to machine precision along the whole run.  The
+  four-point of a degenerate theta stays pinned at the origin.
 
 The descent is plain gradient descent with Armijo backtracking (factor 0.5,
 sufficient decrease 1e-4) and step growth after clean accepts.  Periodic
@@ -35,10 +34,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .energy import curve_energy_gradient, penalized_energy
+from .energy import penalized_energy, polyline_energy
 from .errors import (
     ConstructionFailedError,
     InvalidConfigError,
+    InvalidCurveError,
     InvalidInputError,
     OptimizationError,
 )
@@ -55,6 +55,7 @@ from .networks import (
     Junction,
     Network,
     ValidationReport,
+    end_slots,
     make_symmetric_double_drop,
     network_diameter,
     translate_network,
@@ -86,11 +87,16 @@ STUB_FRACTION = 0.25
 
 @dataclass(frozen=True)
 class OptimizationConfig:
+    """Settings of one descent run.
+
+    ``seed`` is only echoed into the command line's ``manifest.json``: the
+    solver draws no random numbers, so the seed does not affect results.
+    """
+
     n_per_curve: int = 200
     max_iters: int = 20000
     grad_tol: float = 1e-4
     energy_rel_tol: float = 1e-14
-    angle_penalty_schedule: tuple[float, ...] = (1.0,)
     resample_every: int = 25
     backtrack_factor: float = 0.5
     armijo_c: float = 1e-4
@@ -111,10 +117,6 @@ class OptimizationConfig:
             raise InvalidConfigError("backtrack_factor must lie in (0, 1)")
         if self.resample_every < 0:
             raise InvalidConfigError("resample_every must be nonnegative (0 disables)")
-        sched = tuple(float(w) for w in self.angle_penalty_schedule)
-        if not sched or any(w <= 0 for w in sched) or any(b < a for a, b in zip(sched, sched[1:])):
-            raise InvalidConfigError("angle_penalty_schedule must be positive and nondecreasing")
-        object.__setattr__(self, "angle_penalty_schedule", sched)
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,17 @@ class ResampleEvent:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """Outcome of one run.  ``termination`` is one of:
+
+    * ``converged``: the gradient norm reached ``grad_tol``;
+    * ``stalled``: 64 iterations descended by at most ``energy_rel_tol``
+      relative to ``F`` while the gradient norm stayed above ``grad_tol``;
+    * ``max_iters``: the iteration budget ran out;
+    * ``line_search_failed``: no step above ``step_min`` decreased ``F``;
+    * ``degeneration``: a curve shrank below ``DEGENERATION_FACTOR`` times the
+      network diameter.
+    """
+
     final: Network
     energy_trace: np.ndarray
     elastic_trace: np.ndarray
@@ -145,352 +158,194 @@ class OptimizationResult:
 # DOF parametrizations
 
 
-def _poly_value(points: np.ndarray, closed: bool, clamp_start=None, clamp_end=None):
-    """(F, E, L) of one polyline, or None when the geometry collapsed."""
-    e = (np.roll(points, -1, axis=0) - points) if closed else (points[1:] - points[:-1])
-    a = np.linalg.norm(e, axis=1)
-    if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
-        return None
-    t = e / a[:, None]
-    if closed:
-        psi = signed_angle(np.roll(e, 1, axis=0), e)
-        ell = 0.5 * (np.roll(a, 1) + a)
-        elastic = float(np.sum(psi * psi / ell))
-    else:
-        psi = signed_angle(e[:-1], e[1:])
-        ell = 0.5 * (a[:-1] + a[1:])
-        elastic = float(np.sum(psi * psi / ell))
-        if clamp_start is not None:
-            ps = float(signed_angle(clamp_start, t[0]))
-            elastic += ps * ps / (0.5 * a[0])
-        if clamp_end is not None:
-            pe = float(signed_angle(t[-1], clamp_end))
-            elastic += pe * pe / (0.5 * a[-1])
-    length = float(a.sum())
-    return elastic + length, elastic, length
+_INFINITE = (math.inf, math.inf, math.inf)
 
 
-class _ClosedDof:
-    kind = "closed"
+class _CurveDof:
+    """Closed curve: every vertex free.  Drop: the closure point stays pinned."""
 
     def __init__(self, network: Network):
         self.template = network
-        self.m = network.curves[0].n_points
+        self.closed = network.curves[0].closed
+        self.free = slice(None) if self.closed else slice(1, -1)
 
     def pack(self) -> np.ndarray:
-        return self.template.curves[0].points.ravel().copy()
-
-    def value(self, x: np.ndarray):
-        out = _poly_value(x.reshape(-1, 2), True)
-        return (math.inf, math.inf, math.inf) if out is None else out
-
-    def value_and_grad(self, x: np.ndarray):
-        f, e, l, dp, _, _ = curve_energy_gradient(x.reshape(-1, 2), True)
-        return f, e, l, dp.ravel()
-
-    def point_sets(self, x: np.ndarray):
-        return [x.reshape(-1, 2)]
-
-    def rebuild(self, x: np.ndarray) -> Network:
-        return Network("closed", (DiscreteCurve(x.reshape(-1, 2).copy(), closed=True),))
-
-    def resample(self, x: np.ndarray):
-        curve = resample_uniform(DiscreteCurve(x.reshape(-1, 2), closed=True), self.m)
-        return self, curve.points.ravel()
-
-    def rescale(self, x: np.ndarray, factor: float) -> np.ndarray:
-        return factor * x
-
-
-class _DropDof:
-    kind = "drop"
-
-    def __init__(self, network: Network):
-        self.template = network
-        self.m = network.curves[0].n_points
-
-    def pack(self) -> np.ndarray:
-        return self.template.curves[0].points[1:-1].ravel().copy()
+        return self.template.curves[0].points[self.free].ravel().copy()
 
     def _points(self, x: np.ndarray) -> np.ndarray:
-        p = np.zeros((self.m, 2))
-        p[1:-1] = x.reshape(-1, 2)
+        p = self.template.curves[0].points.copy()
+        p[self.free] = x.reshape(-1, 2)
         return p
 
     def value(self, x: np.ndarray):
-        out = _poly_value(self._points(x), False)
-        return (math.inf, math.inf, math.inf) if out is None else out
+        out = polyline_energy(self._points(x), self.closed)
+        return _INFINITE if out is None else (out.elastic + out.length, out.elastic, out.length)
 
     def value_and_grad(self, x: np.ndarray):
-        f, e, l, dp, _, _ = curve_energy_gradient(self._points(x), False)
-        return f, e, l, dp[1:-1].ravel()
+        out = _with_gradient(self._points(x), self.closed)
+        return out.elastic + out.length, out.elastic, out.length, out.grad[self.free].ravel()
 
     def point_sets(self, x: np.ndarray):
         return [self._points(x)]
 
     def rebuild(self, x: np.ndarray) -> Network:
-        return Network("drop", (DiscreteCurve(self._points(x), closed=False),))
-
-    def resample(self, x: np.ndarray):
-        curve = resample_uniform(DiscreteCurve(self._points(x), closed=False), self.m - 1)
-        return self, curve.points[1:-1].ravel()
+        curve = DiscreteCurve(self._points(x), closed=self.closed)
+        return Network(self.template.kind, (curve,))
 
     def rescale(self, x: np.ndarray, factor: float) -> np.ndarray:
-        # scaling about the pinned closure point at the origin
+        # a drop scales about its pinned closure point at the origin
         return factor * x
 
 
 class _JunctionDof:
-    """Theta and generalized theta: shared junctions, frames, slaved edges."""
+    """Junction kinds: frame angles, slaved end edges and interior vertices.
+
+    ``x`` holds the junction positions, one frame angle per junction, one
+    stub length per junction slot (junction by junction, slot by slot) and
+    the interior vertices of every curve.  The first and last edge of every
+    curve lie along its slot's frame direction, so the prescribed angles hold
+    to machine precision along the whole run.  A lone junction (the
+    four-point of a degenerate theta) stays where it is instead, at the origin
+    where ``_prepare`` puts it, so the network has no translation mode.
+    """
 
     def __init__(self, network: Network):
         self.template = network
-        self.counts = tuple(c.n_points for c in network.curves)
-        self.offsets0 = network.junctions[0].offsets
-        self.offsets1 = network.junctions[1].offsets
-        self.header = 12  # J1, J2, phi1, phi2, h1[3], h2[3]
+        junctions = network.junctions
+        self.n_pos = 2 * len(junctions) if len(junctions) > 1 else 0
+        self.fixed = np.array([j.position for j in junctions])
+        first_stub = np.cumsum([self.n_pos + len(junctions)] + [len(j.offsets) for j in junctions])
+        slots = end_slots(network)
+        # per curve and end (start, end): the junction, its slot's offset and
+        # the index of the end's stub length in x
+        self.end_junction = np.array([[j for j, _ in ends] for ends in slots])
+        self.end_offset = np.array([[junctions[j].offsets[s] for j, s in ends] for ends in slots])
+        self.end_stub = np.array([[first_stub[j] + s for j, s in ends] for ends in slots])
+        self.stubs = slice(int(first_stub[0]), int(first_stub[-1]))
+        bounds = np.cumsum([first_stub[-1]] + [2 * (c.n_points - 4) for c in network.curves])
+        self.interiors = [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def pack(self) -> np.ndarray:
-        j0, j1 = self.template.junctions
-        parts = [j0.position, j1.position, [j0.frame_angle, j1.frame_angle]]
-        h1 = [float(np.linalg.norm(c.points[1] - j0.position)) for c in self.template.curves]
-        h2 = [float(np.linalg.norm(c.points[-2] - j1.position)) for c in self.template.curves]
-        parts.append(h1)
-        parts.append(h2)
-        parts.extend(c.points[2:-2].ravel() for c in self.template.curves)
-        return np.concatenate([np.asarray(p, float).ravel() for p in parts])
+        net = self.template
+        head = np.empty(self.stubs.stop)
+        head[: self.n_pos] = self.fixed.ravel()[: self.n_pos]
+        head[self.n_pos : self.stubs.start] = [j.frame_angle for j in net.junctions]
+        head[self.end_stub] = [
+            [np.linalg.norm(c.points[1] - c.points[0]), np.linalg.norm(c.points[-2] - c.points[-1])]
+            for c in net.curves
+        ]
+        return np.concatenate([head] + [c.points[2:-2].ravel() for c in net.curves])
 
-    def _split(self, x: np.ndarray):
-        j1 = x[0:2]
-        j2 = x[2:4]
-        phi1, phi2 = x[4], x[5]
-        h1 = x[6:9]
-        h2 = x[9:12]
-        interiors = []
-        pos = self.header
-        for m in self.counts:
-            k = (m - 4) * 2
-            interiors.append(x[pos : pos + k].reshape(-1, 2))
-            pos += k
-        return j1, j2, phi1, phi2, h1, h2, interiors
+    def _positions(self, x: np.ndarray) -> np.ndarray:
+        return x[: self.n_pos].reshape(-1, 2) if self.n_pos else self.fixed
 
-    def point_sets(self, x: np.ndarray):
-        j1, j2, phi1, phi2, h1, h2, interiors = self._split(x)
+    def _frames(self, x: np.ndarray):
+        """Junction position and outgoing frame direction at every curve end."""
+        angles = x[self.n_pos + self.end_junction] + self.end_offset
+        return self._positions(x)[self.end_junction], np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+
+    def _sets(self, x: np.ndarray, at, dirs):
+        h = x[self.end_stub]
         sets = []
-        for i, m in enumerate(self.counts):
-            p = np.empty((m, 2))
-            p[0] = j1
-            p[1] = j1 + h1[i] * unit(phi1 + self.offsets0[i])
-            p[2:-2] = interiors[i]
-            p[-2] = j2 + h2[i] * unit(phi2 + self.offsets1[i])
-            p[-1] = j2
+        for i, (interior, c) in enumerate(zip(self.interiors, self.template.curves)):
+            p = np.empty_like(c.points)
+            p[0] = at[i, 0]
+            p[1] = at[i, 0] + h[i, 0] * dirs[i, 0]
+            p[2:-2] = x[interior].reshape(-1, 2)
+            p[-2] = at[i, 1] + h[i, 1] * dirs[i, 1]
+            p[-1] = at[i, 1]
             sets.append(p)
         return sets
 
-    def _clamps(self, phi1: float, phi2: float, i: int):
-        d0 = unit(phi1 + self.offsets0[i])
-        d1 = -unit(phi2 + self.offsets1[i])
-        return d0, d1
+    def point_sets(self, x: np.ndarray):
+        return self._sets(x, *self._frames(x))
 
     def value(self, x: np.ndarray):
-        _, _, phi1, phi2, h1, h2, _ = self._split(x)
-        if np.any(h1 <= 0.0) or np.any(h2 <= 0.0):
-            return math.inf, math.inf, math.inf
+        if np.any(x[self.stubs] <= 0.0):
+            return _INFINITE
+        at, dirs = self._frames(x)
         f = e = l = 0.0
-        for i, p in enumerate(self.point_sets(x)):
-            cs, ce = self._clamps(phi1, phi2, i)
-            out = _poly_value(p, False, cs, ce)
+        for p, (d_start, d_end) in zip(self._sets(x, at, dirs), dirs):
+            out = polyline_energy(p, False, d_start, -d_end)
             if out is None:
-                return math.inf, math.inf, math.inf
-            f += out[0]
-            e += out[1]
-            l += out[2]
+                return _INFINITE
+            f += out.elastic + out.length
+            e += out.elastic
+            l += out.length
         return f, e, l
 
     def value_and_grad(self, x: np.ndarray):
-        j1, j2, phi1, phi2, h1, h2, interiors = self._split(x)
+        at, dirs = self._frames(x)
+        h = x[self.end_stub]
         g = np.zeros_like(x)
+        g_positions = g[: self.n_pos].reshape(-1, 2)
         f = e = l = 0.0
-        pos = self.header
-        sets = self.point_sets(x)
-        for i, m in enumerate(self.counts):
-            cs, ce = self._clamps(phi1, phi2, i)
-            fi, ei, li, dp, dth_s, dth_e = curve_energy_gradient(sets[i], False, 1.0, cs, ce)
-            f += fi
-            e += ei
-            l += li
-            d0 = unit(phi1 + self.offsets0[i])
-            d1 = unit(phi2 + self.offsets1[i])
-            g[0:2] += dp[0] + dp[1]
-            g[2:4] += dp[-1] + dp[-2]
-            # clamp_end direction is -u(phi2 + off): same angle derivative as phi2
-            g[4] += dth_s + float(dp[1] @ (h1[i] * rot90(d0)))
-            g[5] += dth_e + float(dp[-2] @ (h2[i] * rot90(d1)))
-            g[6 + i] += float(dp[1] @ d0)
-            g[9 + i] += float(dp[-2] @ d1)
-            k = (m - 4) * 2
-            g[pos : pos + k] = dp[2:-2].ravel()
-            pos += k
+        for i, p in enumerate(self._sets(x, at, dirs)):
+            out = _with_gradient(p, False, dirs[i, 0], -dirs[i, 1])
+            f += out.elastic + out.length
+            e += out.elastic
+            l += out.length
+            dp = out.grad
+            # the end clamp is minus the outgoing direction: same angle derivative
+            for k, end, stub, d_angle in ((0, 0, 1, out.d_start), (1, -1, -2, out.d_end)):
+                j = self.end_junction[i, k]
+                if self.n_pos:
+                    g_positions[j] += dp[end] + dp[stub]
+                g[self.n_pos + j] += d_angle + float(dp[stub] @ (h[i, k] * rot90(dirs[i, k])))
+                g[self.end_stub[i, k]] += float(dp[stub] @ dirs[i, k])
+            g[self.interiors[i]] = dp[2:-2].ravel()
         return f, e, l, g
 
     def rebuild(self, x: np.ndarray) -> Network:
-        j1, j2, phi1, phi2, _, _, _ = self._split(x)
-        sets = self.point_sets(x)
-        junctions = (
-            Junction(j1.copy(), float(phi1), self.offsets0),
-            Junction(j2.copy(), float(phi2), self.offsets1),
+        net = self.template
+        junctions = tuple(
+            Junction(q.copy(), float(x[self.n_pos + j]), junction.offsets)
+            for j, (q, junction) in enumerate(zip(self._positions(x), net.junctions))
         )
-        curves = tuple(DiscreteCurve(p.copy(), closed=False) for p in sets)
-        return Network(self.template.kind, curves, junctions, self.template.prescribed_angles)
-
-    def resample(self, x: np.ndarray):
-        net = self.rebuild(x)
-        net = _slave_junction_edges(_resample_network(net))
-        dof = _JunctionDof(net)
-        return dof, dof.pack()
+        curves = tuple(DiscreteCurve(p, closed=False) for p in self.point_sets(x))
+        return Network(net.kind, curves, junctions, net.prescribed_angles)
 
     def rescale(self, x: np.ndarray, factor: float) -> np.ndarray:
         out = factor * x
-        out[4:6] = x[4:6]  # frame angles are scale invariant
+        angles = slice(self.n_pos, self.stubs.start)
+        out[angles] = x[angles]  # frame angles are scale invariant
         return out
 
 
-class _FourPointDof:
-    """Degenerate theta: four-point at the origin, one frame, slaved edges."""
-
-    def __init__(self, network: Network):
-        self.template = network
-        self.counts = tuple(c.n_points for c in network.curves)
-        self.offsets = network.junctions[0].offsets
-        self.header = 5  # phi, h[4]
-
-    def pack(self) -> np.ndarray:
-        (j,) = self.template.junctions
-        h = []
-        for c in self.template.curves:
-            h.append(float(np.linalg.norm(c.points[1] - j.position)))
-            h.append(float(np.linalg.norm(c.points[-2] - j.position)))
-        parts = [[j.frame_angle], h]
-        parts.extend(c.points[2:-2].ravel() for c in self.template.curves)
-        return np.concatenate([np.asarray(p, float).ravel() for p in parts])
-
-    def _split(self, x: np.ndarray):
-        phi = x[0]
-        h = x[1:5]
-        interiors = []
-        pos = self.header
-        for m in self.counts:
-            k = (m - 4) * 2
-            interiors.append(x[pos : pos + k].reshape(-1, 2))
-            pos += k
-        return phi, h, interiors
-
-    def point_sets(self, x: np.ndarray):
-        phi, h, interiors = self._split(x)
-        sets = []
-        for i, m in enumerate(self.counts):
-            p = np.empty((m, 2))
-            p[0] = 0.0
-            p[1] = h[2 * i] * unit(phi + self.offsets[2 * i])
-            p[2:-2] = interiors[i]
-            p[-2] = h[2 * i + 1] * unit(phi + self.offsets[2 * i + 1])
-            p[-1] = 0.0
-            sets.append(p)
-        return sets
-
-    def value(self, x: np.ndarray):
-        phi, h, _ = self._split(x)
-        if np.any(h <= 0.0):
-            return math.inf, math.inf, math.inf
-        f = e = l = 0.0
-        for i, p in enumerate(self.point_sets(x)):
-            cs = unit(phi + self.offsets[2 * i])
-            ce = -unit(phi + self.offsets[2 * i + 1])
-            out = _poly_value(p, False, cs, ce)
-            if out is None:
-                return math.inf, math.inf, math.inf
-            f += out[0]
-            e += out[1]
-            l += out[2]
-        return f, e, l
-
-    def value_and_grad(self, x: np.ndarray):
-        phi, h, _ = self._split(x)
-        g = np.zeros_like(x)
-        f = e = l = 0.0
-        pos = self.header
-        sets = self.point_sets(x)
-        for i, m in enumerate(self.counts):
-            d0 = unit(phi + self.offsets[2 * i])
-            d1 = unit(phi + self.offsets[2 * i + 1])
-            fi, ei, li, dp, dth_s, dth_e = curve_energy_gradient(sets[i], False, 1.0, d0, -d1)
-            f += fi
-            e += ei
-            l += li
-            g[0] += dth_s + dth_e
-            g[0] += float(dp[1] @ (h[2 * i] * rot90(d0))) + float(dp[-2] @ (h[2 * i + 1] * rot90(d1)))
-            g[1 + 2 * i] += float(dp[1] @ d0)
-            g[2 + 2 * i] += float(dp[-2] @ d1)
-            k = (m - 4) * 2
-            g[pos : pos + k] = dp[2:-2].ravel()
-            pos += k
-        return f, e, l, g
-
-    def rebuild(self, x: np.ndarray) -> Network:
-        phi, _, _ = self._split(x)
-        sets = self.point_sets(x)
-        j = Junction(np.zeros(2), float(phi), self.offsets)
-        curves = tuple(DiscreteCurve(p.copy(), closed=False) for p in sets)
-        return Network("degenerate_theta", curves, (j,))
-
-    def resample(self, x: np.ndarray):
-        net = self.rebuild(x)
-        net = _slave_junction_edges(_resample_network(net))
-        dof = _FourPointDof(net)
-        return dof, dof.pack()
-
-    def rescale(self, x: np.ndarray, factor: float) -> np.ndarray:
-        out = factor * x
-        out[0] = x[0]
-        return out
+def _with_gradient(points, closed, clamp_start=None, clamp_end=None):
+    out = polyline_energy(points, closed, clamp_start, clamp_end, gradient=True)
+    if out is None:
+        raise InvalidCurveError("zero-length edge")
+    return out
 
 
-_DOF_CLASSES = {
-    "closed": _ClosedDof,
-    "drop": _DropDof,
-    "theta": _JunctionDof,
-    "generalized_theta": _JunctionDof,
-    "degenerate_theta": _FourPointDof,
-}
+def _resample(dof, x: np.ndarray):
+    """Uniform resampling of the network ``x`` describes, and its new DOF."""
+    net = _slave_junction_edges(_resample_network(dof.rebuild(x)))
+    dof = _dof(net)
+    return dof, dof.pack()
+
+
+def _dof(network: Network):
+    return (_JunctionDof if network.junctions else _CurveDof)(network)
 
 
 def _slave_junction_edges(network: Network) -> Network:
     """Put the first/last edge of each curve onto its frame ray (short stub)."""
-    if network.kind in ("theta", "generalized_theta"):
-        j0, j1 = network.junctions
-        curves = []
-        for i, c in enumerate(network.curves):
-            p = c.points.copy()
-            stub = STUB_FRACTION * polyline_length(c) / (len(p) - 1)
-            p[0] = j0.position
-            p[-1] = j1.position
-            p[1] = j0.position + stub * j0.outgoing_dir(i)
-            p[-2] = j1.position + stub * j1.outgoing_dir(i)
-            curves.append(DiscreteCurve(p, closed=False))
-        return Network(network.kind, tuple(curves), network.junctions, network.prescribed_angles)
-    if network.kind == "degenerate_theta":
-        (j,) = network.junctions
-        curves = []
-        for i, c in enumerate(network.curves):
-            p = c.points.copy()
-            stub = STUB_FRACTION * polyline_length(c) / (len(p) - 1)
-            p[0] = j.position
-            p[-1] = j.position
-            p[1] = j.position + stub * j.outgoing_dir(2 * i)
-            p[-2] = j.position + stub * j.outgoing_dir(2 * i + 1)
-            curves.append(DiscreteCurve(p, closed=False))
-        return Network(network.kind, tuple(curves), network.junctions)
-    return network
+    slots = end_slots(network)
+    if not slots:
+        return network
+    curves = []
+    for c, ((j_start, s_start), (j_end, s_end)) in zip(network.curves, slots):
+        start, end = network.junctions[j_start], network.junctions[j_end]
+        p = c.points.copy()
+        stub = STUB_FRACTION * polyline_length(c) / (len(p) - 1)
+        p[0] = start.position
+        p[-1] = end.position
+        p[1] = start.position + stub * start.outgoing_dir(s_start)
+        p[-2] = end.position + stub * end.outgoing_dir(s_end)
+        curves.append(DiscreteCurve(p, closed=False))
+    return Network(network.kind, tuple(curves), network.junctions, network.prescribed_angles)
 
 
 def _count_split(total_points: int, lengths: np.ndarray, floor: int = 8) -> list[int]:
@@ -572,8 +427,6 @@ def _prepare(network: Network, n: int | None) -> Network:
     kind = network.kind
     if kind == "double_drop":
         raise InvalidInputError("use minimize_symmetric_double_drop for double drops")
-    if kind not in _DOF_CLASSES:
-        raise InvalidInputError(f"cannot minimize networks of kind {kind!r}")
     net = network
     if kind == "drop":
         net = translate_network(net, -net.curves[0].points[0])
@@ -591,7 +444,7 @@ def _prepare(network: Network, n: int | None) -> Network:
 def dof_map(network: Network):
     """DOF parametrization used by the optimizer (after slaving), for audits."""
     net = _prepare(network, None)
-    return _DOF_CLASSES[net.kind](net)
+    return _dof(net)
 
 
 def discrete_gradient(network: Network) -> np.ndarray:
@@ -628,7 +481,7 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
         )
 
     net = _prepare(network, config.n_per_curve)
-    dof = _DOF_CLASSES[net.kind](net)
+    dof = _dof(net)
     x = dof.pack()
 
     f, e, l = dof.value(x)
@@ -673,7 +526,7 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
 
         if config.resample_every and it % config.resample_every == 0:
             f_before = dof.value(x)[0]
-            dof, x = dof.resample(x)
+            dof, x = _resample(dof, x)
             f_mid, e_mid, l_mid = dof.value(x)
             # exact optimal rescaling: monotone, kills the slow dilation mode
             if math.isfinite(f_mid) and e_mid > 1e-14 * max(l_mid, 1.0):
@@ -685,12 +538,12 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
                 termination = "degeneration"
                 break
 
-        # convergence on descent progress alone: uniform resampling drifts the
+        # stop on descent progress alone: uniform resampling drifts the
         # energy by a little each time, which must not mask stagnation
         if it % 64 == 0:
             f_now = dof.value(x)[0]
             if window_descent <= config.energy_rel_tol * max(abs(f_now), 1.0):
-                termination = "converged"
+                termination = "stalled"
                 break
             window_descent = 0.0
 
@@ -699,6 +552,8 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
     e_trace.append(e)
     l_trace.append(l)
     g_trace.append(float(np.linalg.norm(dof.value_and_grad(x)[3])))
+    if termination == "stalled" and g_trace[-1] <= config.grad_tol:
+        termination = "converged"
 
     final = dof.rebuild(x)
     return OptimizationResult(

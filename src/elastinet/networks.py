@@ -51,6 +51,7 @@ __all__ = [
     "validate",
     "network_diameter",
     "curve_clamps",
+    "end_slots",
     "translate_network",
     "rotate_network",
     "scale_network",
@@ -190,19 +191,33 @@ def _estimated_outgoing(curve: DiscreteCurve) -> tuple[np.ndarray, np.ndarray]:
     return tau0, -tau1
 
 
+def end_slots(network: Network):
+    """Per curve, the ``(junction, slot)`` met by its start and by its end.
+
+    This table is the one place that knows how curve ends attach to junction
+    slots: theta curve i leaves junction 0 and arrives at junction 1 through
+    slot i at both, and degenerate-theta lobe i leaves the four-point through
+    slot 2i and returns through slot 2i + 1.  Junction-free kinds give ().
+    """
+    n = len(network.curves)
+    if network.kind in ("theta", "generalized_theta"):
+        return tuple(((0, i), (1, i)) for i in range(n))
+    if network.kind == "degenerate_theta":
+        return tuple(((0, 2 * i), (0, 2 * i + 1)) for i in range(n))
+    return ()
+
+
 def curve_clamps(network: Network, i: int):
     """Prescribed endpoint travel directions of curve i, or (None, None).
 
     Returns (start direction, incoming direction at the end); both unit
     vectors for junction-constrained kinds.
     """
-    if network.kind in ("theta", "generalized_theta"):
-        j0, j1 = network.junctions
-        return j0.outgoing_dir(i), -j1.outgoing_dir(i)
-    if network.kind == "degenerate_theta":
-        (j,) = network.junctions
-        return j.outgoing_dir(2 * i), -j.outgoing_dir(2 * i + 1)
-    return None, None
+    slots = end_slots(network)
+    if not slots:
+        return None, None
+    (j_start, s_start), (j_end, s_end) = slots[i]
+    return network.junctions[j_start].outgoing_dir(s_start), -network.junctions[j_end].outgoing_dir(s_end)
 
 
 def validate(network: Network, tol_pos: float | None = None, tol_ang: float = 1e-6) -> ValidationReport:
@@ -219,36 +234,21 @@ def validate(network: Network, tol_pos: float | None = None, tol_ang: float = 1e
 
     gap = 0.0
     defect = 0.0
-    kind = network.kind
-    if kind == "closed":
-        pass
-    elif kind == "drop":
+    if network.kind == "drop":
         pts = network.curves[0].points
         gap = float(np.linalg.norm(pts[0] - pts[-1]))
-    elif kind == "double_drop":
+    elif network.kind == "double_drop":
         p = network.curves[0].points[0]
         for c in network.curves:
             gap = max(gap, float(np.linalg.norm(c.points[0] - p)))
             gap = max(gap, float(np.linalg.norm(c.points[-1] - p)))
-    elif kind in ("theta", "generalized_theta"):
-        j0, j1 = network.junctions
-        for i, c in enumerate(network.curves):
-            gap = max(gap, float(np.linalg.norm(c.points[0] - j0.position)))
-            gap = max(gap, float(np.linalg.norm(c.points[-1] - j1.position)))
-            d_start, d_end_in = _estimated_outgoing(c)
-            defect = max(defect, abs(float(signed_angle(j0.outgoing_dir(i), d_start))))
-            defect = max(defect, abs(float(signed_angle(j1.outgoing_dir(i), d_end_in))))
-    elif kind == "degenerate_theta":
-        (j,) = network.junctions
-        for i, c in enumerate(network.curves):
-            gap = max(gap, float(np.linalg.norm(c.points[0] - j.position)))
-            gap = max(gap, float(np.linalg.norm(c.points[-1] - j.position)))
-            d_start, d_end_out = _estimated_outgoing(c)
-            defect = max(defect, abs(float(signed_angle(j.outgoing_dir(2 * i), d_start))))
-            defect = max(defect, abs(float(signed_angle(j.outgoing_dir(2 * i + 1), d_end_out))))
-        defect = max(defect, _degenerate_pattern_defect(j))
-    else:  # pragma: no cover - kinds are exhausted above
-        raise InvalidInputError(f"unknown kind {kind!r}")
+    for c, ends in zip(network.curves, end_slots(network)):
+        for point, (j, slot), outgoing in zip((c.points[0], c.points[-1]), ends, _estimated_outgoing(c)):
+            junction = network.junctions[j]
+            gap = max(gap, float(np.linalg.norm(point - junction.position)))
+            defect = max(defect, abs(float(signed_angle(junction.outgoing_dir(slot), outgoing))))
+    if network.kind == "degenerate_theta":
+        defect = max(defect, _degenerate_pattern_defect(network.junctions[0]))
 
     return ValidationReport(valid=(gap <= tol_pos and defect <= tol_ang), junction_gap=gap, angle_defect=defect)
 

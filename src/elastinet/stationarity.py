@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import DiscreteCurve, rot90, vertex_arclengths, vertex_curvature
-from .networks import Network, curve_clamps
+from .networks import Network, curve_clamps, end_slots
 
 __all__ = [
     "ResidualReport",
@@ -98,34 +98,19 @@ def _endpoint_curvature(curve: DiscreteCurve) -> tuple[float, float, float, floa
 
 def junction_residuals(network: Network) -> ResidualReport:
     """Scalar and vector junction conditions plus interior residuals."""
-    if network.kind not in ("theta", "generalized_theta", "degenerate_theta"):
+    slots = end_slots(network)
+    if not slots:
         raise InvalidInputError("junction residuals need a junction-constrained network")
     interior = tuple(el_residual(c) for c in network.curves)
     max_abs = max(float(np.max(np.abs(r))) for r in interior)
 
-    n_junctions = len(network.junctions) if network.kind != "degenerate_theta" else 1
-    scalars = []
-    vectors = []
-    ends_per_junction: list[list[tuple[int, int]]]
-    if network.kind == "degenerate_theta":
-        ends_per_junction = [[(i, e) for i in range(len(network.curves)) for e in (0, 1)]]
-    else:
-        ends_per_junction = [[(i, 0) for i in range(3)], [(i, 1) for i in range(3)]]
-
-    for j, ends in enumerate(ends_per_junction):
-        scalar = 0.0
-        vector = np.zeros(2)
-        for i, end in ends:
-            k0, d0, k1, d1 = _endpoint_curvature(network.curves[i])
-            cs, ce = curve_clamps(network, i)
-            if end == 0:
-                k, dk, tau = k0, d0, np.asarray(cs, float)
-            else:
-                k, dk, tau = k1, d1, np.asarray(ce, float)
-            scalar += k
-            vector = vector + 2.0 * dk * rot90(tau) + k * k * tau
-        scalars.append(float(scalar))
-        vectors.append(vector)
+    scalars = [0.0] * len(network.junctions)
+    vectors = [np.zeros(2)] * len(network.junctions)
+    for i, ends in enumerate(slots):
+        k0, d0, k1, d1 = _endpoint_curvature(network.curves[i])
+        for (j, _), k, dk, tau in zip(ends, (k0, k1), (d0, d1), curve_clamps(network, i)):
+            scalars[j] += k
+            vectors[j] = vectors[j] + 2.0 * dk * rot90(tau) + k * k * tau
     return ResidualReport(
         interior_residuals=interior,
         interior_max_abs=max_abs,
@@ -136,7 +121,7 @@ def junction_residuals(network: Network) -> ResidualReport:
 
 def criticality_audit(network: Network, interior_tol: float = 1e-2, junction_tol: float = 1e-2) -> AuditReport:
     """Pass iff interior and junction residuals stay below the thresholds."""
-    if network.kind in ("theta", "generalized_theta", "degenerate_theta"):
+    if network.junctions:
         report = junction_residuals(network)
         passed = report.interior_max_abs <= interior_tol and all(
             abs(s) <= junction_tol for s in report.junction_scalar

@@ -162,6 +162,14 @@ class TestMinimizeCommand:
         assert manifest["tool_version"]
 
 
+    def test_non_integer_seed_env_exits_2(self, tmp_path, circle_file, monkeypatch, capsys):
+        monkeypatch.setenv("ELASTINET_SEED", "abc")
+        assert main(["minimize", circle_file, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ELASTINET_SEED" in err
+        assert "Traceback" not in err
+
+
 class TestReferenceCommand:
     def test_circle_reference(self, tmp_path, capsys):
         out = tmp_path / "circle.json"

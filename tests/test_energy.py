@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from elastinet.energy import (
+    curvature_samples,
     elastic_energy,
     equipartition_defect,
     optimal_rescale,
     penalized_energy,
+    polyline_energy,
     scaling_identity_check,
 )
-from elastinet.errors import InvalidConfigError
+from elastinet.errors import InvalidConfigError, InvalidCurveError
 from elastinet.geometry import DiscreteCurve, resample_uniform
 from elastinet.networks import (
     Network,
+    curve_clamps,
     make_circle,
+    make_degenerate_figure_eight,
+    make_ellipse,
+    make_generalized_bubble,
     make_standard_double_bubble,
     optimal_bubble_radius,
     rotate_network,
@@ -37,6 +43,99 @@ class TestElasticEnergy:
     def test_straight_segment(self):
         seg = resample_uniform(DiscreteCurve(np.array([[0.0, 0.0], [2.0, 0.5]])), 12)
         assert elastic_energy(seg) == pytest.approx(0.0, abs=1e-20)
+
+
+def _direction_angle(v):
+    return math.atan2(v[1], v[0])
+
+
+def independent_energy(points, closed, clamp_start=None, clamp_end=None):
+    """(sum psi^2 / ell, L) one vertex at a time, with clamp half cells."""
+    pts = [tuple(map(float, p)) for p in points]
+    if closed:
+        pts.append(pts[0])
+    edges = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(pts[:-1], pts[1:])]
+    cells = [(_direction_angle(e), math.hypot(*e)) for e in edges]
+    if closed:
+        cells.insert(0, cells[-1])
+    else:
+        if clamp_start is not None:
+            cells.insert(0, (_direction_angle(clamp_start), 0.0))
+        if clamp_end is not None:
+            cells.append((_direction_angle(clamp_end), 0.0))
+    terms = []
+    for (th0, a0), (th1, a1) in zip(cells[:-1], cells[1:]):
+        psi = math.remainder(th1 - th0, 2.0 * math.pi)
+        terms.append(psi * psi / (0.5 * (a0 + a1)))
+    return math.fsum(terms), math.fsum(math.hypot(*e) for e in edges)
+
+
+class TestPolylineEnergy:
+    def _cases(self):
+        rng = np.random.default_rng(7)
+        yield make_ellipse(2.0, 1.0, 60).curves[0].points, True, None, None
+        yield make_circle(0.3, 17).curves[0].points, True, None, None
+        for net in (make_generalized_bubble(1.7, 2.5, 30), make_degenerate_figure_eight(40)):
+            for i, c in enumerate(net.curves):
+                yield c.points, False, *curve_clamps(net, i)
+                yield c.points, False, None, None
+        for _ in range(20):
+            walk = np.cumsum(rng.normal(size=(int(rng.integers(2, 30)), 2)), axis=0)
+            clamps = [rng.normal(size=2) if rng.random() < 0.7 else None for _ in range(2)]
+            yield walk, False, *clamps
+
+    def test_matches_independent_sum(self):
+        for points, closed, cs, ce in self._cases():
+            out = polyline_energy(points, closed, cs, ce)
+            elastic, length = independent_energy(points, closed, cs, ce)
+            # straight segments turn by round-off only
+            assert out.elastic == pytest.approx(elastic, rel=1e-14, abs=1e-24)
+            assert out.length == pytest.approx(length, rel=1e-14)
+            # the dual lengths of every vertex partition the length when no end is free
+            if closed or (cs is not None and ce is not None):
+                assert out.ell.sum() == pytest.approx(out.length, rel=1e-14)
+
+    def test_gradient_matches_central_differences(self):
+        h = 1e-6
+
+        def turned(v, angle):
+            c, s = math.cos(angle), math.sin(angle)
+            return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+
+        for points, closed, cs, ce in self._cases():
+            if len(points) > 12:
+                continue
+            out = polyline_energy(points, closed, cs, ce, gradient=True)
+
+            def f(p, start=cs, end=ce):
+                value = polyline_energy(p, closed, start, end)
+                return value.elastic + value.length
+
+            fd = np.zeros_like(points)
+            for idx in np.ndindex(points.shape):
+                step = np.zeros_like(points)
+                step[idx] = h
+                fd[idx] = (f(points + step) - f(points - step)) / (2 * h)
+            scale = max(1.0, np.abs(out.grad).max())
+            assert np.max(np.abs(fd - out.grad)) < 1e-5 * scale
+            for end, clamp, derivative in (("start", cs, out.d_start), ("end", ce, out.d_end)):
+                if clamp is None:
+                    assert derivative == 0.0
+                    continue
+                plus, minus = (f(points, **{end: turned(clamp, sign * h)}) for sign in (1.0, -1.0))
+                assert derivative == pytest.approx((plus - minus) / (2 * h), rel=1e-5, abs=1e-6 * scale)
+
+    def test_collapsed_edge(self):
+        points = make_circle(1.0, 12).curves[0].points.copy()
+        points[4] = points[3]
+        assert polyline_energy(points, True) is None
+        assert polyline_energy(points[:6], False, (1.0, 0.0), (0.0, 1.0)) is None
+        curve = make_circle(1.0, 12).curves[0]
+        curve.points[4] = curve.points[3]
+        with pytest.raises(InvalidCurveError):
+            curvature_samples(curve)
+        with pytest.raises(InvalidCurveError):
+            penalized_energy(Network("closed", (curve,)))
 
 
 class TestPenalizedEnergy:

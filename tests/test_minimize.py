@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -21,11 +24,13 @@ from elastinet.networks import (
     Network,
     make_circle,
     make_degenerate_figure_eight,
+    make_generalized_bubble,
     make_standard_double_bubble,
     make_symmetric_double_drop,
     make_teardrop,
     network_diameter,
     optimal_bubble_radius,
+    translate_network,
     validate,
 )
 
@@ -84,6 +89,16 @@ class TestDiscreteGradient:
             denom = np.maximum(np.abs(g), 1e-3 * max(np.abs(g).max(), 1.0))
             assert np.max(np.abs(fd - g) / denom) < 1e-5
 
+    def test_matches_fd_on_generalized_theta(self):
+        # frames that are not 120 degrees apart, and slots that differ per junction
+        rng = np.random.default_rng(4)
+        dof = dof_map(make_generalized_bubble(1.7, 2.5, 14))
+        x = dof.pack() + rng.normal(0, 3e-3, dof.pack().shape)
+        g = dof.value_and_grad(x)[3]
+        fd = fd_gradient(dof, x)
+        denom = np.maximum(np.abs(g), 1e-3 * max(np.abs(g).max(), 1.0))
+        assert np.max(np.abs(fd - g) / denom) < 1e-5
+
     def test_unit_circle_near_critical(self):
         net = make_circle(1.0, 200)
         g = discrete_gradient(net)
@@ -96,6 +111,51 @@ class TestDiscreteGradient:
         g = discrete_gradient(net).reshape(-1, 2)
         # directional derivative along a rigid translation
         assert np.linalg.norm(g.sum(axis=0)) < 1e-10
+
+
+def _same_network(a, b, atol):
+    assert (a.kind, a.prescribed_angles) == (b.kind, b.prescribed_angles)
+    for ca, cb in zip(a.curves, b.curves, strict=True):
+        assert ca.closed == cb.closed
+        np.testing.assert_allclose(ca.points, cb.points, rtol=0.0, atol=atol)
+    for ja, jb in zip(a.junctions, b.junctions, strict=True):
+        np.testing.assert_array_equal(ja.position, jb.position)
+        assert (ja.frame_angle, ja.offsets) == (jb.frame_angle, jb.offsets)
+
+
+class TestDofMap:
+    @pytest.mark.parametrize(
+        "net",
+        [
+            make_circle(1.3, 24),
+            make_teardrop(20),
+            make_standard_double_bubble(RBAR, 16),
+            make_generalized_bubble(1.7, 2.5, 16),
+            make_degenerate_figure_eight(28),
+        ],
+        ids=lambda net: net.kind,
+    )
+    def test_rebuild_of_pack_is_the_prepared_network(self, net):
+        dof = dof_map(net)
+        back = dof.rebuild(dof.pack())
+        # a stub endpoint is rebuilt from its length and frame angle
+        _same_network(back, dof.template, atol=4e-16 * network_diameter(net))
+        assert dof.value(dof.pack())[0] == pytest.approx(penalized_energy(back).penalized, rel=1e-14)
+
+    def test_only_a_lone_four_point_is_pinned(self):
+        cfg = OptimizationConfig(n_per_curve=30, max_iters=30, grad_tol=1e-12, resample_every=0)
+        deg = minimize(translate_network(make_degenerate_figure_eight(60), (0.3, -0.2)), cfg).final
+        np.testing.assert_array_equal(deg.junctions[0].position, [0.0, 0.0])
+        bubble = make_standard_double_bubble(RBAR, 30)
+        theta = minimize(bubble, cfg).final
+        for moved, start in zip(theta.junctions, bubble.junctions):
+            assert np.linalg.norm(moved.position - start.position) > 1e-8
+
+    def test_collapsed_edge_has_infinite_value(self):
+        dof = dof_map(make_standard_double_bubble(RBAR, 16))
+        x = dof.pack()
+        x[-2:] = x[-4:-2]  # the last two interior vertices of curve 2 coincide
+        assert dof.value(x) == (math.inf, math.inf, math.inf)
 
 
 class TestMinimize:
@@ -153,8 +213,25 @@ class TestMinimize:
             OptimizationConfig(n_per_curve=4)
         with pytest.raises(InvalidConfigError):
             OptimizationConfig(backtrack_factor=1.5)
-        with pytest.raises(InvalidConfigError):
-            OptimizationConfig(angle_penalty_schedule=(2.0, 1.0))
+        # the junction constraints are hard, so there is no angle penalty to schedule
+        assert "angle_penalty_schedule" not in {f.name for f in dataclasses.fields(OptimizationConfig)}
+
+    def test_no_progress_with_large_gradient_is_stalled(self):
+        # a loose progress tolerance stops the run on the first 64-iteration window
+        drop = make_teardrop(80)
+        cfg = OptimizationConfig(n_per_curve=80, max_iters=5000, grad_tol=1e-6, energy_rel_tol=1.0)
+        res = minimize(drop, cfg)
+        assert res.iterations == 64
+        assert res.termination == "stalled"
+        assert res.grad_norm_trace[-1] > cfg.grad_tol
+
+    @pytest.mark.parametrize("energy_rel_tol", [1e-9, 1e-6, 1.0])
+    def test_converged_means_small_gradient(self, energy_rel_tol):
+        net = make_circle(1.3, 48)
+        cfg = OptimizationConfig(n_per_curve=48, max_iters=5000, grad_tol=1e-2, energy_rel_tol=energy_rel_tol)
+        res = minimize(net, cfg)
+        assert res.termination in ("converged", "stalled")
+        assert (res.termination == "converged") == (res.grad_norm_trace[-1] <= cfg.grad_tol)
 
     def test_gradient_norm_at_convergence(self):
         net = make_circle(1.3, 48)

@@ -14,7 +14,9 @@ from elastinet.errors import (
 from elastinet.geometry import DiscreteCurve
 from elastinet.networks import (
     Network,
+    curve_clamps,
     deserialize,
+    end_slots,
     generalized_bubble_energy,
     load_json,
     make_circle,
@@ -63,6 +65,51 @@ class TestValidate:
         report = validate(make_degenerate_figure_eight(200))
         assert report.valid
         assert report.angle_defect <= 1e-9
+
+
+def _reference_networks():
+    drop = make_teardrop(40)
+    return [
+        make_circle(1.0, 16),
+        drop,
+        make_symmetric_double_drop(drop),
+        make_standard_double_bubble(RBAR, 20),
+        rotate_network(make_generalized_bubble(1.7, 2.5, 20), 0.4),
+        rotate_network(make_degenerate_figure_eight(40), -1.1),
+    ]
+
+
+def _per_kind_clamps(network, i):
+    """Curve i's end directions, written out kind by kind."""
+    if network.kind in ("theta", "generalized_theta"):
+        j0, j1 = network.junctions
+        return j0.outgoing_dir(i), -j1.outgoing_dir(i)
+    if network.kind == "degenerate_theta":
+        (j,) = network.junctions
+        return j.outgoing_dir(2 * i), -j.outgoing_dir(2 * i + 1)
+    return None, None
+
+
+class TestEndSlots:
+    def test_table(self):
+        tables = {net.kind: end_slots(net) for net in _reference_networks()}
+        assert tables == {
+            "closed": (),
+            "drop": (),
+            "double_drop": (),
+            "theta": (((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))),
+            "generalized_theta": (((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))),
+            "degenerate_theta": (((0, 0), (0, 1)), ((0, 2), (0, 3))),
+        }
+
+    def test_curve_clamps_match_per_kind_formulas(self):
+        for net in _reference_networks():
+            for i in range(len(net.curves)):
+                for got, want in zip(curve_clamps(net, i), _per_kind_clamps(net, i)):
+                    if want is None:
+                        assert got is None
+                    else:
+                        np.testing.assert_array_equal(got, want)
 
 
 class TestMakeCircle:

@@ -5,7 +5,10 @@ from elastinet.errors import InvalidInputError
 from elastinet.geometry import DiscreteCurve
 from elastinet.minimize import OptimizationConfig, minimize_multilevel
 from elastinet.networks import (
+    curve_clamps,
     make_circle,
+    make_degenerate_figure_eight,
+    make_generalized_bubble,
     make_standard_double_bubble,
     make_teardrop,
     optimal_bubble_radius,
@@ -13,7 +16,7 @@ from elastinet.networks import (
     translate_network,
 )
 from elastinet.energy import optimal_rescale
-from elastinet.stationarity import criticality_audit, el_residual, junction_residuals
+from elastinet.stationarity import _endpoint_curvature, criticality_audit, el_residual, junction_residuals
 
 RBAR = optimal_bubble_radius()
 RBAR_INV_SQ = 1.206748335783172
@@ -42,7 +45,43 @@ class TestElResidual:
             el_residual(DiscreteCurve(pts))
 
 
+def per_kind_junction_sums(network):
+    """The junction sums with the ends of each junction listed kind by kind."""
+    if network.kind == "degenerate_theta":
+        ends_per_junction = [[(i, e) for i in range(len(network.curves)) for e in (0, 1)]]
+    else:
+        ends_per_junction = [[(i, 0) for i in range(3)], [(i, 1) for i in range(3)]]
+    scalars, vectors = [], []
+    for ends in ends_per_junction:
+        scalar, vector = 0.0, np.zeros(2)
+        for i, end in ends:
+            k0, d0, k1, d1 = _endpoint_curvature(network.curves[i])
+            k, dk = (k0, d0) if end == 0 else (k1, d1)
+            tau = np.asarray(curve_clamps(network, i)[end], float)
+            scalar += k
+            vector = vector + 2.0 * dk * np.array([-tau[1], tau[0]]) + k * k * tau
+        scalars.append(scalar)
+        vectors.append(vector)
+    return scalars, vectors
+
+
 class TestJunctionResiduals:
+    @pytest.mark.parametrize(
+        "net",
+        [
+            make_standard_double_bubble(RBAR, 60),
+            rotate_network(make_generalized_bubble(1.7, 2.5, 60), 0.4),
+            make_degenerate_figure_eight(80),
+        ],
+        ids=lambda net: net.kind,
+    )
+    def test_match_per_kind_sums(self, net):
+        report = junction_residuals(net)
+        scalars, vectors = per_kind_junction_sums(net)
+        assert report.junction_scalar == tuple(scalars)
+        for got, want in zip(report.junction_vector, vectors, strict=True):
+            np.testing.assert_array_equal(got, want)
+
     def test_bubble_scalar_vanishes(self):
         report = junction_residuals(make_standard_double_bubble(RBAR, 400))
         for s in report.junction_scalar:
