@@ -21,11 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import curvature_samples, curve_energy, elastic_energy, penalized_energy
+from .energy import penalized_energy
 from .errors import HypothesisNotMetError, InvalidInputError
 from .geometry import (
     DiscreteCurve,
+    PolylineEnergy,
     VertexAngleSet,
+    checked_energy,
     endpoint_tangents,
     external_angle,
     polyline_length,
@@ -132,11 +134,20 @@ class PiecewiseClosedCurve:
         return float(sum(polyline_length(a) for a in self.arcs))
 
 
+def _arc_kernel(arc: DiscreteCurve) -> PolylineEnergy:
+    """The discrete energy of an open arc clamped to its estimated end tangents."""
+    tau0, tau1 = endpoint_tangents(arc)
+    return checked_energy(arc.points, False, tau0, tau1)
+
+
+def _abs_turning(out: PolylineEnergy) -> float:
+    """sum |kappa| ell over the curvature vertices of one kernel result."""
+    return float(np.sum(np.abs(out.psi / out.ell) * out.ell))
+
+
 def arc_abs_curvature(arc: DiscreteCurve) -> float:
     """Total |turning| of one open arc including the endpoint half-cells."""
-    tau0, tau1 = endpoint_tangents(arc)
-    kappa, ell = curvature_samples(arc, clamp_start=tau0, clamp_end=tau1)
-    return float(np.sum(np.abs(kappa) * ell))
+    return _abs_turning(_arc_kernel(arc))
 
 
 def total_abs_curvature(curve: PiecewiseClosedCurve) -> float:
@@ -201,19 +212,14 @@ def amgm_energy_bound(curve_or_loop, c: float) -> AmGmCheck:
     if not (c > 0):
         raise InvalidInputError("c must be positive")
     if isinstance(curve_or_loop, PiecewiseClosedCurve):
-        total_k = total_abs_curvature(curve_or_loop)
-        length = curve_or_loop.total_length()
-        elastic = 0.0
-        for a in curve_or_loop.arcs:
-            tau0, tau1 = endpoint_tangents(a)
-            elastic += curve_energy(a, tau0, tau1)[0]
+        kernels = [_arc_kernel(a) for a in curve_or_loop.arcs]
     elif isinstance(curve_or_loop, DiscreteCurve):
-        kappa, ell = curvature_samples(curve_or_loop)
-        total_k = float(np.sum(np.abs(kappa) * ell))
-        elastic = elastic_energy(curve_or_loop)
-        length = polyline_length(curve_or_loop)
+        kernels = [checked_energy(curve_or_loop.points, curve_or_loop.closed)]
     else:
         raise InvalidInputError("expected a DiscreteCurve or PiecewiseClosedCurve")
+    total_k = float(sum(_abs_turning(out) for out in kernels))
+    elastic = sum(out.elastic for out in kernels)
+    length = float(sum(out.length for out in kernels))
     if total_k < c - _FLOAT_SLACK * (1.0 + c):
         raise HypothesisNotMetError(f"total |k| = {total_k:g} < c = {c:g}")
     f_val = elastic + length
@@ -253,9 +259,9 @@ def theta_lower_bound_check(theta: Network) -> ThetaBoundCheck:
 
 def turning_cauchy_schwarz(curve: DiscreteCurve) -> InequalityCheck:
     """integral |k| ds <= sqrt(E * L), sharp for constant curvature."""
-    kappa, ell = curvature_samples(curve)
-    lhs = float(np.sum(np.abs(kappa) * ell))
-    rhs = math.sqrt(max(elastic_energy(curve) * polyline_length(curve), 0.0))
+    out = checked_energy(curve.points, curve.closed)
+    lhs = _abs_turning(out)
+    rhs = math.sqrt(max(out.elastic * out.length, 0.0))
     tol = _FLOAT_SLACK * (1.0 + rhs)
     return InequalityCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + tol))
 
@@ -271,8 +277,8 @@ def tangent_gap_bound(curve: DiscreteCurve) -> InequalityCheck:
         raise InvalidInputError("expected an open curve")
     tau0, tau1 = endpoint_tangents(curve)
     gap = float(np.linalg.norm(tau1 - tau0))
-    elastic, length = curve_energy(curve, tau0, tau1)
-    rhs = math.sqrt((elastic + length) * length)
+    out = checked_energy(curve.points, False, tau0, tau1)
+    rhs = math.sqrt((out.elastic + out.length) * out.length)
     tol = _FLOAT_SLACK * (1.0 + rhs)
     return InequalityCheck(lhs=gap, rhs=rhs, holds=bool(gap <= rhs + tol))
 

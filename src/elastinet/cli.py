@@ -38,7 +38,7 @@ from .errors import (
     OptimizationError,
     ParseError,
 )
-from .geometry import DiscreteCurve, turning_angles
+from .geometry import DiscreteCurve, checked_energy
 from .minimize import (
     OptimizationConfig,
     minimize,
@@ -48,6 +48,7 @@ from .minimize import (
 )
 from .networks import (
     Network,
+    _reject_constant,
     generalized_bubble_energy,
     load_json,
     make_circle,
@@ -122,7 +123,7 @@ def cmd_energy(args) -> int:
 
 def _closed_to_piecewise(curve: DiscreteCurve, corner_threshold: float) -> PiecewiseClosedCurve:
     """Split a closed polyline into smooth arcs at sharp-turning vertices."""
-    psi = turning_angles(curve)
+    psi = checked_energy(curve.points, curve.closed).psi
     corners = np.nonzero(np.abs(psi) > corner_threshold)[0]
     pts = curve.points
     if len(corners) == 0:
@@ -180,7 +181,7 @@ def _load_config(path: str | None, seed_override: str | None) -> OptimizationCon
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                fields = json.load(fh)
+                fields = json.load(fh, parse_constant=_reject_constant)
             except ValueError as exc:  # malformed JSON or text
                 raise ParseError(f"invalid JSON: {exc}", "/") from None
         if not isinstance(fields, dict):

@@ -1,16 +1,34 @@
 """Discrete planar curves: polylines with turning-angle curvature.
 
 A curve is an ordered list of points in the plane, open or closed.  Curvature
-lives on vertices as signed turning angle divided by the dual length
-(half the sum of the two incident edge lengths); counterclockwise turning is
-positive.  This makes the total signed turning of a closed polygon an exact
-multiple of the winding and keeps every downstream inequality sharp at the
-discrete level.
+lives on vertices.  ``polyline_energy``, the one kernel of the discrete
+curvature and energy, walks the curvature vertices of one polyline, each the
+signed turn psi (counterclockwise positive) from one edge direction to the
+next over the dual length ell, half the sum of the two edge lengths, and
+returns psi, ell, the bending energy E = sum(psi^2 / ell) and the length L.
+
+* An interior vertex of an open curve turns between its two edges.
+* A closed curve also turns at its first vertex, from its last edge into its
+  first.
+* A clamped end, where a curve meets a junction, is a zero-length edge along
+  the prescribed frame direction: its vertex is the half cell that turns
+  from the frame into the first edge (or from the last edge into the frame)
+  over half that edge.
+* Free ends (open standalone curves, drop closure points) carry no end term:
+  their contribution is an angle, not curvature.
+
+The total signed turning of a closed polygon is then an exact multiple of the
+winding, the discrete energy of a sampled circular arc matches the continuum
+to O(h^2), and the discrete Cauchy-Schwarz and Gauss-Bonnet chains used by
+the bound checks hold exactly.  On request the kernel also returns the exact
+gradient with respect to the points and to the two clamp angles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +42,9 @@ __all__ = [
     "edge_vectors",
     "edge_lengths",
     "edge_tangents",
-    "turning_angles",
-    "dual_lengths",
+    "PolylineEnergy",
+    "polyline_energy",
+    "checked_energy",
     "vertex_curvature",
     "vertex_arclengths",
     "external_angle",
@@ -163,22 +182,94 @@ def signed_angle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.arctan2(cross, dot)
 
 
-def turning_angles(curve) -> np.ndarray:
-    """Signed turning at each vertex: all vertices if closed, interior if open."""
-    pts, closed = _points_of(curve)
-    e = edge_vectors(pts, closed)
-    if closed:
-        return signed_angle(np.roll(e, 1, axis=0), e)
-    return signed_angle(e[:-1], e[1:])
+class PolylineEnergy(NamedTuple):
+    """Turning angles, dual lengths and totals of one polyline.
+
+    ``grad`` is dF/dpoints for F = E + L, and ``d_start`` and ``d_end`` are
+    dF/d(angle) of the start and end clamp directions (zero without a clamp);
+    all three are filled in only when the gradient is requested.
+    """
+
+    psi: np.ndarray
+    ell: np.ndarray
+    elastic: float
+    length: float
+    grad: np.ndarray | None = None
+    d_start: float = 0.0
+    d_end: float = 0.0
 
 
-def dual_lengths(curve) -> np.ndarray:
-    """Dual cell length per curvature vertex: (|e_in| + |e_out|) / 2."""
-    pts, closed = _points_of(curve)
-    a = edge_lengths(pts, closed)
+def polyline_energy(points, closed=False, clamp_start=None, clamp_end=None, gradient=False):
+    """The discrete energy of one polyline, or None when an edge collapsed.
+
+    ``clamp_start`` is the prescribed travel direction leaving the first
+    point, ``clamp_end`` the prescribed travel direction arriving at the last;
+    either may be None for a free end, and both are ignored on closed curves.
+    The dual lengths of a closed or fully clamped curve partition its length.
+    """
+    p = np.asarray(points, float)
     if closed:
-        return 0.5 * (np.roll(a, 1) + a)
-    return 0.5 * (a[:-1] + a[1:])
+        p = np.concatenate([p, p[:1]])
+    e = p[1:] - p[:-1]
+    a = np.linalg.norm(e, axis=1)
+    length = float(a.sum())
+    if not (a.min() > 0.0 and math.isfinite(length)):
+        return None
+    # Directions d and lengths h of the edges, led by the closing edge of a
+    # closed curve or a zero-length clamp edge, and trailed by a clamp edge:
+    # vertex k turns from d[k] to d[k + 1].
+    lead = int(closed or clamp_start is not None)
+    tail = int(clamp_end is not None and not closed)
+    edges = slice(lead, lead + len(e))
+    d = np.empty((len(e) + lead + tail, 2))
+    h = np.zeros(len(d))
+    d[edges] = e
+    h[edges] = a
+    if closed:
+        d[0], h[0] = e[-1], a[-1]
+    elif lead:
+        d[0] = clamp_start
+    if tail:
+        d[-1] = clamp_end
+    psi = signed_angle(d[:-1], d[1:])
+    ell = 0.5 * (h[:-1] + h[1:])
+    elastic = float(np.sum(psi * psi / ell))
+    if not gradient:
+        return PolylineEnergy(psi, ell, elastic, length)
+
+    # d(edge angle)/d(edge) = w and d(edge length)/d(edge) = t; clamp edges
+    # have neither, their angle derivative is taken at the vertex instead
+    t = np.zeros_like(d)
+    w = np.zeros_like(d)
+    t[edges] = e / a[:, None]
+    w[edges] = rot90(e) / (a * a)[:, None]
+    if closed:
+        t[0], w[0] = t[-1], w[-1]
+    cw = 2.0 * psi / ell
+    cl = -0.5 * psi * psi / (ell * ell)
+    g = np.zeros_like(d)
+    g[1:] += cw[:, None] * w[1:] + cl[:, None] * t[1:]
+    g[:-1] += -cw[:, None] * w[:-1] + cl[:, None] * t[:-1]
+    grad_e = g[edges] + t[edges]
+    if closed:
+        grad_e[-1] += g[0]
+    grad = np.zeros_like(p)
+    grad[1:] += grad_e
+    grad[:-1] -= grad_e
+    if closed:
+        grad[0] += grad[-1]
+        grad = grad[:-1]
+    d_start = -float(cw[0]) if lead and not closed else 0.0
+    d_end = float(cw[-1]) if tail else 0.0
+    return PolylineEnergy(psi, ell, elastic, length, grad, d_start, d_end)
+
+
+def checked_energy(points, closed=False, clamp_start=None, clamp_end=None, gradient=False) -> PolylineEnergy:
+    """``polyline_energy`` that raises InvalidCurveError on a collapsed edge."""
+    out = polyline_energy(points, closed, clamp_start, clamp_end, gradient)
+    if out is None:
+        raise InvalidCurveError("zero-length edge")
+    return out
 
 
 def vertex_curvature(curve) -> tuple[np.ndarray, np.ndarray]:
@@ -190,11 +281,8 @@ def vertex_curvature(curve) -> tuple[np.ndarray, np.ndarray]:
     pts, closed = _points_of(curve)
     if len(pts) < 3:
         raise InvalidCurveError("curvature needs at least 3 points")
-    if np.any(edge_lengths(pts, closed) == 0.0):
-        raise InvalidCurveError("zero-length edge")
-    psi = turning_angles(curve)
-    ell = dual_lengths(curve)
-    return psi / ell, ell
+    out = checked_energy(pts, closed)
+    return out.psi / out.ell, out.ell
 
 
 def vertex_arclengths(curve) -> np.ndarray:

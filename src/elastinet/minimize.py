@@ -29,21 +29,23 @@ spline, polish.  Each rung is an ordinary ``minimize`` run.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .energy import penalized_energy, polyline_energy
+from .energy import penalized_energy
 from .errors import (
     ConstructionFailedError,
     InvalidConfigError,
-    InvalidCurveError,
     InvalidInputError,
     OptimizationError,
 )
 from .geometry import (
     DiscreteCurve,
+    checked_energy,
+    polyline_energy,
     polyline_length,
     resample_uniform,
     rot90,
@@ -106,14 +108,19 @@ class OptimizationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_per_curve", "max_iters", "resample_every", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("grad_tol", "energy_rel_tol", "step_init", "step_growth", "step_min", "armijo_c", "backtrack_factor"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
+                raise InvalidConfigError(f"{name} must be a positive finite number, got {value!r}")
         if self.n_per_curve < 8:
             raise InvalidConfigError("n_per_curve must be at least 8")
         if self.max_iters < 0:
             raise InvalidConfigError("max_iters must be nonnegative")
-        for name in ("grad_tol", "energy_rel_tol", "step_init", "step_growth", "step_min", "armijo_c"):
-            if getattr(self, name) <= 0:
-                raise InvalidConfigError(f"{name} must be positive")
-        if not (0.0 < self.backtrack_factor < 1.0):
+        if self.backtrack_factor >= 1.0:
             raise InvalidConfigError("backtrack_factor must lie in (0, 1)")
         if self.resample_every < 0:
             raise InvalidConfigError("resample_every must be nonnegative (0 disables)")
@@ -182,7 +189,7 @@ class _CurveDof:
         return _INFINITE if out is None else (out.elastic + out.length, out.elastic, out.length)
 
     def value_and_grad(self, x: np.ndarray):
-        out = _with_gradient(self._points(x), self.closed)
+        out = checked_energy(self._points(x), self.closed, gradient=True)
         return out.elastic + out.length, out.elastic, out.length, out.grad[self.free].ravel()
 
     def point_sets(self, x: np.ndarray):
@@ -215,7 +222,7 @@ class _JunctionDof:
         self.n_pos = 2 * len(junctions) if len(junctions) > 1 else 0
         self.fixed = np.array([j.position for j in junctions])
         first_stub = np.cumsum([self.n_pos + len(junctions)] + [len(j.offsets) for j in junctions])
-        slots = end_slots(network)
+        slots = end_slots(network.kind, len(network.curves))
         # per curve and end (start, end): the junction, its slot's offset and
         # the index of the end's stub length in x
         self.end_junction = np.array([[j for j, _ in ends] for ends in slots])
@@ -281,7 +288,7 @@ class _JunctionDof:
         g_positions = g[: self.n_pos].reshape(-1, 2)
         f = e = l = 0.0
         for i, p in enumerate(self._sets(x, at, dirs)):
-            out = _with_gradient(p, False, dirs[i, 0], -dirs[i, 1])
+            out = checked_energy(p, False, dirs[i, 0], -dirs[i, 1], gradient=True)
             f += out.elastic + out.length
             e += out.elastic
             l += out.length
@@ -312,13 +319,6 @@ class _JunctionDof:
         return out
 
 
-def _with_gradient(points, closed, clamp_start=None, clamp_end=None):
-    out = polyline_energy(points, closed, clamp_start, clamp_end, gradient=True)
-    if out is None:
-        raise InvalidCurveError("zero-length edge")
-    return out
-
-
 def _resample(dof, x: np.ndarray):
     """Uniform resampling of the network ``x`` describes, and its new DOF."""
     net = _slave_junction_edges(_resample_network(dof.rebuild(x)))
@@ -332,7 +332,7 @@ def _dof(network: Network):
 
 def _slave_junction_edges(network: Network) -> Network:
     """Put the first/last edge of each curve onto its frame ray (short stub)."""
-    slots = end_slots(network)
+    slots = end_slots(network.kind, len(network.curves))
     if not slots:
         return network
     curves = []

@@ -191,19 +191,20 @@ def _estimated_outgoing(curve: DiscreteCurve) -> tuple[np.ndarray, np.ndarray]:
     return tau0, -tau1
 
 
-def end_slots(network: Network):
+def end_slots(kind: str, n_curves: int):
     """Per curve, the ``(junction, slot)`` met by its start and by its end.
 
     This table is the one place that knows how curve ends attach to junction
     slots: theta curve i leaves junction 0 and arrives at junction 1 through
     slot i at both, and degenerate-theta lobe i leaves the four-point through
     slot 2i and returns through slot 2i + 1.  Junction-free kinds give ().
+    It takes the kind and curve count rather than a network so that
+    ``deserialize`` can read it before the junctions exist.
     """
-    n = len(network.curves)
-    if network.kind in ("theta", "generalized_theta"):
-        return tuple(((0, i), (1, i)) for i in range(n))
-    if network.kind == "degenerate_theta":
-        return tuple(((0, 2 * i), (0, 2 * i + 1)) for i in range(n))
+    if kind in ("theta", "generalized_theta"):
+        return tuple(((0, i), (1, i)) for i in range(n_curves))
+    if kind == "degenerate_theta":
+        return tuple(((0, 2 * i), (0, 2 * i + 1)) for i in range(n_curves))
     return ()
 
 
@@ -213,7 +214,7 @@ def curve_clamps(network: Network, i: int):
     Returns (start direction, incoming direction at the end); both unit
     vectors for junction-constrained kinds.
     """
-    slots = end_slots(network)
+    slots = end_slots(network.kind, len(network.curves))
     if not slots:
         return None, None
     (j_start, s_start), (j_end, s_end) = slots[i]
@@ -242,15 +243,27 @@ def validate(network: Network, tol_pos: float | None = None, tol_ang: float = 1e
         for c in network.curves:
             gap = max(gap, float(np.linalg.norm(c.points[0] - p)))
             gap = max(gap, float(np.linalg.norm(c.points[-1] - p)))
-    for c, ends in zip(network.curves, end_slots(network)):
+    for c, ends in zip(network.curves, end_slots(network.kind, len(network.curves))):
         for point, (j, slot), outgoing in zip((c.points[0], c.points[-1]), ends, _estimated_outgoing(c)):
             junction = network.junctions[j]
             gap = max(gap, float(np.linalg.norm(point - junction.position)))
             defect = max(defect, abs(float(signed_angle(junction.outgoing_dir(slot), outgoing))))
     if network.kind == "degenerate_theta":
         defect = max(defect, _degenerate_pattern_defect(network.junctions[0]))
+    elif network.kind in ("theta", "generalized_theta"):
+        angles = network.prescribed_angles or (_TWO_THIRDS_PI,) * 3
+        defect = max(defect, *(_triple_turn_defect(j.offsets, angles) for j in network.junctions))
 
     return ValidationReport(valid=(gap <= tol_pos and defect <= tol_ang), junction_gap=gap, angle_defect=defect)
+
+
+def _triple_turn_defect(offsets, angles) -> float:
+    """Deviation of the turns from slot i to slot i + 1 from the angles a_i.
+
+    All three turns go the same way round, counterclockwise or clockwise.
+    """
+    turns = np.diff(offsets + offsets[:1])
+    return min(float(np.max(np.abs(_wrap_pi(sense * turns - np.asarray(angles))))) for sense in (1.0, -1.0))
 
 
 def _degenerate_pattern_defect(j: Junction) -> float:
@@ -563,16 +576,6 @@ def serialize(network: Network) -> dict:
     return doc
 
 
-def _fit_offsets(frame, slot_dirs, candidates):
-    """Assign each slot the candidate offset closest to its estimated direction."""
-    offsets = []
-    for d in slot_dirs:
-        est = math.atan2(d[1], d[0])
-        errs = [abs(float(_wrap_pi(est - (frame + c)))) for c in candidates]
-        offsets.append(candidates[int(np.argmin(errs))])
-    return tuple(offsets)
-
-
 def deserialize(doc: dict) -> Network:
     """Parse a network document, rebuilding junction slot offsets from geometry."""
     if not isinstance(doc, dict):
@@ -635,39 +638,28 @@ def deserialize(doc: dict) -> Network:
 
 
 def _rebuild_junctions(kind, curves, raw_junctions, angles):
-    if kind in ("closed", "drop", "double_drop"):
-        if raw_junctions:
+    n_junctions = _JUNCTION_COUNT[kind]
+    if len(raw_junctions) != n_junctions:
+        if not n_junctions:
             raise ParseError("this kind carries no junctions", "/junctions")
-        return ()
-    if kind in ("theta", "generalized_theta"):
-        if len(raw_junctions) != 2:
-            raise ParseError("expected exactly 2 junctions", "/junctions")
-        out = []
-        for ji, (pos, frame) in enumerate(raw_junctions):
-            dirs = []
-            for c in curves:
-                d0, d1 = _estimated_outgoing(c)
-                dirs.append(d0 if ji == 0 else d1)
-            if angles is None:
-                candidates = list(THETA_OFFSETS_START)
-            else:
-                a1, a2 = angles[0], angles[1]
-                candidates = [0.0, a1, a1 + a2, 2.0 * math.pi - a1, 2.0 * math.pi - a1 - a2]
-            offsets = _fit_offsets(frame, dirs, candidates)
-            out.append(Junction(pos, frame, offsets))
-        return tuple(out)
+        raise ParseError(f"expected exactly {n_junctions} junction{'s' * (n_junctions > 1)}", "/junctions")
     if kind == "degenerate_theta":
-        if len(raw_junctions) != 1:
-            raise ParseError("expected exactly 1 junction", "/junctions")
-        pos, frame = raw_junctions[0]
-        dirs = []
-        for c in curves:
-            d0, d1 = _estimated_outgoing(c)
-            dirs.extend([d0, d1])
         candidates = sorted(set(DEGENERATE_OFFSET_VARIANTS[0]) | set(DEGENERATE_OFFSET_VARIANTS[1]))
-        offsets = _fit_offsets(frame, dirs, candidates)
-        return (Junction(pos, frame, offsets),)
-    raise ParseError(f"unknown kind {kind!r}", "/kind")  # pragma: no cover
+    elif angles is None:
+        candidates = list(THETA_OFFSETS_START)
+    else:
+        a1, a2 = angles[0], angles[1]
+        candidates = [0.0, a1, a1 + a2, 2.0 * math.pi - a1, 2.0 * math.pi - a1 - a2]
+    # each slot takes the candidate offset closest to the estimated outgoing
+    # direction of the curve end that meets it
+    offsets = [{} for _ in raw_junctions]
+    for c, ends in zip(curves, end_slots(kind, len(curves))):
+        for (j, slot), d in zip(ends, _estimated_outgoing(c)):
+            frame, est = raw_junctions[j][1], math.atan2(d[1], d[0])
+            offsets[j][slot] = min(candidates, key=lambda o: abs(float(_wrap_pi(est - (frame + o)))))
+    return tuple(
+        Junction(pos, frame, [fit[slot] for slot in sorted(fit)]) for (pos, frame), fit in zip(raw_junctions, offsets)
+    )
 
 
 def _reject_constant(name):

@@ -55,22 +55,26 @@ def _second_derivative(values: np.ndarray, s: np.ndarray) -> np.ndarray:
     )
 
 
-def el_residual(curve: DiscreteCurve) -> np.ndarray:
-    """Pointwise 2 k'' + k^3 - k on the usable vertices of one curve."""
+def _curvature_profile(curve: DiscreteCurve):
+    """(EL residual, kappa, vertex arclengths) of one curve, one kernel call."""
     if curve.n_points < 8:
         raise InvalidInputError("need at least 8 points for the residual stencils")
     kappa, _ = vertex_curvature(curve)
+    s = vertex_arclengths(curve)
     if curve.closed:
-        s_all = vertex_arclengths(curve)
-        total = s_all[-1] + float(np.linalg.norm(curve.points[0] - curve.points[-1]))
-        s_ext = np.concatenate([[s_all[0] - (total - s_all[-1])], s_all, [total]])
+        total = s[-1] + float(np.linalg.norm(curve.points[0] - curve.points[-1]))
+        s_ext = np.concatenate([[s[0] - (total - s[-1])], s, [total]])
         k_ext = np.concatenate([[kappa[-1]], kappa, [kappa[0]]])
         ks = _second_derivative(k_ext, s_ext)
-        return 2.0 * ks + kappa**3 - kappa
-    s = vertex_arclengths(curve)[1:-1]
-    ks = _second_derivative(kappa, s)
+        return 2.0 * ks + kappa**3 - kappa, kappa, s
+    ks = _second_derivative(kappa, s[1:-1])
     k_in = kappa[1:-1]
-    return 2.0 * ks + k_in**3 - k_in
+    return 2.0 * ks + k_in**3 - k_in, kappa, s
+
+
+def el_residual(curve: DiscreteCurve) -> np.ndarray:
+    """Pointwise 2 k'' + k^3 - k on the usable vertices of one curve."""
+    return _curvature_profile(curve)[0]
 
 
 def _quadratic_eval(s3: np.ndarray, k3: np.ndarray, s0: float) -> tuple[float, float]:
@@ -85,10 +89,8 @@ def _quadratic_eval(s3: np.ndarray, k3: np.ndarray, s0: float) -> tuple[float, f
     return float(val), float(der)
 
 
-def _endpoint_curvature(curve: DiscreteCurve) -> tuple[float, float, float, float]:
+def _endpoint_curvature(kappa: np.ndarray, s: np.ndarray) -> tuple[float, float, float, float]:
     """(k, k') extrapolated to both ends of an open curve."""
-    kappa, _ = vertex_curvature(curve)
-    s = vertex_arclengths(curve)
     length = s[-1]
     s_in = s[1:-1]
     k0, d0 = _quadratic_eval(s_in[:3], kappa[:3], 0.0)
@@ -98,16 +100,17 @@ def _endpoint_curvature(curve: DiscreteCurve) -> tuple[float, float, float, floa
 
 def junction_residuals(network: Network) -> ResidualReport:
     """Scalar and vector junction conditions plus interior residuals."""
-    slots = end_slots(network)
+    slots = end_slots(network.kind, len(network.curves))
     if not slots:
         raise InvalidInputError("junction residuals need a junction-constrained network")
-    interior = tuple(el_residual(c) for c in network.curves)
+    profiles = [_curvature_profile(c) for c in network.curves]
+    interior = tuple(residual for residual, _, _ in profiles)
     max_abs = max(float(np.max(np.abs(r))) for r in interior)
 
     scalars = [0.0] * len(network.junctions)
     vectors = [np.zeros(2)] * len(network.junctions)
     for i, ends in enumerate(slots):
-        k0, d0, k1, d1 = _endpoint_curvature(network.curves[i])
+        k0, d0, k1, d1 = _endpoint_curvature(*profiles[i][1:])
         for (j, _), k, dk, tau in zip(ends, (k0, k1), (d0, d1), curve_clamps(network, i)):
             scalars[j] += k
             vectors[j] = vectors[j] + 2.0 * dk * rot90(tau) + k * k * tau

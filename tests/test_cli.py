@@ -6,6 +6,7 @@ import pytest
 
 from elastinet.cli import main
 from elastinet.networks import (
+    deserialize,
     load_json,
     make_circle,
     make_standard_double_bubble,
@@ -13,6 +14,7 @@ from elastinet.networks import (
     optimal_bubble_radius,
     rotate_network,
     save_json,
+    validate,
     Network,
 )
 
@@ -67,6 +69,40 @@ class TestEnergyCommand:
         path = tmp_path / "tampered.json"
         save_json(tampered, path)
         assert main(["energy", str(path)]) == 3
+
+
+def _repeated_ray_theta():
+    """Theta document whose curves 0 and 1 share a ray at both junctions.
+
+    Each curve's first two and last two edges lie on its ray, so every curve
+    end matches a slot direction exactly; only the slot-to-slot turns are
+    wrong (0, 4pi/3, 2pi/3 instead of 2pi/3 each).
+    """
+    down, up = np.array([-0.5, -math.sqrt(3) / 2]), np.array([0.5, math.sqrt(3) / 2])
+    j1 = np.array([3.0, 0.0])
+    curves = [
+        [[0, 0], [0.1, 0], [0.2, 0], [2.8, 0], [2.9, 0], [3, 0]],
+        [[0, 0], [0.15, 0], [0.3, 0], [1.5, 1.0], [2.7, 0], [2.85, 0], [3, 0]],
+        [[0, 0], list(0.1 * down), list(0.2 * down), [1.5, -2.0], list(j1 + 0.2 * up), list(j1 + 0.1 * up), [3, 0]],
+    ]
+    return {
+        "kind": "theta",
+        "curves": [{"points": c} for c in curves],
+        "junctions": [{"position": [0, 0], "frame_angle": 0.0}, {"position": [3, 0], "frame_angle": math.pi}],
+    }
+
+
+class TestRepeatedRayTheta:
+    def test_fails_validation(self, tmp_path, capsys):
+        doc = _repeated_ray_theta()
+        net = deserialize(doc)
+        assert [j.offsets for j in net.junctions] == [(0.0, 0.0, 4 * math.pi / 3)] * 2
+        assert not validate(net).valid
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(doc))
+        assert main(["energy", str(path)]) == 3
+        assert main(["minimize", str(path), "--out", str(tmp_path / "run")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestBoundsCommand:
@@ -140,8 +176,30 @@ class TestMinimizeCommand:
 
     @pytest.mark.parametrize(
         "text",
-        ["{bad", '{"angle_penalty_schedule": 5}', '{"angle_penalty_schedule": ["heavy"]}'],
-        ids=["malformed_json", "schedule_not_a_list", "schedule_not_numbers"],
+        [
+            "{bad",
+            '{"angle_penalty_schedule": 5}',
+            '{"angle_penalty_schedule": ["heavy"]}',
+            '{"grad_tol": NaN}',
+            '{"energy_rel_tol": Infinity}',
+            '{"max_iters": 5.5}',
+            '{"n_per_curve": 50.5}',
+            '{"seed": "abc"}',
+            '{"max_iters": 1e400}',
+            '{"max_iters": true}',
+        ],
+        ids=[
+            "malformed_json",
+            "schedule_not_a_list",
+            "schedule_not_numbers",
+            "nan_tolerance",
+            "infinite_tolerance",
+            "fractional_max_iters",
+            "fractional_n_per_curve",
+            "string_seed",
+            "overflowing_max_iters",
+            "boolean_max_iters",
+        ],
     )
     def test_bad_kind_config_exits_2(self, tmp_path, circle_file, capsys, text):
         cfg = tmp_path / "cfg.json"

@@ -1,0 +1,257 @@
+"""Every certification layer reads the discrete curvature of the one kernel.
+
+The references below are frozen copies of the formulas the layers used before
+they read ``geometry.polyline_energy``: ``turning_angles`` and
+``dual_lengths`` for the interior and cyclic cells, one half cell per clamped
+end, and the per-kind slot derivation of ``deserialize``.  The layers must
+reproduce them bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from elastinet import bounds, geometry, networks, stationarity
+from elastinet.bounds import (
+    amgm_energy_bound,
+    arc_abs_curvature,
+    drop_bound_check,
+    gauss_bonnet_check,
+    pair_bound_check,
+    pair_loop,
+    random_drop,
+    random_theta_network,
+    tangent_gap_bound,
+    theta_lower_bound_check,
+    total_abs_curvature,
+    turning_cauchy_schwarz,
+)
+from elastinet.geometry import endpoint_tangents, polyline_length, signed_angle, vertex_curvature
+from elastinet.minimize import recovery_sequence
+from elastinet.networks import (
+    DEGENERATE_OFFSET_VARIANTS,
+    THETA_OFFSETS_START,
+    curve_clamps,
+    deserialize,
+    make_circle,
+    make_degenerate_figure_eight,
+    make_ellipse,
+    make_generalized_bubble,
+    make_standard_double_bubble,
+    make_symmetric_double_drop,
+    make_teardrop,
+    optimal_bubble_radius,
+    rotate_network,
+    serialize,
+)
+from elastinet.stationarity import el_residual, junction_residuals
+
+
+def frozen_turning_angles(points, closed):
+    e = np.roll(points, -1, axis=0) - points if closed else points[1:] - points[:-1]
+    if closed:
+        return signed_angle(np.roll(e, 1, axis=0), e)
+    return signed_angle(e[:-1], e[1:])
+
+
+def frozen_dual_lengths(points, closed):
+    e = np.roll(points, -1, axis=0) - points if closed else points[1:] - points[:-1]
+    a = np.linalg.norm(e, axis=1)
+    if closed:
+        return 0.5 * (np.roll(a, 1) + a)
+    return 0.5 * (a[:-1] + a[1:])
+
+
+def frozen_cells(points, closed=False, clamp_start=None, clamp_end=None):
+    """(psi, ell) of every curvature vertex, clamp half cells included."""
+    psi = frozen_turning_angles(points, closed)
+    ell = frozen_dual_lengths(points, closed)
+    if clamp_start is not None:
+        psi = np.concatenate([[signed_angle(clamp_start, points[1] - points[0])], psi])
+        ell = np.concatenate([[0.5 * np.linalg.norm(points[1] - points[0])], ell])
+    if clamp_end is not None:
+        psi = np.concatenate([psi, [signed_angle(points[-1] - points[-2], clamp_end)]])
+        ell = np.concatenate([ell, [0.5 * np.linalg.norm(points[-1] - points[-2])]])
+    return psi, ell
+
+
+def frozen_vertex_curvature(curve):
+    psi, ell = frozen_cells(curve.points, curve.closed)
+    return psi / ell, ell
+
+
+def frozen_abs_turning(psi, ell):
+    return float(np.sum(np.abs(psi / ell) * ell))
+
+
+def frozen_elastic(psi, ell):
+    return float(np.sum(psi * psi / ell))
+
+
+def frozen_arc(arc):
+    """(sum |kappa| ell, E, L) of an arc clamped to its estimated end tangents."""
+    psi, ell = frozen_cells(arc.points, False, *endpoint_tangents(arc))
+    return frozen_abs_turning(psi, ell), frozen_elastic(psi, ell), polyline_length(arc)
+
+
+def frozen_offsets(kind, curves, frames, angles):
+    """Slot offsets as ``deserialize`` derived them kind by kind."""
+    if kind == "degenerate_theta":
+        dirs = []
+        for c in curves:
+            tau0, tau1 = endpoint_tangents(c)
+            dirs.extend([tau0, -tau1])
+        per_junction = [dirs]
+        candidates = sorted(set(DEGENERATE_OFFSET_VARIANTS[0]) | set(DEGENERATE_OFFSET_VARIANTS[1]))
+    else:
+        per_junction = [[endpoint_tangents(c)[0] for c in curves], [-endpoint_tangents(c)[1] for c in curves]]
+        if angles is None:
+            candidates = list(THETA_OFFSETS_START)
+        else:
+            a1, a2 = angles[0], angles[1]
+            candidates = [0.0, a1, a1 + a2, 2.0 * math.pi - a1, 2.0 * math.pi - a1 - a2]
+    out = []
+    for frame, dirs in zip(frames, per_junction):
+        offsets = []
+        for d in dirs:
+            est = math.atan2(d[1], d[0])
+            errs = [abs(float(networks._wrap_pi(est - (frame + c)))) for c in candidates]
+            offsets.append(candidates[int(np.argmin(errs))])
+        out.append(tuple(offsets))
+    return out
+
+
+def _networks():
+    drop = make_teardrop(40)
+    nets = [
+        make_circle(1.0, 16),
+        make_ellipse(2.0, 1.0, 60),
+        drop,
+        make_symmetric_double_drop(drop),
+        make_standard_double_bubble(optimal_bubble_radius(), 30),
+        rotate_network(make_generalized_bubble(1.7, 2.5, 30), 0.4),
+        rotate_network(make_degenerate_figure_eight(40), -1.1),
+        recovery_sequence(make_degenerate_figure_eight(40), 12),
+    ]
+    rng = np.random.default_rng(11)
+    for k in range(6):
+        nets.append(random_theta_network(rng, 30 + 7 * k))
+        nets.append(random_drop(rng, 40 + 7 * k))
+    return nets
+
+
+NETWORKS = _networks()
+IDS = [f"{i}-{net.kind}" for i, net in enumerate(NETWORKS)]
+
+
+def _same(got, want):
+    np.testing.assert_array_equal(np.asarray(got), np.asarray(want), strict=True)
+
+
+@pytest.mark.parametrize("net", NETWORKS, ids=IDS)
+def test_vertex_curvature_and_residuals(net, monkeypatch):
+    for c in net.curves:
+        for got, want in zip(vertex_curvature(c), frozen_vertex_curvature(c)):
+            _same(got, want)
+    # the residual stencils need 8 points (the recovery theta's bridge has 3)
+    stencil = [c for c in net.curves if c.n_points >= 8]
+    residuals = [el_residual(c) for c in stencil]
+    report = junction_residuals(net) if net.junctions and len(stencil) == len(net.curves) else None
+    monkeypatch.setattr(stationarity, "vertex_curvature", frozen_vertex_curvature)
+    for got, c in zip(residuals, stencil):
+        _same(got, el_residual(c))
+    if report is not None:
+        want = junction_residuals(net)
+        for got_r, want_r in zip(report.interior_residuals, want.interior_residuals):
+            _same(got_r, want_r)
+        assert report.interior_max_abs == want.interior_max_abs
+        assert report.junction_scalar == want.junction_scalar
+        for got_v, want_v in zip(report.junction_vector, want.junction_vector):
+            _same(got_v, want_v)
+
+
+@pytest.mark.parametrize("net", NETWORKS, ids=IDS)
+def test_bound_checks(net):
+    for c in net.curves:
+        psi, ell = frozen_cells(c.points, c.closed)
+        total_k, elastic, length = frozen_abs_turning(psi, ell), frozen_elastic(psi, ell), polyline_length(c)
+        cs = turning_cauchy_schwarz(c)
+        assert (cs.lhs, cs.rhs) == (total_k, math.sqrt(max(elastic * length, 0.0)))
+        if total_k > 0:
+            am = amgm_energy_bound(c, 0.5 * total_k)
+            assert (am.f_value, am.abs_curvature, am.length) == (elastic + length, total_k, length)
+        if not c.closed:
+            arc_k, arc_e, arc_l = frozen_arc(c)
+            assert arc_abs_curvature(c) == arc_k
+            assert tangent_gap_bound(c).rhs == math.sqrt((arc_e + arc_l) * arc_l)
+
+    loops = []
+    if net.kind == "drop":
+        loops.append(bounds._drop_loop(net))
+        assert drop_bound_check(net).lhs == frozen_arc(net.curves[0])[0]
+    if net.kind in ("theta", "generalized_theta"):
+        loops += [pair_loop(net, i, j) for i, j in ((0, 1), (1, 2), (2, 0))]
+        per = []
+        e_tot = l_tot = 0.0
+        for i, c in enumerate(net.curves):
+            psi, ell = frozen_cells(c.points, False, *curve_clamps(net, i))
+            elastic, length = frozen_elastic(psi, ell), polyline_length(c)
+            per.append(elastic + length)
+            e_tot += elastic
+            l_tot += length
+        tb = theta_lower_bound_check(net)
+        assert tb.f_value == e_tot + l_tot
+        assert tb.pair_values == (per[0] + per[1], per[1] + per[2], per[2] + per[0])
+    for loop in loops:
+        arcs = [frozen_arc(a) for a in loop.arcs]
+        total_k = float(sum(k for k, _, _ in arcs))
+        assert total_abs_curvature(loop) == total_k
+        assert gauss_bonnet_check(loop).lhs == total_k
+        if len(loop.arcs) == 2:
+            assert pair_bound_check(loop, tol_ang=10.0).lhs == total_k
+        am = amgm_energy_bound(loop, 0.5 * total_k)
+        elastic = sum(e for _, e, _ in arcs)
+        length = float(sum(l for _, _, l in arcs))
+        assert (am.f_value, am.abs_curvature, am.length) == (elastic + length, total_k, length)
+
+
+def test_piecewise_curves():
+    rng = np.random.default_rng(3)
+    for n in range(40, 60):
+        loop = bounds.random_piecewise_closed_curve(rng, n)
+        arcs = [frozen_arc(a) for a in loop.arcs]
+        total_k = float(sum(k for k, _, _ in arcs))
+        assert gauss_bonnet_check(loop).lhs == total_k
+        am = amgm_energy_bound(loop, 0.5 * total_k)
+        assert am.f_value == sum(e for _, e, _ in arcs) + float(sum(l for _, _, l in arcs))
+
+
+@pytest.mark.parametrize("net", NETWORKS, ids=IDS)
+def test_deserialize_rebuilds_the_per_kind_slots(net):
+    back = deserialize(serialize(net))
+    if not net.junctions:
+        assert back.junctions == ()
+        return
+    frames = [j.frame_angle for j in net.junctions]
+    want = frozen_offsets(net.kind, back.curves, frames, net.prescribed_angles)
+    assert [j.offsets for j in back.junctions] == want
+    assert [j.offsets for j in back.junctions] == [j.offsets for j in net.junctions]
+
+
+def test_one_kernel_call_per_curve(monkeypatch):
+    calls = []
+    kernel = geometry.polyline_energy
+    monkeypatch.setattr(geometry, "polyline_energy", lambda *args, **kw: calls.append(1) or kernel(*args, **kw))
+    net = make_standard_double_bubble(optimal_bubble_radius(), 30)
+    for check, n_curves in (
+        (lambda: junction_residuals(net), 3),
+        (lambda: amgm_energy_bound(pair_loop(net, 0, 1), 1.0), 2),
+        (lambda: amgm_energy_bound(net.curves[0], 1.0), 1),
+        (lambda: turning_cauchy_schwarz(net.curves[0]), 1),
+        (lambda: tangent_gap_bound(net.curves[0]), 1),
+        (lambda: arc_abs_curvature(net.curves[0]), 1),
+    ):
+        calls.clear()
+        check()
+        assert len(calls) == n_curves

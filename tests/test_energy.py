@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from elastinet.energy import (
-    curvature_samples,
     elastic_energy,
     equipartition_defect,
     optimal_rescale,
@@ -13,7 +12,7 @@ from elastinet.energy import (
     scaling_identity_check,
 )
 from elastinet.errors import InvalidConfigError, InvalidCurveError
-from elastinet.geometry import DiscreteCurve, resample_uniform
+from elastinet.geometry import DiscreteCurve, checked_energy, resample_uniform
 from elastinet.networks import (
     Network,
     curve_clamps,
@@ -133,7 +132,7 @@ class TestPolylineEnergy:
         curve = make_circle(1.0, 12).curves[0]
         curve.points[4] = curve.points[3]
         with pytest.raises(InvalidCurveError):
-            curvature_samples(curve)
+            checked_energy(curve.points, closed=True)
         with pytest.raises(InvalidCurveError):
             penalized_energy(Network("closed", (curve,)))
 

@@ -9,10 +9,10 @@ from elastinet.geometry import (
     DiscreteCurve,
     edge_tangents,
     external_angle,
+    polyline_energy,
     polyline_length,
     resample_uniform,
     rotate_points,
-    turning_angles,
     vertex_curvature,
 )
 
@@ -195,7 +195,7 @@ class TestInvariants:
                 continue
             pts = np.column_stack([np.cos(ang), np.sin(ang)])
             curve = DiscreteCurve(pts, closed=True)
-            assert turning_angles(curve).sum() == pytest.approx(2 * np.pi, abs=1e-12)
+            assert polyline_energy(curve.points, closed=True).psi.sum() == pytest.approx(2 * np.pi, abs=1e-12)
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(9)

@@ -213,6 +213,20 @@ class TestMinimize:
             OptimizationConfig(n_per_curve=4)
         with pytest.raises(InvalidConfigError):
             OptimizationConfig(backtrack_factor=1.5)
+        # counts are integers (not booleans), tolerances finite, the seed an integer
+        for bad in (
+            {"n_per_curve": 50.5},
+            {"max_iters": float("inf")},
+            {"max_iters": True},
+            {"resample_every": 2.0},
+            {"grad_tol": float("nan")},
+            {"energy_rel_tol": float("inf")},
+            {"step_init": "1e-3"},
+            {"seed": "abc"},
+        ):
+            with pytest.raises(InvalidConfigError):
+                OptimizationConfig(**bad)
+        OptimizationConfig(n_per_curve=np.int64(50), grad_tol=np.float64(1e-3), seed=-3)
         # the junction constraints are hard, so there is no angle penalty to schedule
         assert "angle_penalty_schedule" not in {f.name for f in dataclasses.fields(OptimizationConfig)}
 

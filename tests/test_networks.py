@@ -11,7 +11,9 @@ from elastinet.errors import (
     ParseError,
     SingularAngleError,
 )
+from elastinet.bounds import random_theta_network
 from elastinet.geometry import DiscreteCurve
+from elastinet.minimize import recovery_sequence
 from elastinet.networks import (
     Network,
     curve_clamps,
@@ -32,6 +34,7 @@ from elastinet.networks import (
     serialize,
     validate,
 )
+from elastinet.networks import _triple_turn_defect
 
 RBAR = optimal_bubble_radius()
 BUBBLE_F = 18.40589562425381
@@ -60,6 +63,16 @@ class TestValidate:
         report = validate(Network("drop", (DiscreteCurve(pts),)), tol_pos=1e-6)
         assert not report.valid
         assert report.junction_gap == pytest.approx(1e-3, rel=1e-6)
+
+    def test_slot_turns_hold_on_constructions(self):
+        rng = np.random.default_rng(4)
+        nets = [net for net in _reference_networks() if net.kind in ("theta", "generalized_theta")]
+        nets.append(recovery_sequence(make_degenerate_figure_eight(40), 12))
+        nets += [random_theta_network(rng) for _ in range(10)]
+        for net in nets:
+            angles = net.prescribed_angles or (2 * math.pi / 3,) * 3
+            for j in net.junctions:
+                assert _triple_turn_defect(j.offsets, angles) < 1e-12
 
     def test_degenerate_fixture_valid(self):
         report = validate(make_degenerate_figure_eight(200))
@@ -92,7 +105,7 @@ def _per_kind_clamps(network, i):
 
 class TestEndSlots:
     def test_table(self):
-        tables = {net.kind: end_slots(net) for net in _reference_networks()}
+        tables = {net.kind: end_slots(net.kind, len(net.curves)) for net in _reference_networks()}
         assert tables == {
             "closed": (),
             "drop": (),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from elastinet.errors import InvalidInputError
-from elastinet.geometry import DiscreteCurve
+from elastinet.geometry import DiscreteCurve, vertex_arclengths, vertex_curvature
 from elastinet.minimize import OptimizationConfig, minimize_multilevel
 from elastinet.networks import (
     curve_clamps,
@@ -55,7 +55,8 @@ def per_kind_junction_sums(network):
     for ends in ends_per_junction:
         scalar, vector = 0.0, np.zeros(2)
         for i, end in ends:
-            k0, d0, k1, d1 = _endpoint_curvature(network.curves[i])
+            curve = network.curves[i]
+            k0, d0, k1, d1 = _endpoint_curvature(vertex_curvature(curve)[0], vertex_arclengths(curve))
             k, dk = (k0, d0) if end == 0 else (k1, d1)
             tau = np.asarray(curve_clamps(network, i)[end], float)
             scalar += k
