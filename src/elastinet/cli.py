@@ -1,6 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 input/parse error, 3 validation error,
+Exit codes: 0 success, 2 input/parse error (an input that cannot be read
+or an output that cannot be written included), 3 validation error,
 4 optimization failure.
 """
 
@@ -227,10 +228,7 @@ def cmd_minimize(args) -> int:
         "final_L": float(result.length_trace[-1]),
         "termination": result.termination,
         "iterations": result.iterations,
-        "resample_events": [
-            {"iteration": ev.iteration, "f_before": ev.f_before, "f_resampled": ev.f_resampled, "f_after": ev.f_after}
-            for ev in result.resample_events
-        ],
+        "resample_events": [],  # the solver never resamples; the key stays for readers
         "constraint_violation": {
             "junction_gap": result.constraint_violation.junction_gap,
             "angle_defect": result.constraint_violation.angle_defect,
@@ -379,7 +377,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, InvalidInputError, InvalidConfigError, FileNotFoundError, ConstructionFailedError) as exc:
+    except (ParseError, InvalidInputError, InvalidConfigError, OSError, ConstructionFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT if not isinstance(exc, ConstructionFailedError) else EXIT_VALIDATION
     except NetworkValidationError as exc:

@@ -1,29 +1,26 @@
-"""First-order minimization of the penalized elastic energy over networks.
+"""Minimization of the penalized elastic energy over networks.
 
-Degrees of freedom, in two classes:
+The solver works on the equal-edge tangent-angle form of a network: each
+curve has m edges of length ``h = L / m`` at angles ``theta``, energy
+``sum (theta_k+1 - theta_k)^2 / h + L`` (the functional of
+``polyline_energy`` on that mesh) and two closure equations,
+``h sum (cos, sin)(theta) = J_end - J_start``.  Junction curves start and end
+with an edge along the junction frame.  The rigid motions are removed by
+pinning a closed curve's first point and angle, a drop's first angle (its
+closure point sits at the origin), a theta's junction midpoint and frame of
+junction 0, and a degenerate theta's four-point and frame.
 
-* curves without junctions (``closed``, ``drop``): every vertex of a closed
-  curve; the interior vertices of a drop, whose closure point stays pinned at
-  the origin (free corner angle);
-* junction networks (``theta``, ``generalized_theta``, ``degenerate_theta``):
-  junction positions, one frame angle per junction, one slaved end-edge
-  length per junction slot and the interior vertices.  The slot table
-  ``networks.end_slots`` says which curve end meets which slot.  The first
-  and last edge of every curve lie exactly along the junction frame, so the
-  prescribed angles hold to machine precision along the whole run.  The
-  four-point of a degenerate theta stays pinned at the origin.
-
-The descent is plain gradient descent with Armijo backtracking (factor 0.5,
-sufficient decrease 1e-4) and step growth after clean accepts.  Periodic
-resampling keeps the vertices near-uniform; each resampling's energy jump is
-recorded.  The gradient is the exact differential of the discrete energy with
-respect to the free DOF (finite differences agree componentwise), chained
-through the slaved-edge parametrization.
-
-High frequencies relax quickly under gradient descent while long-wavelength
-shape modes are stiffness-limited, so ``minimize_multilevel`` runs a
-coarse-to-fine ladder: solve at a coarse resolution, upsample with a cubic
-spline, polish.  Each rung is an ordinary ``minimize`` run.
+Each step is a Newton step on the KKT conditions (Nocedal and Wright, ch.
+18): one Thomas solve of the per-curve tridiagonal Hessian of the Lagrangian
+for all right-hand sides, plus a Schur complement over the bordering lengths,
+free frame, ``D = J_1 - J_0`` and closure rows, O(m) in time and memory.  The
+Hessian is shifted (Levenberg) until the step descends; each trial point is
+put back onto the closure equations by Gauss-Newton and accepted on an
+Armijo decrease of F, or, where the predicted decrease is below the
+round-off of F, if F does not rise and ``|g|`` falls.  ``|g|`` is the norm of
+the gradient in the free variables projected onto the tangent space of the
+closure equations, the KKT residual; ``grad_tol`` and ``converged`` read it.
+``minimize_multilevel`` runs a coarse-to-fine ladder of such solves.
 """
 
 from __future__ import annotations
@@ -31,35 +28,23 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .energy import penalized_energy
-from .errors import (
-    ConstructionFailedError,
-    InvalidConfigError,
-    InvalidInputError,
-    OptimizationError,
-)
-from .geometry import (
-    DiscreteCurve,
-    checked_energy,
-    polyline_energy,
-    polyline_length,
-    resample_uniform,
-    rot90,
-    signed_angle,
-    unit,
-    vertex_arclengths,
-)
+from .errors import InvalidConfigError, InvalidInputError, OptimizationError
+from .geometry import DiscreteCurve, checked_energy, polyline_energy, signed_angle
+from .injectivity import InjectivityReport, injectivity_report
 from .networks import (
     Junction,
     Network,
     ValidationReport,
+    curve_clamps,
     end_slots,
     make_symmetric_double_drop,
     network_diameter,
+    recovery_sequence,
     translate_network,
     validate,
 )
@@ -67,7 +52,6 @@ from .networks import (
 __all__ = [
     "OptimizationConfig",
     "OptimizationResult",
-    "ResampleEvent",
     "dof_map",
     "discrete_gradient",
     "minimize",
@@ -79,17 +63,14 @@ __all__ = [
 ]
 
 DEGENERATION_FACTOR = 1e-3
-
-# Slaved first/last edges are kept at a quarter of the mean spacing: the
-# straight stub a slaved edge forces onto the curve biases the energy by
-# O(k^2 * stub), so short stubs track the continuum markedly better, while
-# the stub endpoint is not a free vertex and does not shrink the stable step.
-STUB_FRACTION = 0.25
+ARMIJO_C = 1e-4  # sufficient decrease of the line search
+STEP_MIN = 1e-12  # smallest step length it tries
+ROUND_OFF = 1e-12  # predicted decreases of F below this share are not tested on F
 
 
 @dataclass(frozen=True)
 class OptimizationConfig:
-    """Settings of one descent run.
+    """Settings of one solver run.
 
     ``seed`` is only echoed into the command line's ``manifest.json``: the
     solver draws no random numbers, so the seed does not affect results.
@@ -99,20 +80,14 @@ class OptimizationConfig:
     max_iters: int = 20000
     grad_tol: float = 1e-4
     energy_rel_tol: float = 1e-14
-    resample_every: int = 25
-    backtrack_factor: float = 0.5
-    armijo_c: float = 1e-4
-    step_init: float = 1e-3
-    step_growth: float = 2.0
-    step_min: float = 1e-18
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_per_curve", "max_iters", "resample_every", "seed"):
+        for name in ("n_per_curve", "max_iters", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("grad_tol", "energy_rel_tol", "step_init", "step_growth", "step_min", "armijo_c", "backtrack_factor"):
+        for name in ("grad_tol", "energy_rel_tol"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
                 raise InvalidConfigError(f"{name} must be a positive finite number, got {value!r}")
@@ -120,33 +95,24 @@ class OptimizationConfig:
             raise InvalidConfigError("n_per_curve must be at least 8")
         if self.max_iters < 0:
             raise InvalidConfigError("max_iters must be nonnegative")
-        if self.backtrack_factor >= 1.0:
-            raise InvalidConfigError("backtrack_factor must lie in (0, 1)")
-        if self.resample_every < 0:
-            raise InvalidConfigError("resample_every must be nonnegative (0 disables)")
-
-
-@dataclass(frozen=True)
-class ResampleEvent:
-    """f_before -> f_resampled (uniform resampling) -> f_after (exact rescale)."""
-
-    iteration: int
-    f_before: float
-    f_resampled: float
-    f_after: float
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
     """Outcome of one run.  ``termination`` is one of:
 
-    * ``converged``: the gradient norm reached ``grad_tol``;
-    * ``stalled``: 64 iterations descended by at most ``energy_rel_tol``
-      relative to ``F`` while the gradient norm stayed above ``grad_tol``;
+    * ``converged``: ``|g|`` reached ``grad_tol``;
+    * ``stalled``: a step lowered F, by at most ``energy_rel_tol`` relative
+      to F, while ``|g|`` stayed above ``grad_tol``;
     * ``max_iters``: the iteration budget ran out;
-    * ``line_search_failed``: no step above ``step_min`` decreased ``F``;
+    * ``line_search_failed``: no step down to ``STEP_MIN`` lowered F, nor did
+      the full step lower ``|g|`` where the predicted decrease of F is below
+      its round-off (``ROUND_OFF``);
     * ``degeneration``: a curve shrank below ``DEGENERATION_FACTOR`` times the
       network diameter.
+
+    ``resample_events`` is always empty, since the solver never resamples; it
+    stays for readers of the older result format.
     """
 
     final: Network
@@ -154,415 +120,400 @@ class OptimizationResult:
     elastic_trace: np.ndarray
     length_trace: np.ndarray
     grad_norm_trace: np.ndarray
-    resample_events: tuple[ResampleEvent, ...]
+    resample_events: tuple
     constraint_violation: ValidationReport
     termination: str
     iterations: int
     config: OptimizationConfig
 
 
-# ---------------------------------------------------------------------------
-# DOF parametrizations
-
-
 _INFINITE = (math.inf, math.inf, math.inf)
 
 
-class _CurveDof:
-    """Closed curve: every vertex free.  Drop: the closure point stays pinned."""
+class _PointDof:
+    """F of a network as a function of all its points, curve by curve.
 
-    def __init__(self, network: Network):
-        self.template = network
-        self.closed = network.curves[0].closed
-        self.free = slice(None) if self.closed else slice(1, -1)
-
-    def pack(self) -> np.ndarray:
-        return self.template.curves[0].points[self.free].ravel().copy()
-
-    def _points(self, x: np.ndarray) -> np.ndarray:
-        p = self.template.curves[0].points.copy()
-        p[self.free] = x.reshape(-1, 2)
-        return p
-
-    def value(self, x: np.ndarray):
-        out = polyline_energy(self._points(x), self.closed)
-        return _INFINITE if out is None else (out.elastic + out.length, out.elastic, out.length)
-
-    def value_and_grad(self, x: np.ndarray):
-        out = checked_energy(self._points(x), self.closed, gradient=True)
-        return out.elastic + out.length, out.elastic, out.length, out.grad[self.free].ravel()
-
-    def point_sets(self, x: np.ndarray):
-        return [self._points(x)]
-
-    def rebuild(self, x: np.ndarray) -> Network:
-        curve = DiscreteCurve(self._points(x), closed=self.closed)
-        return Network(self.template.kind, (curve,))
-
-    def rescale(self, x: np.ndarray, factor: float) -> np.ndarray:
-        # a drop scales about its pinned closure point at the origin
-        return factor * x
-
-
-class _JunctionDof:
-    """Junction kinds: frame angles, slaved end edges and interior vertices.
-
-    ``x`` holds the junction positions, one frame angle per junction, one
-    stub length per junction slot (junction by junction, slot by slot) and
-    the interior vertices of every curve.  The first and last edge of every
-    curve lie along its slot's frame direction, so the prescribed angles hold
-    to machine precision along the whole run.  A lone junction (the
-    four-point of a degenerate theta) stays where it is instead, at the origin
-    where ``_prepare`` puts it, so the network has no translation mode.
+    Junction curves keep the clamps of their junction frames, which stay
+    fixed.  For gradient audits only: the solver does not use it.
     """
 
     def __init__(self, network: Network):
         self.template = network
-        junctions = network.junctions
-        self.n_pos = 2 * len(junctions) if len(junctions) > 1 else 0
-        self.fixed = np.array([j.position for j in junctions])
-        first_stub = np.cumsum([self.n_pos + len(junctions)] + [len(j.offsets) for j in junctions])
-        slots = end_slots(network.kind, len(network.curves))
-        # per curve and end (start, end): the junction, its slot's offset and
-        # the index of the end's stub length in x
-        self.end_junction = np.array([[j for j, _ in ends] for ends in slots])
-        self.end_offset = np.array([[junctions[j].offsets[s] for j, s in ends] for ends in slots])
-        self.end_stub = np.array([[first_stub[j] + s for j, s in ends] for ends in slots])
-        self.stubs = slice(int(first_stub[0]), int(first_stub[-1]))
-        bounds = np.cumsum([first_stub[-1]] + [2 * (c.n_points - 4) for c in network.curves])
-        self.interiors = [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self.clamps = [curve_clamps(network, i) for i in range(len(network.curves))]
+        self.splits = np.cumsum([c.n_points for c in network.curves])[:-1]
 
     def pack(self) -> np.ndarray:
-        net = self.template
-        head = np.empty(self.stubs.stop)
-        head[: self.n_pos] = self.fixed.ravel()[: self.n_pos]
-        head[self.n_pos : self.stubs.start] = [j.frame_angle for j in net.junctions]
-        head[self.end_stub] = [
-            [np.linalg.norm(c.points[1] - c.points[0]), np.linalg.norm(c.points[-2] - c.points[-1])]
-            for c in net.curves
-        ]
-        return np.concatenate([head] + [c.points[2:-2].ravel() for c in net.curves])
+        return np.concatenate([c.points.ravel() for c in self.template.curves])
 
-    def _positions(self, x: np.ndarray) -> np.ndarray:
-        return x[: self.n_pos].reshape(-1, 2) if self.n_pos else self.fixed
-
-    def _frames(self, x: np.ndarray):
-        """Junction position and outgoing frame direction at every curve end."""
-        angles = x[self.n_pos + self.end_junction] + self.end_offset
-        return self._positions(x)[self.end_junction], np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-
-    def _sets(self, x: np.ndarray, at, dirs):
-        h = x[self.end_stub]
-        sets = []
-        for i, (interior, c) in enumerate(zip(self.interiors, self.template.curves)):
-            p = np.empty_like(c.points)
-            p[0] = at[i, 0]
-            p[1] = at[i, 0] + h[i, 0] * dirs[i, 0]
-            p[2:-2] = x[interior].reshape(-1, 2)
-            p[-2] = at[i, 1] + h[i, 1] * dirs[i, 1]
-            p[-1] = at[i, 1]
-            sets.append(p)
-        return sets
-
-    def point_sets(self, x: np.ndarray):
-        return self._sets(x, *self._frames(x))
+    def _terms(self, x: np.ndarray, energy, **kwargs):
+        sets = np.split(x.reshape(-1, 2), self.splits)
+        return [energy(p, c.closed, *clamps, **kwargs) for p, c, clamps in zip(sets, self.template.curves, self.clamps)]
 
     def value(self, x: np.ndarray):
-        if np.any(x[self.stubs] <= 0.0):
+        terms = self._terms(x, polyline_energy)
+        if any(t is None for t in terms):
             return _INFINITE
-        at, dirs = self._frames(x)
-        f = e = l = 0.0
-        for p, (d_start, d_end) in zip(self._sets(x, at, dirs), dirs):
-            out = polyline_energy(p, False, d_start, -d_end)
-            if out is None:
-                return _INFINITE
-            f += out.elastic + out.length
-            e += out.elastic
-            l += out.length
-        return f, e, l
+        e, l = sum(t.elastic for t in terms), sum(t.length for t in terms)
+        return e + l, e, l
 
     def value_and_grad(self, x: np.ndarray):
-        at, dirs = self._frames(x)
-        h = x[self.end_stub]
-        g = np.zeros_like(x)
-        g_positions = g[: self.n_pos].reshape(-1, 2)
-        f = e = l = 0.0
-        for i, p in enumerate(self._sets(x, at, dirs)):
-            out = checked_energy(p, False, dirs[i, 0], -dirs[i, 1], gradient=True)
-            f += out.elastic + out.length
-            e += out.elastic
-            l += out.length
-            dp = out.grad
-            # the end clamp is minus the outgoing direction: same angle derivative
-            for k, end, stub, d_angle in ((0, 0, 1, out.d_start), (1, -1, -2, out.d_end)):
-                j = self.end_junction[i, k]
-                if self.n_pos:
-                    g_positions[j] += dp[end] + dp[stub]
-                g[self.n_pos + j] += d_angle + float(dp[stub] @ (h[i, k] * rot90(dirs[i, k])))
-                g[self.end_stub[i, k]] += float(dp[stub] @ dirs[i, k])
-            g[self.interiors[i]] = dp[2:-2].ravel()
-        return f, e, l, g
+        terms = self._terms(x, checked_energy, gradient=True)
+        e, l = sum(t.elastic for t in terms), sum(t.length for t in terms)
+        return e + l, e, l, np.concatenate([t.grad.ravel() for t in terms])
 
     def rebuild(self, x: np.ndarray) -> Network:
         net = self.template
-        junctions = tuple(
-            Junction(q.copy(), float(x[self.n_pos + j]), junction.offsets)
-            for j, (q, junction) in enumerate(zip(self._positions(x), net.junctions))
-        )
-        curves = tuple(DiscreteCurve(p, closed=False) for p in self.point_sets(x))
-        return Network(net.kind, curves, junctions, net.prescribed_angles)
-
-    def rescale(self, x: np.ndarray, factor: float) -> np.ndarray:
-        out = factor * x
-        angles = slice(self.n_pos, self.stubs.start)
-        out[angles] = x[angles]  # frame angles are scale invariant
-        return out
+        sets = np.split(x.reshape(-1, 2), self.splits)
+        curves = tuple(DiscreteCurve(p.copy(), c.closed) for p, c in zip(sets, net.curves))
+        return Network(net.kind, curves, net.junctions, net.prescribed_angles)
 
 
-def _resample(dof, x: np.ndarray):
-    """Uniform resampling of the network ``x`` describes, and its new DOF."""
-    net = _slave_junction_edges(_resample_network(dof.rebuild(x)))
-    dof = _dof(net)
-    return dof, dof.pack()
-
-
-def _dof(network: Network):
-    return (_JunctionDof if network.junctions else _CurveDof)(network)
-
-
-def _slave_junction_edges(network: Network) -> Network:
-    """Put the first/last edge of each curve onto its frame ray (short stub)."""
-    slots = end_slots(network.kind, len(network.curves))
-    if not slots:
-        return network
-    curves = []
-    for c, ((j_start, s_start), (j_end, s_end)) in zip(network.curves, slots):
-        start, end = network.junctions[j_start], network.junctions[j_end]
-        p = c.points.copy()
-        stub = STUB_FRACTION * polyline_length(c) / (len(p) - 1)
-        p[0] = start.position
-        p[-1] = end.position
-        p[1] = start.position + stub * start.outgoing_dir(s_start)
-        p[-2] = end.position + stub * end.outgoing_dir(s_end)
-        curves.append(DiscreteCurve(p, closed=False))
-    return Network(network.kind, tuple(curves), network.junctions, network.prescribed_angles)
-
-
-def _count_split(total_points: int, lengths: np.ndarray, floor: int = 8) -> list[int]:
-    """Split a point budget across curves proportionally to length."""
-    shares = lengths / lengths.sum()
-    counts = np.maximum(floor, np.floor(total_points * shares).astype(int))
-    while counts.sum() < total_points:
-        counts[int(np.argmax(total_points * shares - counts))] += 1
-    while counts.sum() > total_points:
-        over = np.where(counts > floor)[0]
-        counts[over[int(np.argmin(total_points * shares[over] - counts[over]))]] -= 1
-    return [int(c) for c in counts]
-
-
-def _resample_network(network: Network) -> Network:
-    """Uniform resampling; the point budget follows the curve lengths.
-
-    A short curve sampled as densely as a long one would set the stable step
-    for the whole network, so the spacing is equalized across curves.  Counts
-    are only redistributed once the spacing imbalance exceeds 10%, otherwise
-    rounding would shuffle a vertex back and forth between curves on every
-    resampling and keep reinjecting interpolation noise.
-    """
-    if len(network.curves) == 1:
-        c = network.curves[0]
-        n = c.n_points
-        return Network(
-            network.kind,
-            (resample_uniform(c, n if c.closed else n - 1),),
-            network.junctions,
-            network.prescribed_angles,
-        )
-    lengths = np.array([polyline_length(c) for c in network.curves])
-    counts = [c.n_points for c in network.curves]
-    spacing = lengths / (np.asarray(counts) - 1)
-    if np.max(np.abs(spacing / spacing.mean() - 1.0)) > 0.1:
-        counts = _count_split(sum(counts), lengths)
-    curves = tuple(
-        resample_uniform(c, m - 1) for c, m in zip(network.curves, counts)
-    )
-    return Network(network.kind, curves, network.junctions, network.prescribed_angles)
-
-
-def _spline_resample(curve: DiscreteCurve, n_points: int) -> DiscreteCurve:
-    """Smooth arclength resampling used when changing resolution."""
-    pts = curve.points
-    if curve.closed:
-        ext = np.vstack([pts, pts[0]])
-        s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(ext[1:] - ext[:-1], axis=1))])
-        spline = CubicSpline(s, ext, bc_type="periodic")
-        targets = np.arange(n_points) * (s[-1] / n_points)
-        return DiscreteCurve(spline(targets), closed=True)
-    s = vertex_arclengths(curve)
-    spline = CubicSpline(s, pts, bc_type="natural")
-    targets = np.linspace(0.0, s[-1], n_points)
-    out = spline(targets)
-    out[0] = pts[0]
-    out[-1] = pts[-1]
-    return DiscreteCurve(out, closed=False)
-
-
-def _adapt_resolution(network: Network, n: int) -> Network:
-    """Bring the network to an average of n points per curve, spacing equalized."""
-    if len(network.curves) == 1:
-        if network.curves[0].n_points == n:
-            return network
-        counts = [n]
-    else:
-        lengths = np.array([polyline_length(c) for c in network.curves])
-        counts = _count_split(n * len(network.curves), lengths)
-        if tuple(counts) == tuple(c.n_points for c in network.curves):
-            return network
-    curves = tuple(_spline_resample(c, m) for c, m in zip(network.curves, counts))
-    return Network(network.kind, curves, network.junctions, network.prescribed_angles)
-
-
-def _prepare(network: Network, n: int | None) -> Network:
-    """Normalize an input network for descent: pin, adapt resolution, slave."""
-    kind = network.kind
-    if kind == "double_drop":
-        raise InvalidInputError("use minimize_symmetric_double_drop for double drops")
-    net = network
-    if kind == "drop":
-        net = translate_network(net, -net.curves[0].points[0])
-        p = net.curves[0].points.copy()
-        p[0] = 0.0
-        p[-1] = 0.0
-        net = Network("drop", (DiscreteCurve(p, closed=False),))
-    elif kind == "degenerate_theta":
-        net = translate_network(net, -net.junctions[0].position)
-    if n is not None:
-        net = _adapt_resolution(net, n)
-    return _slave_junction_edges(net)
-
-
-def dof_map(network: Network):
-    """DOF parametrization used by the optimizer (after slaving), for audits."""
-    net = _prepare(network, None)
-    return _dof(net)
+def dof_map(network: Network) -> _PointDof:
+    """The discrete F of the network as a function of its points, for audits."""
+    return _PointDof(network)
 
 
 def discrete_gradient(network: Network) -> np.ndarray:
-    """Exact gradient of the discrete F with respect to the free DOF."""
+    """Exact gradient of the discrete F with respect to every point."""
     dof = dof_map(network)
     return dof.value_and_grad(dof.pack())[3]
 
 
-def _network_min_curve_length(sets) -> float:
-    return min(float(np.linalg.norm(p[1:] - p[:-1], axis=1).sum()) for p in sets)
+# ---------------------------------------------------------------------------
+# the solver
 
 
-def _diameter_of_sets(sets) -> float:
-    pts = np.vstack(sets)
-    return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+def _thomas(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve symmetric tridiagonal systems, one per lane, for many right-hand sides.
+
+    ``diag`` is (n, lanes), ``off`` (n - 1, lanes) and ``rhs`` (n, lanes, k);
+    elimination without pivoting, O(n k) time and memory.
+    """
+    x = np.empty_like(rhs)
+    ratio = np.empty_like(off)
+    pivot = diag[0]
+    x[0] = rhs[0] / pivot[:, None]
+    for i in range(1, len(diag)):
+        ratio[i - 1] = off[i - 1] / pivot
+        pivot = diag[i] - off[i - 1] * ratio[i - 1]
+        x[i] = (rhs[i] - off[i - 1][:, None] * x[i - 1]) / pivot[:, None]
+    for i in range(len(diag) - 2, -1, -1):
+        x[i] -= ratio[i][:, None] * x[i + 1]
+    return x
+
+
+class _Point(NamedTuple):
+    """A feasible iterate and what a Newton step at it needs."""
+
+    z: np.ndarray
+    theta: np.ndarray  # edge angles, (curves, m)
+    d: np.ndarray  # their differences, a closed curve's closing one last
+    f: float
+    elastic: float
+    length: float
+    g: np.ndarray  # dF/dz
+    jac: np.ndarray  # closure Jacobian, (2 curves, len(z))
+    mu: np.ndarray  # least-squares multipliers, (curves, 2)
+    grad_norm: float  # |g + jac^T mu|
+
+
+def _angle_profile(curve: DiscreteCurve, m: int) -> tuple[np.ndarray, float, float]:
+    """The curve's edge angles on an m-edge equal-length mesh, interpolated in
+    arclength between its edge midpoints; its length; its total turning if
+    closed, else 0."""
+    p = curve.points
+    e = np.diff(np.vstack([p, p[:1]]) if curve.closed else p, axis=0)
+    a = np.hypot(e[:, 0], e[:, 1])
+    angle = np.unwrap(np.arctan2(e[:, 1], e[:, 0]))
+    total = float(a.sum())
+    s = np.cumsum(a) - 0.5 * a
+    wrap = 0.0
+    if curve.closed:
+        wrap = 2.0 * math.pi * round((angle[-1] - angle[0] + float(signed_angle(e[-1], e[0]))) / (2.0 * math.pi))
+        s = np.concatenate([[s[-1] - total], s, [s[0] + total]])
+        angle = np.concatenate([[angle[-1] - wrap], angle, [angle[0] + wrap]])
+    return np.interp((np.arange(m) + 0.5) * (total / m), s, angle), total, wrap
+
+
+class _AngleForm:
+    """A network in equal-edge tangent angles: the solver's variables.
+
+    ``z`` holds the free angles as a (curves, nf) block, the curve lengths
+    and, for theta kinds, the frame angle of junction 1 and ``D``.  The other
+    angles are constants, except the last one of a theta curve: the frame of
+    junction 1 plus a constant.
+    """
+
+    def __init__(self, network: Network, n: int):
+        self.template = network
+        self.nc = nc = len(network.curves)
+        self.closed = network.curves[0].closed
+        self.m = m = n if self.closed else n - 1
+        self.slots = end_slots(network.kind, nc)
+        # every angle is free but the first (a junction end or the gauge) and
+        # a junction curve's last
+        self.free = slice(1, m - 1) if self.slots else slice(1, m)
+        self.nf = len(range(m)[self.free])
+        self.nt = nc * self.nf
+        self.free_frame = network.kind in ("theta", "generalized_theta")
+        self.nh = nc + 3 * self.free_frame
+        self.touch = np.full(m, 2.0)  # angle differences each angle enters
+        if not self.closed:
+            self.touch[[0, -1]] = 1.0
+
+        profiles = [_angle_profile(c, m) for c in network.curves]
+        theta = np.array([t for t, _, _ in profiles])
+        self.wrap = profiles[0][2]
+        self.const = theta.copy()
+        junctions = network.junctions
+        for i, ((js, ss), (je, se)) in enumerate(self.slots):
+            start = junctions[js].frame_angle + junctions[js].offsets[ss]
+            theta[i] += 2.0 * math.pi * round((start - theta[i, 0]) / (2.0 * math.pi))
+            self.const[i, 0] = start
+            end = junctions[je].frame_angle + junctions[je].offsets[se] + math.pi
+            end += 2.0 * math.pi * round((theta[i, -1] - end) / (2.0 * math.pi))
+            self.const[i, -1] = end - junctions[je].frame_angle * self.free_frame
+        header = [[length for _, length, _ in profiles]]
+        if self.free_frame:
+            j0, j1 = junctions
+            self.center = 0.5 * (j0.position + j1.position)
+            header += [[j1.frame_angle], j1.position - j0.position]
+        self.z0 = np.concatenate([theta[:, self.free].ravel()] + header)
+
+    def lengths(self, z):
+        return z[self.nt : self.nt + self.nc]
+
+    def angles(self, z):
+        theta = self.const.copy()
+        theta[:, self.free] = z[: self.nt].reshape(self.nc, self.nf)
+        if self.free_frame:
+            theta[:, -1] += z[self.nt + self.nc]
+        return theta
+
+    def differences(self, theta):
+        d = np.diff(theta, axis=1)
+        if self.closed:
+            d = np.concatenate([d, theta[:, :1] + self.wrap - theta[:, -1:]], axis=1)
+        return d
+
+    def d_sum(self, d):
+        """dS/dtheta of S = sum d^2, per curve and angle."""
+        if self.closed:
+            return 2.0 * (np.roll(d, 1, axis=1) - d)
+        pad = np.zeros((self.nc, 1))
+        return 2.0 * (np.concatenate([pad, d], axis=1) - np.concatenate([d, pad], axis=1))
+
+    def energy(self, z) -> tuple[float, float, float]:
+        """(F, E, L) at z, infinite where a length is not positive or an edge turns by pi."""
+        lengths = self.lengths(z)
+        d = self.differences(self.angles(z))
+        if not (lengths.min() > 0.0 and np.abs(d).max() < math.pi):
+            return _INFINITE
+        elastic, length = float(np.sum(self.m * np.sum(d * d, axis=1) / lengths)), float(lengths.sum())
+        return elastic + length, elastic, length
+
+    def closure(self, z, theta):
+        c = self.lengths(z)[:, None] / self.m * np.stack([np.cos(theta).sum(1), np.sin(theta).sum(1)], 1)
+        return c - z[self.nt + self.nc + 1 :] if self.free_frame else c
+
+    def jacobian(self, z, theta):
+        nc, nf, nt = self.nc, self.nf, self.nt
+        h = self.lengths(z) / self.m
+        cos, sin = np.cos(theta), np.sin(theta)
+        lanes = np.arange(nc)
+        block = np.zeros((nc, 2, nc, nf))
+        block[lanes, 0, lanes] = -h[:, None] * sin[:, self.free]
+        block[lanes, 1, lanes] = h[:, None] * cos[:, self.free]
+        head = np.zeros((nc, 2, self.nh))
+        head[lanes, :, lanes] = np.stack([cos.sum(1), sin.sum(1)], 1) / self.m
+        if self.free_frame:
+            head[:, :, nc] = h[:, None] * np.stack([-sin[:, -1], cos[:, -1]], 1)
+            head[:, :, nc + 1 :] = -np.eye(2)
+        return np.concatenate([block.reshape(nc, 2, nt), head], axis=2).reshape(2 * nc, nt + self.nh)
+
+    def restore(self, z):
+        """Gauss-Newton (least-change steps) onto the closure equations, or None.
+
+        The lengths stay: a curve far from closing would otherwise be closed
+        mostly by shrinking it towards a point.
+        """
+        tol = 1e-15 * max(1.0, float(np.abs(self.lengths(z)).sum()))
+        for _ in range(12):
+            theta = self.angles(z)
+            c = self.closure(z, theta).ravel()
+            defect = float(np.max(np.abs(c)))
+            if not (self.lengths(z).min() > 0.0 and math.isfinite(defect)):
+                return None
+            if defect <= tol:
+                return z
+            jac = self.jacobian(z, theta)
+            jac[:, self.nt : self.nt + self.nc] = 0.0
+            try:
+                z = z - jac.T @ np.linalg.solve(jac @ jac.T, c)
+            except np.linalg.LinAlgError:
+                return None
+        return z if defect <= 1e3 * tol else None
+
+    def evaluate(self, z) -> _Point:
+        theta = self.angles(z)
+        d = self.differences(theta)
+        lengths = self.lengths(z)
+        w = self.m / lengths
+        s = np.sum(d * d, axis=1)
+        g_theta = w[:, None] * self.d_sum(d)
+        header = [1.0 - w * s / lengths]
+        if self.free_frame:
+            header += [[g_theta[:, -1].sum()], np.zeros(2)]
+        g = np.concatenate([g_theta[:, self.free].ravel()] + header)
+        jac = self.jacobian(z, theta)
+        mu = -np.linalg.solve(jac @ jac.T, jac @ g)
+        return _Point(z, theta, d, *self.energy(z), g, jac, mu.reshape(-1, 2), float(np.linalg.norm(g + jac.T @ mu)))
+
+    def step(self, p: _Point, shift: float) -> np.ndarray:
+        """Newton-KKT step at p with the Hessian shifted by ``shift``."""
+        nc, nf, nt, nh = self.nc, self.nf, self.nt, self.nh
+        lengths = self.lengths(p.z)
+        w = self.m / lengths
+        cos, sin = np.cos(p.theta), np.sin(p.theta)
+        # Hessian of the Lagrangian: tridiagonal in each curve's angles, and
+        # the angle-length column
+        diag = 2.0 * w[:, None] * self.touch - (p.mu[:, :1] * cos + p.mu[:, 1:] * sin) / w[:, None]
+        cross = -(w / lengths)[:, None] * self.d_sum(p.d) + (p.mu[:, 1:] * cos - p.mu[:, :1] * sin) / self.m
+        # border columns: lengths, [free frame, D], closure rows
+        nb = nh + 2 * nc
+        lanes = np.arange(nc)
+        border = np.zeros((nf, nc, nb))
+        border[:, lanes, lanes] = cross[:, self.free].T
+        border[:, :, nh:] = p.jac[:, :nt].reshape(2 * nc, nc, nf).transpose(2, 1, 0)
+        corner = np.zeros((nb, nb))
+        corner[lanes, lanes] = 2.0 * w * np.sum(p.d * p.d, axis=1) / lengths**2 + shift
+        if self.free_frame:
+            border[-1, :, nc] = -2.0 * w
+            corner[nc, nc] = diag[:, -1].sum() + shift
+            corner[lanes, nc] = corner[nc, lanes] = cross[:, -1]
+        corner[nh:, :nh] = p.jac[:, nt:]
+        corner[:nh, nh:] = p.jac[:, nt:].T
+        rhs = np.concatenate([-p.g[:nt].reshape(nc, nf).T[:, :, None], border], axis=2)
+        solved = _thomas(diag[:, self.free].T + shift, np.broadcast_to(-2.0 * w, (nf - 1, nc)), rhs)
+        y, ys, bt = solved[:, :, 0].ravel(), solved[:, :, 1:].reshape(nt, nb), border.reshape(nt, nb)
+        x_border = np.linalg.solve(corner - bt.T @ ys, np.concatenate([-p.g[nt:], np.zeros(2 * nc)]) - bt.T @ y)
+        # the free angles are solved lane by lane, z holds them curve by curve
+        return np.concatenate([(y - ys @ x_border).reshape(nf, nc).T.ravel(), x_border[:nh]])
+
+    def line_search(self, p: _Point):
+        """The next feasible iterate, on an Armijo decrease of F, or None."""
+        scale = 2.0 * float(np.max(self.m / self.lengths(p.z)))
+        for shift in [0.0] + [scale * 10.0**k for k in range(-8, 9)]:
+            dz = self.step(p, shift)
+            slope = float(p.g @ dz)
+            if slope < 0.0:  # False for NaN too
+                break
+        else:
+            return None
+        t = 1.0
+        while t >= STEP_MIN:
+            z = self.restore(p.z + t * dz)
+            if z is not None:
+                f = self.energy(z)[0]
+                if f < p.f and f <= p.f + ARMIJO_C * t * slope:
+                    return z
+                # a decrease below the round-off of F cannot show: judge the
+                # full step by |g| instead
+                if t == 1.0 and f <= p.f and -slope <= ROUND_OFF * p.f and self.evaluate(z).grad_norm < p.grad_norm:
+                    return z
+            t *= 0.5
+        return None
+
+    def network(self, z) -> Network:
+        """The network at z.  Junction curves run from junction to junction,
+        their end edges built from the junction along its frame ray."""
+        junctions = self.template.junctions
+        if self.free_frame:
+            j0, j1 = junctions
+            half = 0.5 * z[self.nt + self.nc + 1 :]
+            junctions = (
+                Junction(self.center - half, j0.frame_angle, j0.offsets),
+                Junction(self.center + half, float(z[self.nt + self.nc]), j1.offsets),
+            )
+        theta = self.angles(z)
+        h = self.lengths(z) / self.m
+        steps = h[:, None, None] * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        if not self.slots:
+            origin = self.template.curves[0].points[0]
+            p = origin + np.concatenate([np.zeros((1, 2)), np.cumsum(steps[0], axis=0)])
+            if not self.closed:
+                p[-1] = origin
+            return Network(self.template.kind, (DiscreteCurve(p[:-1] if self.closed else p, self.closed),))
+        curves = []
+        for i, ((js, ss), (je, se)) in enumerate(self.slots):
+            start, end = junctions[js], junctions[je]
+            p = np.empty((self.m + 1, 2))
+            p[0] = start.position
+            p[1] = start.position + h[i] * start.outgoing_dir(ss)
+            p[2:-2] = p[1] + np.cumsum(steps[i, 1:-2], axis=0)
+            p[-2] = end.position + h[i] * end.outgoing_dir(se)
+            p[-1] = end.position
+            curves.append(DiscreteCurve(p))
+        return Network(self.template.kind, tuple(curves), junctions, self.template.prescribed_angles)
+
+
+def _pinned(network: Network) -> Network:
+    """A drop's closure point or the four-point moved to the origin."""
+    if network.kind == "double_drop":
+        raise InvalidInputError("use minimize_symmetric_double_drop for double drops")
+    if network.kind == "drop":
+        return Network("drop", (DiscreteCurve(network.curves[0].points - network.curves[0].points[0]),))
+    if network.kind == "degenerate_theta":
+        return translate_network(network, -network.junctions[0].position)
+    return network
 
 
 def minimize(network: Network, config: OptimizationConfig | None = None) -> OptimizationResult:
-    """Gradient descent with Armijo backtracking on the network's free DOF."""
+    """Newton-KKT descent of F over the network's equal-edge tangent-angle form."""
     config = config or OptimizationConfig()
     if config.max_iters == 0:
         report = penalized_energy(network, 1.0)
-        return OptimizationResult(
-            final=network,
-            energy_trace=np.array([report.penalized]),
-            elastic_trace=np.array([report.elastic]),
-            length_trace=np.array([report.length]),
-            grad_norm_trace=np.array([float("nan")]),
-            resample_events=(),
-            constraint_violation=validate(network, tol_ang=5e-2),
-            termination="max_iters",
-            iterations=0,
-            config=config,
-        )
-
-    net = _prepare(network, config.n_per_curve)
-    dof = _dof(net)
-    x = dof.pack()
-
-    f, e, l = dof.value(x)
-    if not math.isfinite(f):
-        raise OptimizationError("initial configuration has non-finite energy")
-
-    f_trace, e_trace, l_trace, g_trace = [], [], [], []
-    events = []
-    step = config.step_init
-    termination = "max_iters"
-    it = 0
-    window_descent = 0.0
-    while it < config.max_iters:
-        f, e, l, g = dof.value_and_grad(x)
-        if not math.isfinite(f):
-            raise OptimizationError(f"non-finite energy at iteration {it}")
-        gn = float(np.linalg.norm(g))
-        f_trace.append(f)
-        e_trace.append(e)
-        l_trace.append(l)
-        g_trace.append(gn)
-        if gn <= config.grad_tol:
-            termination = "converged"
-            break
-
-        accepted = False
-        t = step * config.step_growth
-        while t >= config.step_min:
-            x_new = x - t * g
-            f_new = dof.value(x_new)[0]
-            if f_new <= f - config.armijo_c * t * gn * gn:
-                accepted = True
-                break
-            t *= config.backtrack_factor
-        if not accepted:
-            termination = "line_search_failed"
-            break
-        x = x_new
-        window_descent += f - f_new
-        step = t
-        it += 1
-
-        if config.resample_every and it % config.resample_every == 0:
-            f_before = dof.value(x)[0]
-            dof, x = _resample(dof, x)
-            f_mid, e_mid, l_mid = dof.value(x)
-            # exact optimal rescaling: monotone, kills the slow dilation mode
-            if math.isfinite(f_mid) and e_mid > 1e-14 * max(l_mid, 1.0):
-                x = dof.rescale(x, math.sqrt(e_mid / l_mid))
-            f_after = dof.value(x)[0]
-            events.append(ResampleEvent(it, f_before, f_mid, f_after))
-            sets = dof.point_sets(x)
-            if _network_min_curve_length(sets) < DEGENERATION_FACTOR * _diameter_of_sets(sets):
+        trace = [(report.penalized, report.elastic, report.length, math.nan)]
+        final, termination, it = network, "max_iters", 0
+    else:
+        form = _AngleForm(_pinned(network), config.n_per_curve)
+        z = form.restore(form.z0)
+        if z is None or not math.isfinite(form.energy(z)[0]):
+            raise OptimizationError(
+                f"the network has no closed equal-edge form at {config.n_per_curve} points per curve"
+                " whose edges turn by less than pi"
+            )
+        p = form.evaluate(z)
+        trace = [(p.f, p.elastic, p.length, p.grad_norm)]
+        it, stalled = 0, False
+        while True:
+            final = form.network(p.z)
+            if form.lengths(p.z).min() < DEGENERATION_FACTOR * network_diameter(final):
                 termination = "degeneration"
-                break
-
-        # stop on descent progress alone: uniform resampling drifts the
-        # energy by a little each time, which must not mask stagnation
-        if it % 64 == 0:
-            f_now = dof.value(x)[0]
-            if window_descent <= config.energy_rel_tol * max(abs(f_now), 1.0):
+            elif p.grad_norm <= config.grad_tol:
+                termination = "converged"
+            elif stalled:
                 termination = "stalled"
-                break
-            window_descent = 0.0
-
-    f, e, l = dof.value(x)
-    f_trace.append(f)
-    e_trace.append(e)
-    l_trace.append(l)
-    g_trace.append(float(np.linalg.norm(dof.value_and_grad(x)[3])))
-    if termination == "stalled" and g_trace[-1] <= config.grad_tol:
-        termination = "converged"
-
-    final = dof.rebuild(x)
+            elif it >= config.max_iters:
+                termination = "max_iters"
+            elif (z := form.line_search(p)) is None:
+                termination = "line_search_failed"
+            else:
+                q = form.evaluate(z)
+                it += 1
+                trace.append((q.f, q.elastic, q.length, q.grad_norm))
+                stalled = 0.0 < p.f - q.f <= config.energy_rel_tol * max(abs(q.f), 1.0)
+                p = q
+                continue
+            break
+    f_trace, e_trace, l_trace, g_trace = (np.array(column) for column in zip(*trace))
     return OptimizationResult(
         final=final,
-        energy_trace=np.asarray(f_trace),
-        elastic_trace=np.asarray(e_trace),
-        length_trace=np.asarray(l_trace),
-        grad_norm_trace=np.asarray(g_trace),
-        resample_events=tuple(events),
+        energy_trace=f_trace,
+        elastic_trace=e_trace,
+        length_trace=l_trace,
+        grad_norm_trace=g_trace,
+        resample_events=(),
         constraint_violation=validate(final, tol_ang=5e-2),
         termination=termination,
         iterations=it,
@@ -588,12 +539,9 @@ def minimize_multilevel(
         levels = _ladder(config.n_per_curve)
     if levels[-1] != config.n_per_curve:
         raise InvalidConfigError("ladder must end at config.n_per_curve")
-    net = network
     results = []
     for n in levels:
-        res = minimize(net, replace(config, n_per_curve=n))
-        results.append(res)
-        net = res.final
+        results.append(minimize(results[-1].final if results else network, replace(config, n_per_curve=n)))
     return results[-1], tuple(results)
 
 
@@ -604,9 +552,10 @@ def minimize_symmetric_double_drop(
 ) -> OptimizationResult:
     """Minimize F over symmetric double drops by optimizing one lobe.
 
-    Only the first drop carries DOF; the second is its point reflection
+    Only the first drop carries variables; the second is its point reflection
     through the four-point, so the symmetry defect is zero by construction
-    and the total energy is exactly twice the lobe energy.
+    and F and its gradient are exactly twice the lobe's.  The lobe is solved
+    to half of ``grad_tol``, so that ``converged`` holds for the double drop.
     """
     config = config or OptimizationConfig()
     if initial.kind == "double_drop":
@@ -615,10 +564,8 @@ def minimize_symmetric_double_drop(
         lobe = initial
     else:
         raise InvalidInputError("expected a drop or double_drop network")
-    if multilevel:
-        res, _ = minimize_multilevel(lobe, config)
-    else:
-        res = minimize(lobe, config)
+    lobe_config = replace(config, grad_tol=0.5 * config.grad_tol)
+    res = minimize_multilevel(lobe, lobe_config)[0] if multilevel else minimize(lobe, lobe_config)
     final = make_symmetric_double_drop(res.final)
     return OptimizationResult(
         final=final,
@@ -626,258 +573,9 @@ def minimize_symmetric_double_drop(
         elastic_trace=2.0 * res.elastic_trace,
         length_trace=2.0 * res.length_trace,
         grad_norm_trace=2.0 * res.grad_norm_trace,
-        resample_events=res.resample_events,
+        resample_events=(),
         constraint_violation=validate(final, tol_ang=5e-2),
         termination=res.termination,
         iterations=res.iterations,
         config=config,
-    )
-
-
-# ---------------------------------------------------------------------------
-# recovery sequence (degenerate -> theta)
-
-
-def _first_horizontal_cut(curve: DiscreteCurve) -> float:
-    """Arclength of the first horizontal-tangent point, by sign change.
-
-    The tangent's second component is interpolated linearly in arclength
-    between edge midpoints; the first sign change is bisected to 1e-10 of the
-    total length.  A run of exactly horizontal edges is cut at its center,
-    keeping the cut away from any vertex that carries turning.
-    """
-    pts = curve.points
-    e = pts[1:] - pts[:-1]
-    a = np.linalg.norm(e, axis=1)
-    ty = e[:, 1] / a
-    s = np.concatenate([[0.0], np.cumsum(a)])
-    mids = 0.5 * (s[:-1] + s[1:])
-    total = s[-1]
-
-    zero = np.nonzero(ty == 0.0)[0]
-    change = np.nonzero(ty[:-1] * ty[1:] < 0.0)[0]
-    first_zero = zero[0] if len(zero) else None
-    first_change = change[0] if len(change) else None
-    if first_zero is not None and (first_change is None or first_zero <= first_change):
-        j0 = j1 = int(first_zero)
-        while j1 + 1 < len(ty) and ty[j1 + 1] == 0.0:
-            j1 += 1
-        return float(0.5 * (s[j0] + s[j1 + 1]))
-    if first_change is None:
-        raise ConstructionFailedError("no horizontal tangent: input violates the orientation premise")
-    j = int(first_change)
-
-    def value(sq: float) -> float:
-        return float(np.interp(sq, mids, ty))
-
-    lo, hi = float(mids[j]), float(mids[j + 1])
-    flo = value(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = value(mid)
-        if fm == 0.0 or (hi - lo) < 1e-10 * total:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def _split_at_arclength(curve: DiscreteCurve, s_cut: float) -> tuple[np.ndarray, np.ndarray]:
-    pts = curve.points
-    s = vertex_arclengths(curve)
-    total = s[-1]
-    eps = 1e-12 * total
-    j = int(np.searchsorted(s, s_cut)) - 1
-    j = max(0, min(j, len(pts) - 2))
-    if abs(s_cut - s[j]) < eps:
-        return pts[: j + 1].copy(), pts[j:].copy()
-    if abs(s_cut - s[j + 1]) < eps:
-        return pts[: j + 2].copy(), pts[j + 1 :].copy()
-    t = (s_cut - s[j]) / (s[j + 1] - s[j])
-    q = pts[j] + t * (pts[j + 1] - pts[j])
-    head = np.vstack([pts[: j + 1], q])
-    tail = np.vstack([q, pts[j + 1 :]])
-    return head, tail
-
-
-def recovery_sequence(degenerate: Network, n: int) -> Network:
-    """Theta-network obtained by cutting a degenerate network and inserting
-    three horizontal segments of length 1/n.
-
-    The input must be oriented with curve 0 leaving the four-point at 60
-    degrees (frame pi/3, first offset pairing); each curve is cut at its
-    first horizontal-tangent point, the trailing halves are shifted left by
-    1/n, and the three gaps are bridged by straight horizontal segments, so
-    F grows by exactly 3/n up to round-off.
-    """
-    if degenerate.kind != "degenerate_theta":
-        raise InvalidInputError("recovery sequences start from degenerate theta networks")
-    if n < 1:
-        raise InvalidInputError("n must be a positive integer")
-    (j,) = degenerate.junctions
-    net = translate_network(degenerate, -j.position)
-    (j,) = net.junctions
-    dirs = [j.frame_angle + off for off in j.offsets]
-    want = [math.pi / 3.0, 2.0 * math.pi / 3.0, 5.0 * math.pi / 3.0, 4.0 * math.pi / 3.0]
-    mism = max(abs(float(signed_angle(unit(d), unit(w)))) for d, w in zip(dirs, want))
-    if mism > 1e-6:
-        raise ConstructionFailedError(
-            "input must be oriented with curve 0 leaving at 60 degrees (four-point frame pi/3)"
-        )
-
-    w = np.array([-1.0 / n, 0.0])
-    new_curves = []
-    for c in net.curves:
-        s_cut = _first_horizontal_cut(c)
-        head, tail = _split_at_arclength(c, s_cut)
-        pts = np.vstack([head, tail + w])
-        new_curves.append(DiscreteCurve(pts, closed=False))
-    bridge = DiscreteCurve(np.array([[0.0, 0.0], 0.5 * w, w]), closed=False)
-    new_curves.append(bridge)
-
-    two_thirds = 2.0 * math.pi / 3.0
-    j_r = Junction(np.zeros(2), math.pi / 3.0, (0.0, 2.0 * two_thirds, two_thirds))
-    j_l = Junction(w.copy(), 0.0, (two_thirds, 2.0 * two_thirds, 0.0))
-    return Network("theta", tuple(new_curves), (j_r, j_l))
-
-
-# ---------------------------------------------------------------------------
-# injectivity audit
-
-
-@dataclass(frozen=True)
-class InjectivityReport:
-    self_intersections: tuple[int, ...]
-    pairwise_crossings: tuple[tuple[int, int, int], ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.self_intersections) + sum(c for _, _, c in self.pairwise_crossings)
-
-
-def _segments(curve: DiscreteCurve) -> np.ndarray:
-    pts = curve.points
-    if curve.closed:
-        return np.stack([pts, np.roll(pts, -1, axis=0)], axis=1)
-    return np.stack([pts[:-1], pts[1:]], axis=1)
-
-
-def _cross(o, a, b):
-    return (a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1]) - (a[..., 1] - o[..., 1]) * (
-        b[..., 0] - o[..., 0]
-    )
-
-
-# Boxes that would touch more grid cells than this are tested directly
-# against every box they overlap, so one long edge cannot make the grid's
-# incidences quadratic.
-_MAX_CELLS_PER_BOX = 64
-
-
-def _candidate_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs ``u < v`` of boxes ``[lo, hi]`` that may overlap, each pair once.
-
-    The grid cells are the squares ``[m h, (m + 1) h)`` of a lattice through
-    the origin, with ``h`` twice the median box size.  A box's cell range
-    comes from monotone rounding of its corners, so two boxes that share a
-    point share a cell.  Boxes over ``_MAX_CELLS_PER_BOX`` cells (long edges)
-    are paired instead with every box whose box overlaps theirs.
-    """
-    size = 2.0 * float(np.median((hi - lo).max(axis=1)))
-    reach = float(max(np.abs(lo).max(), np.abs(hi).max()))
-    h = max(size, reach * 2.0**-50)  # cell indices stay below 2**50
-    f_lo = np.floor(lo / h)
-    f_hi = np.floor(hi / h)
-    n_cells = (f_hi[:, 0] - f_lo[:, 0] + 1) * (f_hi[:, 1] - f_lo[:, 1] + 1)
-    is_long = n_cells > _MAX_CELLS_PER_BOX
-    grid = np.flatnonzero(~is_long)
-    c_lo = f_lo[grid].astype(np.int64)
-    span = (f_hi[grid, 1] - f_lo[grid, 1] + 1).astype(np.int64)
-    n_cells = n_cells[grid].astype(np.int64)
-    # one incidence per (box, cell) it touches
-    at = np.repeat(np.arange(len(grid)), n_cells)
-    local = np.arange(len(at)) - np.repeat(np.cumsum(n_cells) - n_cells, n_cells)
-    cx = c_lo[at, 0] + local // span[at]
-    cy = c_lo[at, 1] + local % span[at]
-    order = np.lexsort((cy, cx))
-    at, cx, cy = at[order], cx[order], cy[order]
-    # every incidence pairs with the later ones in its cell
-    run_start = np.flatnonzero(np.r_[True, (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])])
-    run_len = np.diff(np.r_[run_start, len(at)])
-    later = np.repeat(run_start + run_len, run_len) - np.arange(len(at)) - 1
-    first = np.repeat(np.arange(len(at)), later)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-    a, b = np.minimum(at[first], at[second]), np.maximum(at[first], at[second])
-    # keep a pair only in the lowest cell of both boxes' common range
-    keep = (cx[first] == np.maximum(c_lo[a, 0], c_lo[b, 0])) & (cy[first] == np.maximum(c_lo[a, 1], c_lo[b, 1]))
-    us, vs = [grid[a[keep]]], [grid[b[keep]]]
-
-    long_boxes = np.flatnonzero(is_long)
-    block = max(1, 2**20 // len(lo))
-    for start in range(0, len(long_boxes), block):
-        rows = long_boxes[start : start + block]
-        overlap = np.all((lo[None] <= hi[rows, None]) & (hi[None] >= lo[rows, None]), axis=-1)
-        # a pair of long boxes is taken from its first box only
-        overlap &= ~is_long | (np.arange(len(lo)) > rows[:, None])
-        r, other = np.nonzero(overlap)
-        us.append(np.minimum(rows[r], other))
-        vs.append(np.maximum(rows[r], other))
-    return np.concatenate(us), np.concatenate(vs)
-
-
-def injectivity_report(network: Network) -> InjectivityReport:
-    """Exact counts of transversal self-intersections and pairwise crossings.
-
-    Two segments cross when each one's endpoints lie strictly on opposite
-    sides of the other's line: the interiors meet in one point.  Touching
-    (a vertex on another segment, a T-contact), collinear overlap and
-    contacts at shared endpoints (junctions, drop closure points, neighbours
-    along a curve) are not crossings.  Endpoints closer than ``1e-12`` times
-    the network diameter count as shared.
-
-    The segments of all curves are bucketed at once into a uniform grid
-    whose square cells are twice the median segment box, and only pairs of
-    segments that share a cell are tested.  A segment whose box would cover
-    more than ``_MAX_CELLS_PER_BOX`` cells (a long edge) is tested instead
-    against every segment whose box overlaps its own.  The boxes of crossing
-    segments always overlap, so the counts are exact: the same as testing
-    every pair.  For curves sampled at comparable spacing, time and memory
-    are O(k) expected in the total number of segments k, plus O(k) per long
-    edge.
-    """
-    eps = 1e-12 * max(network_diameter(network), 1e-30)
-    segs = [_segments(c) for c in network.curves]
-    n_curves = len(segs)
-    sizes = np.array([len(s) for s in segs])
-    seg = np.concatenate(segs)
-    curve = np.repeat(np.arange(n_curves), sizes)
-    index = np.arange(len(seg)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    closed = np.array([c.closed for c in network.curves])
-
-    u, v = _candidate_pairs(seg.min(axis=1) - eps, seg.max(axis=1) + eps)
-    cu, cv = curve[u], curve[v]
-    same = cu == cv
-    gap = index[v] - index[u]
-    ok = ~same | (gap >= 2)
-    ok &= ~(same & closed[cu] & (index[u] == 0) & (gap == sizes[cu] - 1))
-    u, v, cu, cv, same = u[ok], v[ok], cu[ok], cv[ok], same[ok]
-
-    p, q = seg[u, 0], seg[u, 1]
-    r, s = seg[v, 0], seg[v, 1]
-    hit = (_cross(p, q, r) * _cross(p, q, s) < 0) & (_cross(r, s, p) * _cross(r, s, q) < 0)
-    for a in (p, q):
-        for b in (r, s):
-            hit &= np.linalg.norm(a - b, axis=-1) > eps
-
-    self_counts = np.bincount(cu[hit & same], minlength=n_curves)
-    # curve pairs (i, j), i < j, in row-major order
-    ci, cj = cu[hit & ~same], cv[hit & ~same]
-    slot = ci * n_curves - ci * (ci + 1) // 2 + (cj - ci - 1)
-    pair_counts = np.bincount(slot, minlength=n_curves * (n_curves - 1) // 2)
-    pairs = [(i, j) for i in range(n_curves) for j in range(i + 1, n_curves)]
-    return InjectivityReport(
-        tuple(int(c) for c in self_counts),
-        tuple((i, j, int(c)) for (i, j), c in zip(pairs, pair_counts)),
     )

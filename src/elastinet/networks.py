@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConstructionFailedError,
     InvalidCurveError,
     InvalidInputError,
     NetworkValidationError,
@@ -41,6 +42,7 @@ from .geometry import (
     rotate_points,
     signed_angle,
     unit,
+    vertex_arclengths,
 )
 
 __all__ = [
@@ -63,6 +65,7 @@ __all__ = [
     "make_standard_double_bubble",
     "make_generalized_bubble",
     "make_degenerate_figure_eight",
+    "recovery_sequence",
     "generalized_bubble_energy",
     "optimal_bubble_radius",
     "serialize",
@@ -127,8 +130,16 @@ class Junction:
         pos = np.asarray(self.position, dtype=float).reshape(2)
         if not np.all(np.isfinite(pos)):
             raise InvalidInputError("junction position must be finite")
+        try:
+            frame = float(self.frame_angle)
+            offsets = tuple(float(o) for o in self.offsets)
+        except (TypeError, ValueError):
+            raise InvalidInputError("junction frame angle and offsets must be numbers") from None
+        if not (math.isfinite(frame) and all(math.isfinite(o) for o in offsets)):
+            raise InvalidInputError("junction frame angle and offsets must be finite")
         object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "offsets", tuple(float(o) for o in self.offsets))
+        object.__setattr__(self, "frame_angle", frame)
+        object.__setattr__(self, "offsets", offsets)
 
     def outgoing_dir(self, slot: int) -> np.ndarray:
         return unit(self.frame_angle + self.offsets[slot])
@@ -154,6 +165,13 @@ class Network:
             raise NetworkValidationError(
                 f"kind {self.kind!r} needs {_JUNCTION_COUNT[self.kind]} junctions, got {len(self.junctions)}"
             )
+        counts = [0] * len(self.junctions)
+        for ends in end_slots(self.kind, len(self.curves)):
+            for j, slot in ends:
+                counts[j] = max(counts[j], slot + 1)
+        for j, (junction, count) in enumerate(zip(self.junctions, counts)):
+            if len(junction.offsets) != count:
+                raise NetworkValidationError(f"junction {j} needs one offset per slot ({count}), got {len(junction.offsets)}")
         if self.kind == "closed":
             if not self.curves[0].closed:
                 raise NetworkValidationError("closed network needs a closed curve")
@@ -541,6 +559,115 @@ def make_degenerate_figure_eight(n: int, scale: float | None = None) -> Network:
         l_unit = 4.0 * s_half
         scale = math.sqrt(e_unit / l_unit)
     return scale_network(net, float(scale), about=(0.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# recovery sequence (degenerate -> theta)
+
+
+def _first_horizontal_cut(curve: DiscreteCurve) -> float:
+    """Arclength of the first horizontal-tangent point, by sign change.
+
+    The tangent's second component is interpolated linearly in arclength
+    between edge midpoints; the first sign change is bisected to 1e-10 of the
+    total length.  A run of exactly horizontal edges is cut at its center,
+    keeping the cut away from any vertex that carries turning.
+    """
+    pts = curve.points
+    e = pts[1:] - pts[:-1]
+    a = np.linalg.norm(e, axis=1)
+    ty = e[:, 1] / a
+    s = np.concatenate([[0.0], np.cumsum(a)])
+    mids = 0.5 * (s[:-1] + s[1:])
+    total = s[-1]
+
+    zero = np.nonzero(ty == 0.0)[0]
+    change = np.nonzero(ty[:-1] * ty[1:] < 0.0)[0]
+    first_zero = zero[0] if len(zero) else None
+    first_change = change[0] if len(change) else None
+    if first_zero is not None and (first_change is None or first_zero <= first_change):
+        j0 = j1 = int(first_zero)
+        while j1 + 1 < len(ty) and ty[j1 + 1] == 0.0:
+            j1 += 1
+        return float(0.5 * (s[j0] + s[j1 + 1]))
+    if first_change is None:
+        raise ConstructionFailedError("no horizontal tangent: input violates the orientation premise")
+    j = int(first_change)
+
+    def value(sq: float) -> float:
+        return float(np.interp(sq, mids, ty))
+
+    lo, hi = float(mids[j]), float(mids[j + 1])
+    flo = value(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = value(mid)
+        if fm == 0.0 or (hi - lo) < 1e-10 * total:
+            return mid
+        if flo * fm < 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
+def _split_at_arclength(curve: DiscreteCurve, s_cut: float) -> tuple[np.ndarray, np.ndarray]:
+    pts = curve.points
+    s = vertex_arclengths(curve)
+    total = s[-1]
+    eps = 1e-12 * total
+    j = int(np.searchsorted(s, s_cut)) - 1
+    j = max(0, min(j, len(pts) - 2))
+    if abs(s_cut - s[j]) < eps:
+        return pts[: j + 1].copy(), pts[j:].copy()
+    if abs(s_cut - s[j + 1]) < eps:
+        return pts[: j + 2].copy(), pts[j + 1 :].copy()
+    t = (s_cut - s[j]) / (s[j + 1] - s[j])
+    q = pts[j] + t * (pts[j + 1] - pts[j])
+    head = np.vstack([pts[: j + 1], q])
+    tail = np.vstack([q, pts[j + 1 :]])
+    return head, tail
+
+
+def recovery_sequence(degenerate: Network, n: int) -> Network:
+    """Theta-network obtained by cutting a degenerate network and inserting
+    three horizontal segments of length 1/n.
+
+    The input must be oriented with curve 0 leaving the four-point at 60
+    degrees (frame pi/3, first offset pairing); each curve is cut at its
+    first horizontal-tangent point, the trailing halves are shifted left by
+    1/n, and the three gaps are bridged by straight horizontal segments, so
+    F grows by exactly 3/n up to round-off.
+    """
+    if degenerate.kind != "degenerate_theta":
+        raise InvalidInputError("recovery sequences start from degenerate theta networks")
+    if n < 1:
+        raise InvalidInputError("n must be a positive integer")
+    (j,) = degenerate.junctions
+    net = translate_network(degenerate, -j.position)
+    (j,) = net.junctions
+    dirs = [j.frame_angle + off for off in j.offsets]
+    want = [math.pi / 3.0, 2.0 * math.pi / 3.0, 5.0 * math.pi / 3.0, 4.0 * math.pi / 3.0]
+    mism = max(abs(float(signed_angle(unit(d), unit(w)))) for d, w in zip(dirs, want))
+    if mism > 1e-6:
+        raise ConstructionFailedError(
+            "input must be oriented with curve 0 leaving at 60 degrees (four-point frame pi/3)"
+        )
+
+    w = np.array([-1.0 / n, 0.0])
+    new_curves = []
+    for c in net.curves:
+        s_cut = _first_horizontal_cut(c)
+        head, tail = _split_at_arclength(c, s_cut)
+        pts = np.vstack([head, tail + w])
+        new_curves.append(DiscreteCurve(pts, closed=False))
+    bridge = DiscreteCurve(np.array([[0.0, 0.0], 0.5 * w, w]), closed=False)
+    new_curves.append(bridge)
+
+    two_thirds = 2.0 * math.pi / 3.0
+    j_r = Junction(np.zeros(2), math.pi / 3.0, (0.0, 2.0 * two_thirds, two_thirds))
+    j_l = Junction(w.copy(), 0.0, (two_thirds, 2.0 * two_thirds, 0.0))
+    return Network("theta", tuple(new_curves), (j_r, j_l))
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,11 @@ class TestEnergyCommand:
         bad.write_text("{broken")
         assert main(["energy", str(bad)]) == 2
 
+    def test_directory_input_exits_2(self, tmp_path, capsys):
+        assert main(["energy", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_invalid_network_exits_3(self, tmp_path, capsys):
         net = make_standard_double_bubble(optimal_bubble_radius(), 100)
         tampered = Network(
@@ -150,6 +155,14 @@ class TestMinimizeCommand:
             assert (out1 / name).exists()
         for name in ("result.json", "trace.csv", "network_final.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_output_path_is_a_file_exits_2(self, tmp_path, circle_file, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["minimize", circle_file, "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert taken.read_text() == ""
 
     def test_max_iters_zero_unchanged(self, tmp_path, circle_file):
         cfg = tmp_path / "cfg.json"

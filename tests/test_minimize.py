@@ -7,7 +7,7 @@ import pytest
 import tracemalloc
 
 from elastinet.bounds import random_drop, random_theta_network
-from elastinet.energy import penalized_energy
+from elastinet.energy import optimal_rescale, penalized_energy
 from elastinet.errors import ConstructionFailedError, InvalidConfigError, InvalidInputError
 from elastinet.geometry import DiscreteCurve
 from elastinet.minimize import (
@@ -20,9 +20,12 @@ from elastinet.minimize import (
     minimize_symmetric_double_drop,
     recovery_sequence,
 )
+from elastinet.minimize import _AngleForm, _pinned, _thomas
 from elastinet.networks import (
     Network,
+    end_slots,
     make_circle,
+    make_ellipse,
     make_degenerate_figure_eight,
     make_generalized_bubble,
     make_standard_double_bubble,
@@ -138,12 +141,12 @@ class TestDofMap:
     def test_rebuild_of_pack_is_the_prepared_network(self, net):
         dof = dof_map(net)
         back = dof.rebuild(dof.pack())
-        # a stub endpoint is rebuilt from its length and frame angle
+        # every point is a variable, so the rebuilt network is the input
         _same_network(back, dof.template, atol=4e-16 * network_diameter(net))
         assert dof.value(dof.pack())[0] == pytest.approx(penalized_energy(back).penalized, rel=1e-14)
 
     def test_only_a_lone_four_point_is_pinned(self):
-        cfg = OptimizationConfig(n_per_curve=30, max_iters=30, grad_tol=1e-12, resample_every=0)
+        cfg = OptimizationConfig(n_per_curve=30, max_iters=30, grad_tol=1e-12)
         deg = minimize(translate_network(make_degenerate_figure_eight(60), (0.3, -0.2)), cfg).final
         np.testing.assert_array_equal(deg.junctions[0].position, [0.0, 0.0])
         bubble = make_standard_double_bubble(RBAR, 30)
@@ -176,52 +179,42 @@ class TestMinimize:
             if i not in event_iters:
                 assert tr[i] <= tr[i - 1] + 1e-12 * max(1.0, abs(tr[i - 1]))
 
-    def test_resample_jumps_bounded(self):
+    def test_equal_edges_instead_of_resampling(self):
+        # the solver's mesh is equal-edge by construction, so it never resamples
         drop = make_teardrop(80)
         cfg = OptimizationConfig(n_per_curve=80, max_iters=400, grad_tol=1e-9, energy_rel_tol=1e-13)
         res = minimize(drop, cfg)
-        for ev in res.resample_events:
-            # the resampling itself stays within the O(h^2) budget ...
-            assert abs(ev.f_resampled - ev.f_before) <= 1e-3 * ev.f_before
-            # ... and the interleaved exact rescaling only descends
-            assert ev.f_after <= ev.f_resampled + 1e-12
+        assert res.resample_events == ()
+        edges = np.linalg.norm(np.diff(res.final.curves[0].points, axis=0), axis=1)
+        assert len(edges) == 79
+        assert np.ptp(edges) <= 1e-13 * edges.mean()
 
     def test_line_search_failure_reported(self):
-        # steps restricted to a window so large that every trial overshoots
+        # a gradient tolerance below round-off: at the optimum no step lowers F
         net = make_circle(1.0, 64)
-        cfg = OptimizationConfig(
-            n_per_curve=64,
-            max_iters=50,
-            grad_tol=1e-30,
-            energy_rel_tol=1e-30,
-            step_init=1e6,
-            step_min=1e5,
-            resample_every=0,
-        )
+        cfg = OptimizationConfig(n_per_curve=64, max_iters=50, grad_tol=1e-30, energy_rel_tol=1e-30)
         res = minimize(net, cfg)
         assert res.termination == "line_search_failed"
+        assert res.iterations < cfg.max_iters
+        assert res.grad_norm_trace[-1] < 1e-9
 
     def test_degeneration_detected(self):
         deg = make_degenerate_figure_eight(60)
         theta = recovery_sequence(deg, 2000)  # middle curve of length 5e-4
-        cfg = OptimizationConfig(n_per_curve=40, max_iters=60, grad_tol=1e-12, energy_rel_tol=1e-14, resample_every=25)
+        cfg = OptimizationConfig(n_per_curve=40, max_iters=60, grad_tol=1e-12, energy_rel_tol=1e-14)
         res = minimize(theta, cfg)
         assert res.termination == "degeneration"
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfigError):
             OptimizationConfig(n_per_curve=4)
-        with pytest.raises(InvalidConfigError):
-            OptimizationConfig(backtrack_factor=1.5)
         # counts are integers (not booleans), tolerances finite, the seed an integer
         for bad in (
             {"n_per_curve": 50.5},
             {"max_iters": float("inf")},
             {"max_iters": True},
-            {"resample_every": 2.0},
             {"grad_tol": float("nan")},
             {"energy_rel_tol": float("inf")},
-            {"step_init": "1e-3"},
             {"seed": "abc"},
         ):
             with pytest.raises(InvalidConfigError):
@@ -229,13 +222,25 @@ class TestMinimize:
         OptimizationConfig(n_per_curve=np.int64(50), grad_tol=np.float64(1e-3), seed=-3)
         # the junction constraints are hard, so there is no angle penalty to schedule
         assert "angle_penalty_schedule" not in {f.name for f in dataclasses.fields(OptimizationConfig)}
+        # the Newton solver has no step-size or resampling settings
+        assert {f.name for f in dataclasses.fields(OptimizationConfig)} == {
+            "n_per_curve",
+            "max_iters",
+            "grad_tol",
+            "energy_rel_tol",
+            "seed",
+        }
+        for removed in ("resample_every", "backtrack_factor", "armijo_c", "step_init", "step_growth", "step_min"):
+            with pytest.raises(TypeError):
+                OptimizationConfig(**{removed: 1})
 
     def test_no_progress_with_large_gradient_is_stalled(self):
-        # a loose progress tolerance stops the run on the first 64-iteration window
+        # a loose progress tolerance stops the run after its first step
         drop = make_teardrop(80)
         cfg = OptimizationConfig(n_per_curve=80, max_iters=5000, grad_tol=1e-6, energy_rel_tol=1.0)
         res = minimize(drop, cfg)
-        assert res.iterations == 64
+        assert res.iterations == 1
+        assert res.energy_trace[1] < res.energy_trace[0]
         assert res.termination == "stalled"
         assert res.grad_norm_trace[-1] > cfg.grad_tol
 
@@ -503,3 +508,179 @@ class TestMultilevel:
         cfg = OptimizationConfig(n_per_curve=40, max_iters=400, grad_tol=1e-9, energy_rel_tol=1e-13)
         res = minimize(net, cfg)
         assert np.all(res.energy_trace >= 4 * np.pi - 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the Newton-KKT solver in its equal-edge tangent-angle form
+
+SOLVER_CASES = {
+    "closed": lambda: make_circle(1.3, 24),
+    "drop": lambda: make_teardrop(20),
+    "theta": lambda: make_standard_double_bubble(RBAR, 16),
+    "generalized_theta": lambda: make_generalized_bubble(1.7, 2.5, 16),
+    "degenerate_theta": lambda: make_degenerate_figure_eight(28),
+}
+
+
+def _perturbed_form(kind, n=16, scale=0.05, seed=0):
+    """The case's angle form at a perturbed point back on the closure equations."""
+    form = _AngleForm(_pinned(SOLVER_CASES[kind]()), n)
+    rng = np.random.default_rng(seed)
+    z = form.z0.copy()
+    z[: form.nt] += rng.normal(0.0, scale, form.nt)
+    return form, form.restore(z)
+
+
+def _check_incidence(net):
+    """Curve ends sit bitwise on their junctions and end edges on the frame rays."""
+    for curve, ends in zip(net.curves, end_slots(net.kind, len(net.curves))):
+        p = curve.points
+        for end, nxt, (j, slot) in ((p[0], p[1], ends[0]), (p[-1], p[-2], ends[1])):
+            junction = net.junctions[j]
+            assert end.tobytes() == junction.position.tobytes()
+            edge, ray = nxt - end, junction.outgoing_dir(slot)
+            assert abs(edge[0] * ray[1] - edge[1] * ray[0]) <= 1e-12 * np.linalg.norm(edge)
+            assert edge @ ray > 0.0
+
+
+@pytest.mark.parametrize("kind", list(SOLVER_CASES))
+class TestAngleForm:
+    def test_energy_is_that_of_the_rebuilt_network(self, kind):
+        form, z = _perturbed_form(kind)
+        net = form.network(z)
+        assert net.kind == kind
+        assert form.energy(z)[0] == pytest.approx(penalized_energy(net).penalized, rel=1e-12, abs=0.0)
+        _check_incidence(net)
+        edges = np.concatenate([np.linalg.norm(np.diff(c.points, axis=0), axis=1) for c in net.curves[:1]])
+        assert np.ptp(edges) <= 1e-12 * edges.mean()
+
+    def test_closure_restored(self, kind):
+        form, z = _perturbed_form(kind)
+        assert np.max(np.abs(form.closure(z, form.angles(z)))) <= 1e-15 * max(1.0, form.lengths(z).sum())
+
+    def test_gradient_and_jacobian_match_central_differences(self, kind):
+        form, z = _perturbed_form(kind)
+        p = form.evaluate(z)
+        h = 1e-6
+        fd_g = np.empty(len(z))
+        fd_jac = np.empty((2 * form.nc, len(z)))
+        for i in range(len(z)):
+            zp, zm = z.copy(), z.copy()
+            zp[i] += h
+            zm[i] -= h
+            fd_g[i] = (form.energy(zp)[0] - form.energy(zm)[0]) / (2 * h)
+            fd_jac[:, i] = (form.closure(zp, form.angles(zp)) - form.closure(zm, form.angles(zm))).ravel() / (2 * h)
+        denom = np.maximum(np.abs(p.g), 1e-3 * max(np.abs(p.g).max(), 1.0))
+        assert np.max(np.abs(fd_g - p.g) / denom) < 1e-5
+        assert np.max(np.abs(fd_jac - p.jac)) < 1e-8
+        assert p.grad_norm == pytest.approx(np.linalg.norm(p.g + p.jac.T @ p.mu.ravel()), rel=1e-12)
+        # the least-squares multipliers leave the projected gradient orthogonal to the Jacobian
+        assert np.max(np.abs(p.jac @ (p.g + p.jac.T @ p.mu.ravel()))) < 1e-10 * max(1.0, np.abs(p.g).max())
+
+    def test_step_solves_the_dense_kkt_system(self, kind):
+        # Hessian of the Lagrangian by central differences of its gradient
+        form, z = _perturbed_form(kind, n=10)
+        p = form.evaluate(z)
+        mu = p.mu.ravel()
+
+        def lagrangian_gradient(zz):
+            q = form.evaluate(zz)
+            return q.g + q.jac.T @ mu
+
+        h = 1e-6
+        hess = np.empty((len(z), len(z)))
+        for i in range(len(z)):
+            zp, zm = z.copy(), z.copy()
+            zp[i] += h
+            zm[i] -= h
+            hess[:, i] = (lagrangian_gradient(zp) - lagrangian_gradient(zm)) / (2 * h)
+        hess = 0.5 * (hess + hess.T)
+        n_con = 2 * form.nc
+        kkt = np.block([[hess, p.jac.T], [p.jac, np.zeros((n_con, n_con))]])
+        dense = np.linalg.solve(kkt, np.concatenate([-p.g, np.zeros(n_con)]))[: len(z)]
+        step = form.step(p, 0.0)
+        assert np.max(np.abs(step - dense)) <= 1e-6 * max(1.0, np.abs(dense).max())
+
+    def test_solve_descends_and_converges(self, kind):
+        net = SOLVER_CASES[kind]()
+        cfg = OptimizationConfig(n_per_curve=24, max_iters=200, grad_tol=1e-8, energy_rel_tol=1e-15)
+        res = minimize(net, cfg)
+        assert res.termination == "converged"
+        assert res.grad_norm_trace[-1] <= cfg.grad_tol
+        assert len(res.energy_trace) == res.iterations + 1
+        assert np.all(np.diff(res.energy_trace) <= 0.0)
+        assert res.energy_trace[-1] == pytest.approx(penalized_energy(res.final).penalized, rel=1e-12, abs=0.0)
+        if res.final.junctions:
+            _check_incidence(res.final)
+
+
+@pytest.mark.parametrize("kind", list(SOLVER_CASES))
+@pytest.mark.parametrize("n", [8, 24])
+def test_solution_does_not_depend_on_scale(kind, n):
+    # F's minimum is scale free; a curve closed by shrinking it would not be
+    from elastinet.networks import scale_network
+
+    cfg = OptimizationConfig(n_per_curve=n, max_iters=200, grad_tol=1e-9, energy_rel_tol=1e-15)
+    results = [minimize(scale_network(SOLVER_CASES[kind](), s, about=(0.0, 0.0)), cfg) for s in (0.01, 1.0, 100.0)]
+    for res in results:
+        assert res.termination in ("converged", "stalled", "line_search_failed")
+    f = [res.energy_trace[-1] for res in results]
+    assert max(f) - min(f) <= 1e-9 * f[1]
+
+
+def test_thomas_matches_dense_solve():
+    rng = np.random.default_rng(7)
+    n, lanes, k = 12, 3, 4
+    off = rng.normal(size=(n - 1, lanes))
+    diag = 4.0 + np.abs(rng.normal(size=(n, lanes)))
+    rhs = rng.normal(size=(n, lanes, k))
+    x = _thomas(diag, off, rhs)
+    for lane in range(lanes):
+        dense = np.diag(diag[:, lane]) + np.diag(off[:, lane], 1) + np.diag(off[:, lane], -1)
+        np.testing.assert_allclose(dense @ x[:, lane], rhs[:, lane], rtol=0.0, atol=1e-12)
+
+
+class TestLadders:
+    """The benchmark's ladders: every rung converges, every trace descends."""
+
+    def _check(self, results, grad_tol):
+        for level in results:
+            assert level.termination == "converged"
+            assert level.grad_norm_trace[-1] <= grad_tol
+            assert level.resample_events == ()
+            assert np.all(np.diff(level.energy_trace) <= 0.0)
+
+    def test_theta_ladder(self):
+        cfg = OptimizationConfig(n_per_curve=200, max_iters=1000, grad_tol=1e-3, energy_rel_tol=1e-9)
+        result, levels = minimize_multilevel(make_standard_double_bubble(RBAR, 200), cfg)
+        assert [level.final.curves[0].n_points for level in levels] == [40, 50, 100, 200]
+        self._check(levels, cfg.grad_tol)
+        f_final = result.energy_trace[-1]
+        # above the continuum optimum 18.3111919 by the pinned end edges' O(h) bias
+        assert 18.3111919 < f_final < 18.345
+        assert f_final == pytest.approx(penalized_energy(result.final).penalized, rel=1e-12, abs=0.0)
+        assert result.constraint_violation.valid
+        _check_incidence(result.final)
+        assert injectivity_report(result.final).total == 0
+
+    @pytest.mark.parametrize(
+        "initial, n, target",
+        [
+            (lambda: make_ellipse(2.0, 1.0, 200), 200, 4 * np.pi),
+            (lambda: optimal_rescale(make_teardrop(300))[1], 300, 10.60375),
+        ],
+        ids=["ellipse", "teardrop"],
+    )
+    def test_curve_ladder(self, initial, n, target):
+        cfg = OptimizationConfig(n_per_curve=n, max_iters=40000, grad_tol=1e-3, energy_rel_tol=3e-6)
+        result, levels = minimize_multilevel(initial(), cfg)
+        self._check(levels, cfg.grad_tol)
+        assert abs(result.energy_trace[-1] - target) < 1e-4 * target
+
+    def test_double_drop_gradient_honest(self):
+        cfg = OptimizationConfig(n_per_curve=300, max_iters=40000, grad_tol=1e-3, energy_rel_tol=3e-6)
+        drop = optimal_rescale(make_teardrop(300))[1]
+        res = minimize_symmetric_double_drop(make_symmetric_double_drop(drop), cfg)
+        assert res.termination == "converged"
+        assert res.grad_norm_trace[-1] <= cfg.grad_tol
+        assert abs(res.energy_trace[-1] - 21.2075) < 1e-4 * 21.2075

@@ -15,6 +15,7 @@ from elastinet.bounds import random_theta_network
 from elastinet.geometry import DiscreteCurve
 from elastinet.minimize import recovery_sequence
 from elastinet.networks import (
+    Junction,
     Network,
     curve_clamps,
     deserialize,
@@ -123,6 +124,42 @@ class TestEndSlots:
                         assert got is None
                     else:
                         np.testing.assert_array_equal(got, want)
+
+
+class TestJunctionFrames:
+    @pytest.mark.parametrize(
+        "frame, offsets",
+        [
+            (float("nan"), (0.0, 1.0, 2.0)),
+            (float("inf"), (0.0, 1.0, 2.0)),
+            (0.0, (0.0, float("nan"), 2.0)),
+            (0.0, (0.0, 1.0, -float("inf"))),
+            ("east", (0.0, 1.0, 2.0)),
+            (0.0, (0.0, None, 2.0)),
+        ],
+        ids=["nan_frame", "infinite_frame", "nan_offset", "infinite_offset", "text_frame", "null_offset"],
+    )
+    def test_malformed_frame_rejected(self, frame, offsets):
+        with pytest.raises(InvalidInputError):
+            Junction(np.zeros(2), frame, offsets)
+
+    def test_frame_stored_as_float(self):
+        j = Junction(np.zeros(2), np.float64(0.5), (0, 1, 2))
+        assert type(j.frame_angle) is float and j.offsets == (0.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_theta_needs_one_offset_per_slot(self, count):
+        net = make_standard_double_bubble(RBAR, 20)
+        j0, j1 = net.junctions
+        wrong = Junction(j0.position, j0.frame_angle, (j0.offsets * 2)[:count])
+        with pytest.raises(NetworkValidationError, match="offset"):
+            Network("theta", net.curves, (wrong, j1))
+
+    def test_four_point_needs_four_offsets(self):
+        net = make_degenerate_figure_eight(40)
+        (j,) = net.junctions
+        with pytest.raises(NetworkValidationError, match="offset"):
+            Network("degenerate_theta", net.curves, (Junction(j.position, j.frame_angle, j.offsets[:3]),))
 
 
 class TestMakeCircle:
