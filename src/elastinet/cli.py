@@ -80,6 +80,8 @@ def _write_manifest(out_dir: str, command: str, input_path: str | None, config: 
         "config": config,
         "seed": seed,
         "tool_version": __version__,
+        "python_version": sys.version.split()[0],
+        "numpy_version": np.__version__,
         "wall_time_s": time.monotonic() - t0,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:

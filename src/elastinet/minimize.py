@@ -11,15 +11,17 @@ closure point sits at the origin), a theta's junction midpoint and frame of
 junction 0, and a degenerate theta's four-point and frame.
 
 Each step is a Newton step on the KKT conditions (Nocedal and Wright, ch.
-18): one Thomas solve of the per-curve tridiagonal Hessian of the Lagrangian
-for all right-hand sides, plus a Schur complement over the bordering lengths,
-free frame, ``D = J_1 - J_0`` and closure rows, O(m) in time and memory.  The
-Hessian is shifted (Levenberg) until the step descends; each trial point is
-put back onto the closure equations by Gauss-Newton and accepted on an
-Armijo decrease of F, or, where the predicted decrease is below the
-round-off of F, if F does not rise and ``|g|`` falls.  ``|g|`` is the norm of
-the gradient in the free variables projected onto the tangent space of the
-closure equations, the KKT residual; ``grad_tol`` and ``converged`` read it.
+18): one cyclic-reduction solve (Buzbee, Golub and Nielson, SIAM J. Numer.
+Anal. 7, 1970) of the per-curve tridiagonal Hessian of the Lagrangian for all
+right-hand sides, O(m) work and memory in O(log m) vectorized sweeps, plus a
+Schur complement over the bordering lengths, free frame, ``D = J_1 - J_0``
+and closure rows.  The Hessian is shifted (Levenberg) until the step
+descends; each trial point is put back onto the closure equations by
+Gauss-Newton and accepted on an Armijo decrease of F, or, where the
+predicted decrease is below the round-off of F, if F does not rise and
+``|g|`` falls.  ``|g|`` is the norm of the gradient in the free variables
+projected onto the tangent space of the closure equations, the KKT residual;
+``grad_tol`` and ``converged`` read it.
 ``minimize_multilevel`` runs a coarse-to-fine ladder of such solves.
 """
 
@@ -183,23 +185,34 @@ def discrete_gradient(network: Network) -> np.ndarray:
 # the solver
 
 
-def _thomas(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve symmetric tridiagonal systems, one per lane, for many right-hand sides.
 
-    ``diag`` is (n, lanes), ``off`` (n - 1, lanes) and ``rhs`` (n, lanes, k);
-    elimination without pivoting, O(n k) time and memory.
+    ``diag`` is (n, lanes), ``off`` (n - 1, lanes) and ``rhs`` (n, lanes, k).
+    Odd-even cyclic reduction without pivoting, on the system padded with
+    identity rows to 2^p - 1 rows: each level eliminates the even rows of all
+    lanes at once; O(n k) work and memory in O(log n) sweeps.
     """
-    x = np.empty_like(rhs)
-    ratio = np.empty_like(off)
-    pivot = diag[0]
-    x[0] = rhs[0] / pivot[:, None]
-    for i in range(1, len(diag)):
-        ratio[i - 1] = off[i - 1] / pivot
-        pivot = diag[i] - off[i - 1] * ratio[i - 1]
-        x[i] = (rhs[i] - off[i - 1][:, None] * x[i - 1]) / pivot[:, None]
-    for i in range(len(diag) - 2, -1, -1):
-        x[i] -= ratio[i][:, None] * x[i + 1]
-    return x
+    n, lanes = diag.shape
+    pad = 2 ** n.bit_length() - 1 - n
+    d = np.concatenate([diag, np.ones((pad, lanes))])[:, :, None]
+    e = np.concatenate([np.zeros((1, lanes)), off, np.zeros((pad + 1, lanes))])[:, :, None]  # e[i] couples rows i-1, i
+    r = np.concatenate([rhs, np.zeros((pad,) + rhs.shape[1:])])
+    levels = []
+    while len(d) > 1:
+        lo, hi, inv = e[0::2], e[1::2], 1.0 / d[0::2]  # the even rows' couplings and inverse pivots
+        s_lo, s_hi, ri = lo * inv, hi * inv, r[0::2] * inv
+        levels.append((s_lo, s_hi, ri))
+        d = d[1::2] - hi[:-1] * s_hi[:-1] - lo[1:] * s_lo[1:]
+        r = r[1::2] - hi[:-1] * ri[:-1] - lo[1:] * ri[1:]
+        e = -lo * s_hi
+    x, zero = r / d, np.zeros((1,) + r.shape[1:])
+    for s_lo, s_hi, ri in reversed(levels):
+        xp = np.concatenate([zero, x, zero])
+        x = np.empty((2 * len(ri) - 1,) + x.shape[1:])
+        x[1::2] = xp[1:-1]
+        x[0::2] = ri - s_lo * xp[:-1] - s_hi * xp[1:]
+    return x[:n]
 
 
 class _Point(NamedTuple):
@@ -394,7 +407,7 @@ class _AngleForm:
         corner[nh:, :nh] = p.jac[:, nt:]
         corner[:nh, nh:] = p.jac[:, nt:].T
         rhs = np.concatenate([-p.g[:nt].reshape(nc, nf).T[:, :, None], border], axis=2)
-        solved = _thomas(diag[:, self.free].T + shift, np.broadcast_to(-2.0 * w, (nf - 1, nc)), rhs)
+        solved = _tridiagonal_solve(diag[:, self.free].T + shift, np.broadcast_to(-2.0 * w, (nf - 1, nc)), rhs)
         y, ys, bt = solved[:, :, 0].ravel(), solved[:, :, 1:].reshape(nt, nb), border.reshape(nt, nb)
         x_border = np.linalg.solve(corner - bt.T @ ys, np.concatenate([-p.g[nt:], np.zeros(2 * nc)]) - bt.T @ y)
         # the free angles are solved lane by lane, z holds them curve by curve

@@ -1,5 +1,6 @@
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -231,6 +232,9 @@ class TestMinimizeCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 777
         assert manifest["tool_version"]
+        assert {"command", "input", "config", "wall_time_s"} <= manifest.keys()
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
 
 
     def test_non_integer_seed_env_exits_2(self, tmp_path, circle_file, monkeypatch, capsys):

@@ -20,7 +20,7 @@ from elastinet.minimize import (
     minimize_symmetric_double_drop,
     recovery_sequence,
 )
-from elastinet.minimize import _AngleForm, _pinned, _thomas
+from elastinet.minimize import _AngleForm, _pinned, _tridiagonal_solve
 from elastinet.networks import (
     Network,
     end_slots,
@@ -628,16 +628,26 @@ def test_solution_does_not_depend_on_scale(kind, n):
     assert max(f) - min(f) <= 1e-9 * f[1]
 
 
-def test_thomas_matches_dense_solve():
-    rng = np.random.default_rng(7)
-    n, lanes, k = 12, 3, 4
-    off = rng.normal(size=(n - 1, lanes))
+@pytest.mark.parametrize("lanes, k", [(1, 1), (1, 13), (3, 1), (3, 13)])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 12, 199, 256, 1000])
+def test_tridiagonal_solve_matches_dense_solve(n, lanes, k):
+    rng = np.random.default_rng(n * 100 + lanes * 10 + k)
     diag = 4.0 + np.abs(rng.normal(size=(n, lanes)))
     rhs = rng.normal(size=(n, lanes, k))
-    x = _thomas(diag, off, rhs)
-    for lane in range(lanes):
-        dense = np.diag(diag[:, lane]) + np.diag(off[:, lane], 1) + np.diag(off[:, lane], -1)
-        np.testing.assert_allclose(dense @ x[:, lane], rhs[:, lane], rtol=0.0, atol=1e-12)
+    # diagonally dominant, as the solver's Hessians nearly are; a general
+    # off-diagonal, and the read-only broadcast one step() passes
+    for off in (rng.uniform(-2.0, 2.0, (n - 1, lanes)), np.broadcast_to(rng.uniform(-2.0, 2.0, lanes), (n - 1, lanes))):
+        inputs = [diag, off, rhs]
+        copies = [a.copy() for a in inputs]
+        x = _tridiagonal_solve(diag, off, rhs)
+        assert x.shape == rhs.shape
+        for a, a0 in zip(inputs, copies):
+            assert np.array_equal(a, a0)
+        for lane in range(lanes):
+            dense = np.diag(diag[:, lane]) + np.diag(off[:, lane], 1) + np.diag(off[:, lane], -1)
+            b = rhs[:, lane]
+            assert np.abs(dense @ x[:, lane] - b).max() <= 1e-12 * np.abs(b).max()
+            np.testing.assert_allclose(x[:, lane], np.linalg.solve(dense, b), rtol=0.0, atol=1e-12 * np.abs(b).max())
 
 
 class TestLadders:
@@ -662,6 +672,14 @@ class TestLadders:
         assert result.constraint_violation.valid
         _check_incidence(result.final)
         assert injectivity_report(result.final).total == 0
+
+    @pytest.mark.parametrize("n", [400, 800])
+    def test_theta_first_order_bias(self, n):
+        """The pinned end edges put F above the continuum optimum by 5.85 / n."""
+        cfg = OptimizationConfig(n_per_curve=n, max_iters=1000, grad_tol=1e-9)
+        result, levels = minimize_multilevel(make_standard_double_bubble(RBAR, 200), cfg)
+        self._check(levels, cfg.grad_tol)
+        assert result.energy_trace[-1] - 18.3111919385 == pytest.approx(5.85 / n, rel=0.02)
 
     @pytest.mark.parametrize(
         "initial, n, target",

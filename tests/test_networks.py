@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elastinet.energy import elastic_energy, optimal_rescale, penalized_energy
 from elastinet.errors import (
@@ -12,6 +15,7 @@ from elastinet.errors import (
     SingularAngleError,
 )
 from elastinet.bounds import random_theta_network
+from elastinet.cli import main
 from elastinet.geometry import DiscreteCurve
 from elastinet.minimize import recovery_sequence
 from elastinet.networks import (
@@ -91,6 +95,9 @@ def _reference_networks():
         rotate_network(make_generalized_bubble(1.7, 2.5, 20), 0.4),
         rotate_network(make_degenerate_figure_eight(40), -1.1),
     ]
+
+
+_REFERENCE_DOCS = [serialize(net) for net in _reference_networks()]
 
 
 def _per_kind_clamps(network, i):
@@ -302,6 +309,65 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load_json(path)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(data, doc):
+    """Replace, delete or add one entry at a random depth of the document."""
+    node = doc
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child and data.draw(st.booleans())):
+            break
+        node = child
+    action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "replace":
+        node[key] = data.draw(_JSON_VALUES)
+    elif action == "delete":
+        del node[key]
+    elif isinstance(node, dict):
+        node[data.draw(st.text(max_size=8))] = data.draw(_JSON_VALUES)
+    else:
+        node.insert(key, data.draw(_JSON_VALUES))
+
+
+class TestDeserializeFuzz:
+    """Mutated documents of every kind parse, or fail with the input errors."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mutated_documents(self, workdir, data):
+        doc = json.loads(json.dumps(data.draw(st.sampled_from(_REFERENCE_DOCS))))
+        for _ in range(data.draw(st.integers(1, 3))):
+            _mutate(data, doc)
+        path = workdir / "doc.json"
+        path.write_text(json.dumps(doc))
+        try:
+            assert isinstance(deserialize(json.loads(path.read_text())), Network)
+        except (ParseError, NetworkValidationError):
+            pass
+        # the file as the command line reads it: NaN and Infinity are parse errors
+        try:
+            assert isinstance(load_json(path), Network)
+            allowed = (0, 3)
+        except (ParseError, NetworkValidationError):
+            allowed = (2, 3)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["energy", str(path)])
+        assert code in allowed
+        assert "Traceback" not in err.getvalue()
 
 
 class TestPointParsing:
