@@ -44,7 +44,6 @@ from .minimize import (
     OptimizationConfig,
     minimize,
     minimize_multilevel,
-    minimize_symmetric_double_drop,
     recovery_sequence,
 )
 from .networks import (
@@ -207,12 +206,7 @@ def cmd_minimize(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     save_svg(net, os.path.join(args.out, "before.svg"))
 
-    if config.max_iters > 0 and args.multilevel and net.kind != "double_drop":
-        result, _ = minimize_multilevel(net, config)
-    elif net.kind == "double_drop":
-        result = minimize_symmetric_double_drop(net, config, multilevel=args.multilevel)
-    else:
-        result = minimize(net, config)
+    result = minimize_multilevel(net, config)[0] if args.multilevel else minimize(net, config)
     final = result.final
     if args.standard_frame:
         final = normalize_to_standard_frame(final)

@@ -308,20 +308,19 @@ def endpoint_tangents(curve) -> tuple[np.ndarray, np.ndarray]:
     """Second-order tangent estimates at the two ends of an open curve.
 
     The first edge direction is rotated back by half the turning at the first
-    interior vertex (and symmetrically at the far end).  Exact on uniformly
-    sampled circular arcs and on straight lines.
+    interior vertex (and symmetrically at the far end), the kernel's first and
+    last psi, read from the end edges alone.  Exact on uniformly sampled
+    circular arcs and on straight lines.
     """
     pts, closed = _points_of(curve)
     if closed:
         raise InvalidCurveError("endpoint tangents are defined for open curves")
-    t = edge_tangents(curve)
-    if len(t) == 1:
-        return t[0].copy(), t[0].copy()
-    psi_first = float(signed_angle(t[0], t[1]))
-    psi_last = float(signed_angle(t[-2], t[-1]))
-    tau0 = rotate_points(t[0][None, :], -0.5 * psi_first)[0]
-    tau1 = rotate_points(t[-1][None, :], 0.5 * psi_last)[0]
-    return tau0, tau1
+    t0, t1 = edge_tangents(pts[:2])[0], edge_tangents(pts[-2:])[0]
+    if len(pts) == 2:
+        return t0, t1
+    psi_first = float(signed_angle(*edge_vectors(pts[:3])))
+    psi_last = float(signed_angle(*edge_vectors(pts[-3:])))
+    return rotate_points(t0[None, :], -0.5 * psi_first)[0], rotate_points(t1[None, :], 0.5 * psi_last)[0]
 
 
 def resample_uniform(curve, n: int) -> DiscreteCurve:

@@ -472,8 +472,6 @@ class _AngleForm:
 
 def _pinned(network: Network) -> Network:
     """A drop's closure point or the four-point moved to the origin."""
-    if network.kind == "double_drop":
-        raise InvalidInputError("use minimize_symmetric_double_drop for double drops")
     if network.kind == "drop":
         return Network("drop", (DiscreteCurve(network.curves[0].points - network.curves[0].points[0]),))
     if network.kind == "degenerate_theta":
@@ -481,57 +479,59 @@ def _pinned(network: Network) -> Network:
     return network
 
 
+def _result(final: Network, traces, termination: str, iterations: int, config: OptimizationConfig) -> OptimizationResult:
+    """The result ending at ``final``; ``traces`` are the F, E, L and ``|g|`` traces."""
+    traces = (np.asarray(t, dtype=float) for t in traces)
+    return OptimizationResult(final, *traces, (), validate(final, tol_ang=5e-2), termination, iterations, config)
+
+
 def minimize(network: Network, config: OptimizationConfig | None = None) -> OptimizationResult:
-    """Newton-KKT descent of F over the network's equal-edge tangent-angle form."""
+    """Newton-KKT descent of F over the network's equal-edge tangent-angle form.
+
+    A double drop is solved as its first lobe plus that lobe's point
+    reflection, so it is symmetric by construction and F and ``|g|`` are twice
+    the lobe's; the lobe is solved to half of ``grad_tol``.
+    """
     config = config or OptimizationConfig()
+    if network.kind == "double_drop":
+        lobe = minimize(Network("drop", (network.curves[0],)), replace(config, grad_tol=0.5 * config.grad_tol))
+        traces = (lobe.energy_trace, lobe.elastic_trace, lobe.length_trace, lobe.grad_norm_trace)
+        return _result(
+            make_symmetric_double_drop(lobe.final), [2.0 * t for t in traces], lobe.termination, lobe.iterations, config
+        )
     if config.max_iters == 0:
         report = penalized_energy(network, 1.0)
-        trace = [(report.penalized, report.elastic, report.length, math.nan)]
-        final, termination, it = network, "max_iters", 0
-    else:
-        form = _AngleForm(_pinned(network), config.n_per_curve)
-        z = form.restore(form.z0)
-        if z is None or not math.isfinite(form.energy(z)[0]):
-            raise OptimizationError(
-                f"the network has no closed equal-edge form at {config.n_per_curve} points per curve"
-                " whose edges turn by less than pi"
-            )
-        p = form.evaluate(z)
-        trace = [(p.f, p.elastic, p.length, p.grad_norm)]
-        it, stalled = 0, False
-        while True:
-            final = form.network(p.z)
-            if form.lengths(p.z).min() < DEGENERATION_FACTOR * network_diameter(final):
-                termination = "degeneration"
-            elif p.grad_norm <= config.grad_tol:
-                termination = "converged"
-            elif stalled:
-                termination = "stalled"
-            elif it >= config.max_iters:
-                termination = "max_iters"
-            elif (z := form.line_search(p)) is None:
-                termination = "line_search_failed"
-            else:
-                q = form.evaluate(z)
-                it += 1
-                trace.append((q.f, q.elastic, q.length, q.grad_norm))
-                stalled = 0.0 < p.f - q.f <= config.energy_rel_tol * max(abs(q.f), 1.0)
-                p = q
-                continue
-            break
-    f_trace, e_trace, l_trace, g_trace = (np.array(column) for column in zip(*trace))
-    return OptimizationResult(
-        final=final,
-        energy_trace=f_trace,
-        elastic_trace=e_trace,
-        length_trace=l_trace,
-        grad_norm_trace=g_trace,
-        resample_events=(),
-        constraint_violation=validate(final, tol_ang=5e-2),
-        termination=termination,
-        iterations=it,
-        config=config,
-    )
+        return _result(network, [[report.penalized], [report.elastic], [report.length], [math.nan]], "max_iters", 0, config)
+    form = _AngleForm(_pinned(network), config.n_per_curve)
+    z = form.restore(form.z0)
+    if z is None or not math.isfinite(form.energy(z)[0]):
+        raise OptimizationError(
+            f"the network has no closed equal-edge form at {config.n_per_curve} points per curve"
+            " whose edges turn by less than pi"
+        )
+    p = form.evaluate(z)
+    trace = [(p.f, p.elastic, p.length, p.grad_norm)]
+    it, stalled = 0, False
+    while True:
+        final = form.network(p.z)
+        if form.lengths(p.z).min() < DEGENERATION_FACTOR * network_diameter(final):
+            termination = "degeneration"
+        elif p.grad_norm <= config.grad_tol:
+            termination = "converged"
+        elif stalled:
+            termination = "stalled"
+        elif it >= config.max_iters:
+            termination = "max_iters"
+        elif (z := form.line_search(p)) is None:
+            termination = "line_search_failed"
+        else:
+            q = form.evaluate(z)
+            it += 1
+            trace.append((q.f, q.elastic, q.length, q.grad_norm))
+            stalled = 0.0 < p.f - q.f <= config.energy_rel_tol * max(abs(q.f), 1.0)
+            p = q
+            continue
+        return _result(final, zip(*trace), termination, it, config)
 
 
 def _ladder(n_target: int, coarsest: int = 40) -> list[int]:
@@ -563,32 +563,14 @@ def minimize_symmetric_double_drop(
     config: OptimizationConfig | None = None,
     multilevel: bool = True,
 ) -> OptimizationResult:
-    """Minimize F over symmetric double drops by optimizing one lobe.
+    """Minimize F over symmetric double drops from a drop or a double drop.
 
-    Only the first drop carries variables; the second is its point reflection
-    through the four-point, so the symmetry defect is zero by construction
-    and F and its gradient are exactly twice the lobe's.  The lobe is solved
-    to half of ``grad_tol``, so that ``converged`` holds for the double drop.
+    A drop is first paired with its point reflection; the double drop is then
+    solved by ``minimize_multilevel``, or by one ``minimize`` call without
+    ``multilevel``.
     """
-    config = config or OptimizationConfig()
-    if initial.kind == "double_drop":
-        lobe = Network("drop", (initial.curves[0],))
-    elif initial.kind == "drop":
-        lobe = initial
-    else:
+    if initial.kind == "drop":
+        initial = make_symmetric_double_drop(initial)
+    elif initial.kind != "double_drop":
         raise InvalidInputError("expected a drop or double_drop network")
-    lobe_config = replace(config, grad_tol=0.5 * config.grad_tol)
-    res = minimize_multilevel(lobe, lobe_config)[0] if multilevel else minimize(lobe, lobe_config)
-    final = make_symmetric_double_drop(res.final)
-    return OptimizationResult(
-        final=final,
-        energy_trace=2.0 * res.energy_trace,
-        elastic_trace=2.0 * res.elastic_trace,
-        length_trace=2.0 * res.length_trace,
-        grad_norm_trace=2.0 * res.grad_norm_trace,
-        resample_events=(),
-        constraint_violation=validate(final, tol_ang=5e-2),
-        termination=res.termination,
-        iterations=res.iterations,
-        config=config,
-    )
+    return minimize_multilevel(initial, config)[0] if multilevel else minimize(initial, config)

@@ -248,8 +248,8 @@ def validate(network: Network, tol_pos: float | None = None, tol_ang: float = 1e
     """
     if tol_pos is None:
         tol_pos = 1e-9 * max(network_diameter(network), 1e-30)
-    if tol_pos <= 0 or tol_ang <= 0:
-        raise InvalidInputError("tolerances must be positive")
+    if not (0.0 < tol_pos < math.inf and 0.0 < tol_ang < math.inf):
+        raise InvalidInputError("tolerances must be positive and finite")
 
     gap = 0.0
     defect = 0.0
@@ -350,8 +350,8 @@ def normalize_to_standard_frame(network: Network) -> Network:
 
 def make_circle(radius: float, n: int) -> Network:
     """Regular counterclockwise n-gon on a circle of the given radius."""
-    if radius <= 0:
-        raise InvalidInputError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise InvalidInputError("radius must be positive and finite")
     if n < 8:
         raise InvalidInputError("need n >= 8 points")
     ang = 2.0 * np.pi * np.arange(n) / n
@@ -361,8 +361,8 @@ def make_circle(radius: float, n: int) -> Network:
 
 def make_ellipse(a: float, b: float, n: int) -> Network:
     """Closed ellipse with semi-axes a, b, near-uniform arclength sampling."""
-    if a <= 0 or b <= 0:
-        raise InvalidInputError("semi-axes must be positive")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise InvalidInputError("semi-axes must be positive and finite")
     t = 2.0 * np.pi * np.arange(4 * n) / (4 * n)
     dense = np.column_stack([a * np.cos(t), b * np.sin(t)])
     from .geometry import resample_uniform
@@ -417,8 +417,8 @@ def make_standard_double_bubble(r: float, n: int) -> Network:
     (-sqrt(3) r, 0).  Curve 0 is the upper arc (counterclockwise), curve 1 the
     segment, curve 2 the lower arc (clockwise).
     """
-    if r <= 0:
-        raise InvalidInputError("radius must be positive")
+    if not 0.0 < r < math.inf:
+        raise InvalidInputError("radius must be positive and finite")
     if n < 8:
         raise InvalidInputError("need n >= 8 points per curve")
     sweep = 4.0 * np.pi / 3.0
@@ -569,8 +569,8 @@ def _first_horizontal_cut(curve: DiscreteCurve) -> float:
     """Arclength of the first horizontal-tangent point, by sign change.
 
     The tangent's second component is interpolated linearly in arclength
-    between edge midpoints; the first sign change is bisected to 1e-10 of the
-    total length.  A run of exactly horizontal edges is cut at its center,
+    between edge midpoints, and its first sign change is cut at the root of
+    that line.  A run of exactly horizontal edges is cut at its center,
     keeping the cut away from any vertex that carries turning.
     """
     pts = curve.points
@@ -579,7 +579,6 @@ def _first_horizontal_cut(curve: DiscreteCurve) -> float:
     ty = e[:, 1] / a
     s = np.concatenate([[0.0], np.cumsum(a)])
     mids = 0.5 * (s[:-1] + s[1:])
-    total = s[-1]
 
     zero = np.nonzero(ty == 0.0)[0]
     change = np.nonzero(ty[:-1] * ty[1:] < 0.0)[0]
@@ -593,22 +592,7 @@ def _first_horizontal_cut(curve: DiscreteCurve) -> float:
     if first_change is None:
         raise ConstructionFailedError("no horizontal tangent: input violates the orientation premise")
     j = int(first_change)
-
-    def value(sq: float) -> float:
-        return float(np.interp(sq, mids, ty))
-
-    lo, hi = float(mids[j]), float(mids[j + 1])
-    flo = value(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = value(mid)
-        if fm == 0.0 or (hi - lo) < 1e-10 * total:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    return float(mids[j] + (mids[j + 1] - mids[j]) * ty[j] / (ty[j] - ty[j + 1]))
 
 
 def _split_at_arclength(curve: DiscreteCurve, s_cut: float) -> tuple[np.ndarray, np.ndarray]:

@@ -6,15 +6,20 @@ import numpy as np
 import pytest
 
 from elastinet.cli import main
+from elastinet.energy import optimal_rescale
+from elastinet.minimize import OptimizationConfig, minimize
 from elastinet.networks import (
     deserialize,
     load_json,
     make_circle,
     make_standard_double_bubble,
     make_degenerate_figure_eight,
+    make_symmetric_double_drop,
+    make_teardrop,
     optimal_bubble_radius,
     rotate_network,
     save_json,
+    translate_network,
     validate,
     Network,
 )
@@ -32,6 +37,13 @@ def bubble_file(tmp_path):
     path = tmp_path / "bubble.json"
     save_json(make_standard_double_bubble(optimal_bubble_radius(), 200), path)
     return str(path)
+
+
+def assert_standard_frame(net):
+    """Junction 0 at the origin, its slot 0 (curve 0's start) at 60 degrees."""
+    j0 = net.junctions[0]
+    assert np.allclose(j0.position, 0.0, atol=1e-12)
+    assert np.allclose(j0.outgoing_dir(0), [0.5, math.sqrt(3) / 2], atol=1e-12)
 
 
 class TestEnergyCommand:
@@ -75,6 +87,12 @@ class TestEnergyCommand:
         path = tmp_path / "tampered.json"
         save_json(tampered, path)
         assert main(["energy", str(path)]) == 3
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-3"])
+    def test_bad_tolerance_exits_2(self, bubble_file, capsys, tol):
+        assert main(["energy", bubble_file, f"--tol-ang={tol}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def _repeated_ray_theta():
@@ -237,6 +255,40 @@ class TestMinimizeCommand:
         assert manifest["numpy_version"] == np.__version__
 
 
+    @pytest.mark.parametrize("kind", ["theta", "double_drop"])
+    def test_no_multilevel_is_one_minimize_call(self, tmp_path, kind):
+        if kind == "theta":
+            net = make_standard_double_bubble(optimal_bubble_radius(), 60)
+        else:
+            net = make_symmetric_double_drop(optimal_rescale(make_teardrop(60))[1])
+        src = tmp_path / "input.json"
+        save_json(net, src)
+        settings = {"n_per_curve": 60, "max_iters": 300, "grad_tol": 1e-6, "energy_rel_tol": 1e-12}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        out = tmp_path / "run"
+        assert main(["minimize", str(src), "--out", str(out), "--kind-config", str(cfg), "--no-multilevel"]) == 0
+        res = minimize(load_json(src), OptimizationConfig(**settings))
+        save_json(res.final, tmp_path / "want.json")
+        assert (out / "network_final.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+        rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
+        for column, trace in zip(rows.T[1:], (res.energy_trace, res.elastic_trace, res.length_trace, res.grad_norm_trace)):
+            assert np.array_equal(column, trace)
+        summary = json.loads((out / "result.json").read_text())
+        assert (summary["termination"], summary["iterations"]) == (res.termination, res.iterations)
+
+    def test_standard_frame(self, tmp_path, bubble_file):
+        src = tmp_path / "moved.json"
+        save_json(translate_network(rotate_network(load_json(bubble_file), 1.0), (2.0, -3.0)), src)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_per_curve": 60, "max_iters": 20}))
+        out = tmp_path / "run"
+        assert main(["minimize", str(src), "--out", str(out), "--kind-config", str(cfg), "--standard-frame"]) == 0
+        final = load_json(out / "network_final.json")
+        assert_standard_frame(final)
+        first = final.curves[0].points[1] - final.curves[0].points[0]
+        assert np.allclose(first / np.linalg.norm(first), final.junctions[0].outgoing_dir(0), atol=1e-9)
+
     def test_non_integer_seed_env_exits_2(self, tmp_path, circle_file, monkeypatch, capsys):
         monkeypatch.setenv("ELASTINET_SEED", "abc")
         assert main(["minimize", circle_file, "--out", str(tmp_path / "run")]) == 2
@@ -267,6 +319,21 @@ class TestReferenceCommand:
 
     def test_missing_angles_exit_2(self, capsys):
         assert main(["reference", "--shape", "generalized"]) == 2
+
+    @pytest.mark.parametrize("shape", [["double-bubble"], ["generalized", "--alpha1", "2.0", "--alpha2", "2.2"]])
+    def test_standard_frame(self, tmp_path, shape):
+        out = tmp_path / "ref.json"
+        assert main(["reference", "--shape", *shape, "--n", "60", "--out", str(out), "--standard-frame"]) == 0
+        net = load_json(out)
+        assert_standard_frame(net)
+        assert validate(net).valid
+
+    @pytest.mark.parametrize("radius", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("shape", [["circle", "--radius"], ["double-bubble", "--r"]])
+    def test_bad_radius_exits_2(self, capsys, shape, radius):
+        assert main(["reference", "--shape", shape[0], f"{shape[1]}={radius}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestRecoveryCommand:

@@ -8,6 +8,7 @@ from elastinet.errors import ContractViolationError, InvalidCurveError
 from elastinet.geometry import (
     DiscreteCurve,
     edge_tangents,
+    endpoint_tangents,
     external_angle,
     polyline_energy,
     polyline_length,
@@ -19,6 +20,10 @@ from elastinet.geometry import (
 
 def unit_square(closed=True):
     return DiscreteCurve(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), closed=closed)
+
+
+def rot90_of(p):
+    return np.array([-p[1], p[0]])
 
 
 def circle_points(n, radius=1.0, clockwise=False):
@@ -124,6 +129,30 @@ class TestEdgeTangents:
     def test_repeated_point_rejected(self):
         with pytest.raises(InvalidCurveError):
             DiscreteCurve(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
+
+
+class TestEndpointTangents:
+    def test_end_turns_are_the_kernels(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            pts = rng.normal(size=(int(rng.integers(3, 12)), 2))
+            psi = polyline_energy(pts).psi
+            t = edge_tangents(pts)
+            tau0, tau1 = endpoint_tangents(DiscreteCurve(pts))
+            assert np.array_equal(tau0, rotate_points(t[:1], -0.5 * psi[0])[0])
+            assert np.array_equal(tau1, rotate_points(t[-1:], 0.5 * psi[-1])[0])
+
+    def test_exact_on_arcs_and_segments(self):
+        arc = circle_points(64)[:9]
+        tau0, tau1 = endpoint_tangents(DiscreteCurve(arc))
+        assert np.allclose(tau0, [0.0, 1.0], atol=1e-14)
+        assert np.allclose(tau1, rot90_of(arc[-1]), atol=1e-14)
+        segment = DiscreteCurve(np.array([[0.0, 0.0], [3.0, 4.0]]))
+        assert all(np.array_equal(tau, [0.6, 0.8]) for tau in endpoint_tangents(segment))
+
+    def test_closed_curve_rejected(self):
+        with pytest.raises(InvalidCurveError):
+            endpoint_tangents(unit_square())
 
 
 class TestVertexCurvature:

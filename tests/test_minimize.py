@@ -281,6 +281,31 @@ class TestSymmetricDoubleDrop:
         with pytest.raises(InvalidInputError):
             minimize_symmetric_double_drop(make_circle(1.0, 32))
 
+    @pytest.mark.parametrize("max_iters", [300, 0])
+    def test_minimize_takes_double_drops(self, max_iters):
+        double = make_symmetric_double_drop(make_teardrop(60))
+        cfg = OptimizationConfig(n_per_curve=60, max_iters=max_iters, grad_tol=1e-9, energy_rel_tol=1e-13)
+        pairs = [
+            (minimize(double, cfg), minimize_symmetric_double_drop(double, cfg, multilevel=False)),
+            (minimize_multilevel(double, cfg)[0], minimize_symmetric_double_drop(double, cfg)),
+        ]
+        for got, want in pairs:
+            assert got.final.kind == "double_drop"
+            for a, b in zip(got.final.curves, want.final.curves):
+                assert np.array_equal(a.points, b.points)
+            for name in ("energy_trace", "elastic_trace", "length_trace", "grad_norm_trace"):
+                assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
+            assert (got.termination, got.iterations) == (want.termination, want.iterations)
+
+    def test_double_drop_is_twice_its_lobe(self):
+        drop = make_teardrop(60)
+        cfg = OptimizationConfig(n_per_curve=60, max_iters=300, grad_tol=1e-9, energy_rel_tol=1e-13)
+        lobe = minimize(drop, dataclasses.replace(cfg, grad_tol=0.5 * cfg.grad_tol))
+        double = minimize(make_symmetric_double_drop(drop), cfg)
+        assert np.array_equal(double.energy_trace, 2.0 * lobe.energy_trace)
+        assert np.array_equal(double.final.curves[0].points, lobe.final.curves[0].points)
+        assert double.termination == "converged" and double.config == cfg
+
 
 class TestRecoverySequence:
     def test_defect_is_three_over_n(self):

@@ -28,6 +28,7 @@ from elastinet.networks import (
     load_json,
     make_circle,
     make_degenerate_figure_eight,
+    make_ellipse,
     make_generalized_bubble,
     make_standard_double_bubble,
     make_symmetric_double_drop,
@@ -39,7 +40,7 @@ from elastinet.networks import (
     serialize,
     validate,
 )
-from elastinet.networks import _triple_turn_defect
+from elastinet.networks import _first_horizontal_cut, _triple_turn_defect
 
 RBAR = optimal_bubble_radius()
 BUBBLE_F = 18.40589562425381
@@ -83,6 +84,14 @@ class TestValidate:
         report = validate(make_degenerate_figure_eight(200))
         assert report.valid
         assert report.angle_defect <= 1e-9
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
+    def test_tolerances_positive_and_finite(self, bad):
+        net = make_circle(1.0, 16)
+        with pytest.raises(InvalidInputError):
+            validate(net, tol_ang=bad)
+        with pytest.raises(InvalidInputError):
+            validate(net, tol_pos=bad)
 
 
 def _reference_networks():
@@ -187,6 +196,14 @@ class TestMakeCircle:
             make_circle(-1.0, 64)
         with pytest.raises(InvalidInputError):
             make_circle(1.0, 4)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_non_finite_or_nonpositive_sizes(self, bad):
+        with pytest.raises(InvalidInputError):
+            make_circle(bad, 64)
+        for a, b in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(InvalidInputError):
+                make_ellipse(a, b, 64)
 
 
 class TestStandardDoubleBubble:
@@ -398,6 +415,24 @@ class TestPointParsing:
     def test_round_trip_2000_points_bitwise(self, circle_doc):
         back = deserialize(json.loads(json.dumps(circle_doc)))
         assert back.curves[0].points.tobytes() == make_circle(1.0, 2000).curves[0].points.tobytes()
+
+
+class TestHorizontalCut:
+    def test_root_of_the_interpolated_tangent(self):
+        t = np.linspace(0.0, 1.0, 37) ** 1.3
+        curve = DiscreteCurve(np.column_stack([3.0 * t, np.sin(2.2 * np.pi * t)]))
+        e = np.diff(curve.points, axis=0)
+        a = np.linalg.norm(e, axis=1)
+        ty, mids = e[:, 1] / a, np.cumsum(a) - 0.5 * a
+        cut = _first_horizontal_cut(curve)
+        j = int(np.searchsorted(mids, cut)) - 1
+        assert ty[j] > 0.0 > ty[j + 1]
+        assert abs(np.interp(cut, mids, ty)) <= 1e-15
+        assert cut == pytest.approx(mids[j] + (mids[j + 1] - mids[j]) * ty[j] / (ty[j] - ty[j + 1]), rel=1e-15)
+
+    def test_horizontal_run_cut_at_its_center(self):
+        pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 1.0], [4.0, 1.0], [5.0, 0.0]])
+        assert _first_horizontal_cut(DiscreteCurve(pts)) == pytest.approx(math.sqrt(2.0) + 1.5, rel=1e-15)
 
 
 class TestStandardFrame:
