@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -140,6 +141,8 @@ def _closed_to_piecewise(curve: DiscreteCurve, corner_threshold: float) -> Piece
 
 
 def cmd_bounds(args) -> int:
+    if not 0.0 <= args.corner_threshold < math.inf:
+        raise InvalidInputError("corner threshold must be finite and non-negative")
     net = _load_validated(args.input, args.tol_ang)
     rows = []
     if net.kind == "closed":
@@ -279,15 +282,20 @@ def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     try:
         if len(parts) == 1:
-            return np.array([float(parts[0])])
-        if len(parts) == 3:
+            grid = np.array([float(parts[0])])
+        elif len(parts) == 3:
             start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
             if num < 1:
                 raise ValueError("empty grid")
-            return np.linspace(start, stop, num)
+            with np.errstate(all="ignore"):
+                grid = np.linspace(start, stop, num)
+        else:
+            raise ValueError("expected VALUE or START:STOP:NUM")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("grid values must be finite")
     except ValueError as exc:
         raise InvalidInputError(f"bad grid {text!r}: {exc}") from None
-    raise InvalidInputError(f"bad grid {text!r}: expected VALUE or START:STOP:NUM")
+    return grid
 
 
 def cmd_sweep(args) -> int:

@@ -39,6 +39,7 @@ from .errors import (
 from .geometry import (
     DiscreteCurve,
     endpoint_tangents,
+    resample_uniform,
     rotate_points,
     signed_angle,
     unit,
@@ -74,7 +75,16 @@ __all__ = [
     "load_json",
 ]
 
-KINDS = ("closed", "drop", "double_drop", "theta", "degenerate_theta", "generalized_theta")
+# (curves, junctions) per kind
+_SHAPE = {
+    "closed": (1, 0),
+    "drop": (1, 0),
+    "double_drop": (2, 0),
+    "theta": (3, 2),
+    "degenerate_theta": (2, 1),
+    "generalized_theta": (3, 2),
+}
+KINDS = tuple(_SHAPE)
 
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
@@ -89,23 +99,6 @@ DEGENERATE_OFFSET_VARIANTS = (
     (0.0, math.pi / 3.0, 4.0 * math.pi / 3.0, math.pi),
     (0.0, 2.0 * math.pi / 3.0, 5.0 * math.pi / 3.0, math.pi),
 )
-
-_CURVE_COUNT = {
-    "closed": 1,
-    "drop": 1,
-    "double_drop": 2,
-    "theta": 3,
-    "degenerate_theta": 2,
-    "generalized_theta": 3,
-}
-_JUNCTION_COUNT = {
-    "closed": 0,
-    "drop": 0,
-    "double_drop": 0,
-    "theta": 2,
-    "degenerate_theta": 1,
-    "generalized_theta": 2,
-}
 
 
 def _wrap_pi(a):
@@ -157,14 +150,11 @@ class Network:
             raise InvalidInputError(f"unknown network kind {self.kind!r}")
         object.__setattr__(self, "curves", tuple(self.curves))
         object.__setattr__(self, "junctions", tuple(self.junctions))
-        if len(self.curves) != _CURVE_COUNT[self.kind]:
-            raise NetworkValidationError(
-                f"kind {self.kind!r} needs {_CURVE_COUNT[self.kind]} curves, got {len(self.curves)}"
-            )
-        if len(self.junctions) != _JUNCTION_COUNT[self.kind]:
-            raise NetworkValidationError(
-                f"kind {self.kind!r} needs {_JUNCTION_COUNT[self.kind]} junctions, got {len(self.junctions)}"
-            )
+        n_curves, n_junctions = _SHAPE[self.kind]
+        if len(self.curves) != n_curves:
+            raise NetworkValidationError(f"kind {self.kind!r} needs {n_curves} curves, got {len(self.curves)}")
+        if len(self.junctions) != n_junctions:
+            raise NetworkValidationError(f"kind {self.kind!r} needs {n_junctions} junctions, got {len(self.junctions)}")
         counts = [0] * len(self.junctions)
         for ends in end_slots(self.kind, len(self.curves)):
             for j, slot in ends:
@@ -365,8 +355,6 @@ def make_ellipse(a: float, b: float, n: int) -> Network:
         raise InvalidInputError("semi-axes must be positive and finite")
     t = 2.0 * np.pi * np.arange(4 * n) / (4 * n)
     dense = np.column_stack([a * np.cos(t), b * np.sin(t)])
-    from .geometry import resample_uniform
-
     curve = resample_uniform(DiscreteCurve(dense, closed=True), n)
     return Network("closed", (curve,))
 
@@ -379,8 +367,6 @@ def make_teardrop(n: int, scale: float = 1.0) -> Network:
     dense = scale * np.column_stack([0.5 * np.sin(2.0 * t), np.sin(t)])
     dense[0] = 0.0
     dense[-1] = 0.0
-    from .geometry import resample_uniform
-
     curve = resample_uniform(DiscreteCurve(dense, closed=False), n)
     return Network("drop", (curve,))
 
@@ -412,37 +398,20 @@ def optimal_bubble_radius() -> float:
 def make_standard_double_bubble(r: float, n: int) -> Network:
     """Two 240 degree arcs of radius r plus the straight middle segment.
 
-    Built in the frame used for the junction computations: first junction at
-    the origin with outgoing directions 60/180/300 degrees, second junction at
-    (-sqrt(3) r, 0).  Curve 0 is the upper arc (counterclockwise), curve 1 the
-    segment, curve 2 the lower arc (clockwise).
+    This is the generalized bubble at 120 degrees with a segment of length
+    sqrt(3) r, relabelled as a theta: first junction at the origin with
+    outgoing directions 60/180/300 degrees, second junction at
+    (-sqrt(3) r, 0).  Curve 0 is the upper arc (counterclockwise), curve 1
+    the segment, curve 2 the lower arc (clockwise).  The junctions take the
+    exact theta frames and offsets, which the generalized formulas give only
+    to within an ulp.
     """
     if not 0.0 < r < math.inf:
         raise InvalidInputError("radius must be positive and finite")
-    if n < 8:
-        raise InvalidInputError("need n >= 8 points per curve")
-    sweep = 4.0 * np.pi / 3.0
-    c_up = r * np.array([-math.sqrt(3.0) / 2.0, 0.5])
-    c_dn = r * np.array([-math.sqrt(3.0) / 2.0, -0.5])
-    p2 = np.array([-math.sqrt(3.0) * r, 0.0])
-
-    upper = _arc_points(c_up, r, -np.pi / 6.0, sweep, n)
-    lower = _arc_points(c_dn, r, np.pi / 6.0, -sweep, n)
-    seg = np.linspace([0.0, 0.0], p2, n)
-    # pin shared endpoints bitwise
-    upper[0] = 0.0
-    lower[0] = 0.0
-    upper[-1] = p2
-    lower[-1] = p2
-
-    j1 = Junction(np.zeros(2), np.pi / 3.0, THETA_OFFSETS_START)
-    j2 = Junction(p2, 2.0 * np.pi / 3.0, THETA_OFFSETS_END)
-    curves = (
-        DiscreteCurve(upper),
-        DiscreteCurve(seg),
-        DiscreteCurve(lower),
-    )
-    return Network("theta", curves, (j1, j2))
+    bubble = make_generalized_bubble(_TWO_THIRDS_PI, _TWO_THIRDS_PI, n, math.sqrt(3.0) * r)
+    j1 = Junction(np.zeros(2), math.pi / 3.0, THETA_OFFSETS_START)
+    j2 = Junction(bubble.junctions[1].position, _TWO_THIRDS_PI, THETA_OFFSETS_END)
+    return Network("theta", bubble.curves, (j1, j2))
 
 
 def generalized_bubble_energy(alpha1: float, alpha2: float) -> float:
@@ -749,7 +718,7 @@ def deserialize(doc: dict) -> Network:
 
 
 def _rebuild_junctions(kind, curves, raw_junctions, angles):
-    n_junctions = _JUNCTION_COUNT[kind]
+    n_junctions = _SHAPE[kind][1]
     if len(raw_junctions) != n_junctions:
         if not n_junctions:
             raise ParseError("this kind carries no junctions", "/junctions")

@@ -12,6 +12,7 @@ from elastinet.networks import (
     deserialize,
     load_json,
     make_circle,
+    make_ellipse,
     make_standard_double_bubble,
     make_degenerate_figure_eight,
     make_symmetric_double_drop,
@@ -129,6 +130,9 @@ class TestRepeatedRayTheta:
         assert "Traceback" not in capsys.readouterr().err
 
 
+DROP_ROWS = ["drop_bound_0", "cauchy_schwarz_0", "drop_bound_1", "cauchy_schwarz_1"]
+
+
 class TestBoundsCommand:
     def test_bubble_all_hold(self, bubble_file, capsys):
         assert main(["bounds", bubble_file]) == 0
@@ -149,6 +153,30 @@ class TestBoundsCommand:
         assert main(["bounds", str(path)]) == 0
         gb_line = [l for l in capsys.readouterr().out.splitlines() if "gauss_bonnet" in l][0]
         assert float(gb_line.split()[2]) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "net, rows",
+        [
+            (make_ellipse(2.0, 1.0, 200), ["gauss_bonnet", "amgm_2c", "cauchy_schwarz"]),
+            (make_teardrop(200), DROP_ROWS[:2]),
+            (make_symmetric_double_drop(make_teardrop(200)), DROP_ROWS),
+            (make_degenerate_figure_eight(200), DROP_ROWS),
+        ],
+        ids=["ellipse", "drop", "double_drop", "degenerate_theta"],
+    )
+    def test_rows_of_each_kind_hold(self, tmp_path, capsys, net, rows):
+        path = tmp_path / "net.json"
+        save_json(net, path)
+        assert main(["bounds", str(path)]) == 0
+        table = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[0] for row in table] == rows
+        assert all(row[3] == "True" for row in table)
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    def test_bad_corner_threshold_exits_2(self, circle_file, capsys, threshold):
+        assert main(["bounds", circle_file, f"--corner-threshold={threshold}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_invalid_theta_exits_3(self, tmp_path):
         net = make_standard_double_bubble(optimal_bubble_radius(), 100)
@@ -375,6 +403,13 @@ class TestSweepCommand:
     def test_bad_grid_exits_2(self):
         assert main(["sweep", "--alpha1-grid", "1:2:0", "--alpha2-grid", "1"]) == 2
         assert main(["sweep", "--alpha1-grid", "nonsense", "--alpha2-grid", "1"]) == 2
+
+    @pytest.mark.parametrize("grid", ["nan", "inf", "-inf", "1e400", "nan:2:3", "1:inf:3", "-1e308:1e308:3"])
+    def test_non_finite_grid_exits_2(self, capsys, grid):
+        assert main(["sweep", "--alpha1-grid", "1", f"--alpha2-grid={grid}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
     def test_determinism(self, tmp_path):
         args = ["sweep", "--alpha1-grid", "0.5:2.0:7", "--alpha2-grid", "0.5:2.0:7"]

@@ -8,7 +8,7 @@ import tracemalloc
 
 from elastinet.bounds import random_drop, random_theta_network
 from elastinet.energy import optimal_rescale, penalized_energy
-from elastinet.errors import ConstructionFailedError, InvalidConfigError, InvalidInputError
+from elastinet.errors import ConstructionFailedError, InvalidConfigError, InvalidInputError, OptimizationError
 from elastinet.geometry import DiscreteCurve
 from elastinet.minimize import (
     OptimizationConfig,
@@ -266,6 +266,47 @@ class TestMinimize:
         assert res.constraint_violation.valid
         assert res.constraint_violation.junction_gap == 0.0
 
+    def test_max_iters_stops_the_newton_loop(self):
+        res = minimize(make_standard_double_bubble(RBAR, 60), OptimizationConfig(n_per_curve=60, max_iters=1))
+        assert (res.termination, res.iterations) == ("max_iters", 1)
+        assert len(res.energy_trace) == 2 and res.energy_trace[1] < res.energy_trace[0]
+
+
+class TestMinimizeFuzz:
+    """Seeded random thetas and drops: a typed outcome and the hard constraints.
+
+    Embeddedness and ``validate`` are not required: several random thetas
+    converge to self-crossing critical points.
+    """
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("generator", [random_theta_network, random_drop], ids=["theta", "drop"])
+    def test_outcome_and_constraints(self, generator, seed):
+        cfg = OptimizationConfig(n_per_curve=60, max_iters=200)
+        try:
+            res = minimize(generator(np.random.default_rng(seed)), cfg)
+        except OptimizationError:
+            return
+        assert res.termination in ("converged", "stalled", "max_iters", "line_search_failed", "degeneration")
+        assert np.all(np.diff(res.energy_trace) <= 0.0)
+        if res.termination == "converged":
+            assert res.grad_norm_trace[-1] <= cfg.grad_tol
+        final = res.final
+        if final.kind == "drop":
+            (c,) = final.curves
+            assert c.points[0].tobytes() == c.points[-1].tobytes()
+            return
+        for c, ((js, ss), (je, se)) in zip(final.curves, end_slots(final.kind, len(final.curves))):
+            start, end = final.junctions[js], final.junctions[je]
+            assert c.points[0].tobytes() == start.position.tobytes()
+            assert c.points[-1].tobytes() == end.position.tobytes()
+            for edge, ray in (
+                (c.points[1] - c.points[0], start.outgoing_dir(ss)),
+                (c.points[-2] - c.points[-1], end.outgoing_dir(se)),
+            ):
+                direction = edge / np.linalg.norm(edge)
+                assert abs(direction[0] * ray[1] - direction[1] * ray[0]) <= 1e-12 and direction @ ray > 0.0
+
 
 class TestSymmetricDoubleDrop:
     def test_exact_mirror_and_double_energy(self):
@@ -280,6 +321,16 @@ class TestSymmetricDoubleDrop:
     def test_rejects_other_kinds(self):
         with pytest.raises(InvalidInputError):
             minimize_symmetric_double_drop(make_circle(1.0, 32))
+
+    def test_drop_is_paired_with_its_reflection(self):
+        drop = make_teardrop(60)
+        cfg = OptimizationConfig(n_per_curve=60, max_iters=300, grad_tol=1e-9, energy_rel_tol=1e-13)
+        got = minimize_symmetric_double_drop(drop, cfg, multilevel=False)
+        want = minimize(make_symmetric_double_drop(drop), cfg)
+        assert got.final.kind == "double_drop" and got.termination == "converged"
+        for a, b in zip(got.final.curves, want.final.curves):
+            assert np.array_equal(a.points, b.points)
+        assert np.array_equal(got.energy_trace, want.energy_trace)
 
     @pytest.mark.parametrize("max_iters", [300, 0])
     def test_minimize_takes_double_drops(self, max_iters):

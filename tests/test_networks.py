@@ -19,6 +19,9 @@ from elastinet.cli import main
 from elastinet.geometry import DiscreteCurve
 from elastinet.minimize import recovery_sequence
 from elastinet.networks import (
+    KINDS,
+    THETA_OFFSETS_END,
+    THETA_OFFSETS_START,
     Junction,
     Network,
     curve_clamps,
@@ -177,6 +180,19 @@ class TestJunctionFrames:
         with pytest.raises(NetworkValidationError, match="offset"):
             Network("degenerate_theta", net.curves, (Junction(j.position, j.frame_angle, j.offsets[:3]),))
 
+    def test_kinds_and_count_messages(self):
+        assert KINDS == ("closed", "drop", "double_drop", "theta", "degenerate_theta", "generalized_theta")
+        net = make_standard_double_bubble(RBAR, 20)
+        with pytest.raises(NetworkValidationError, match=r"^kind 'theta' needs 3 curves, got 2$"):
+            Network("theta", net.curves[:2], net.junctions)
+        with pytest.raises(NetworkValidationError, match=r"^kind 'theta' needs 2 junctions, got 1$"):
+            Network("theta", net.curves, net.junctions[:1])
+        doc = serialize(net)
+        with pytest.raises(ParseError, match=r"^/junctions: expected exactly 2 junctions$"):
+            deserialize({**doc, "junctions": doc["junctions"][:1]})
+        with pytest.raises(ParseError, match=r"^/junctions: this kind carries no junctions$"):
+            deserialize({**serialize(make_circle(1.0, 16)), "junctions": doc["junctions"]})
+
 
 class TestMakeCircle:
     def test_f1_is_four_pi(self):
@@ -230,6 +246,20 @@ class TestStandardDoubleBubble:
         values = [penalized_energy(make_standard_double_bubble(float(r), 64)).penalized for r in grid]
         r_min = grid[int(np.argmin(values))]
         assert abs(r_min - RBAR) <= 2e-3
+
+    @pytest.mark.parametrize("r", [1e-3, 0.1, RBAR, 1.0, 7.3, 1e3])
+    @pytest.mark.parametrize("n", [8, 50, 2000])
+    def test_is_the_generalized_bubble_at_120_degrees(self, r, n):
+        net = make_standard_double_bubble(r, n)
+        bubble = make_generalized_bubble(2 * math.pi / 3, 2 * math.pi / 3, n, math.sqrt(3.0) * r)
+        assert net.kind == "theta" and net.prescribed_angles is None
+        for a, b in zip(net.curves, bubble.curves):
+            assert a.points.tobytes() == b.points.tobytes()
+        j1, j2 = net.junctions
+        assert j1.position.tobytes() == np.zeros(2).tobytes()
+        assert j2.position.tobytes() == np.array([-math.sqrt(3.0) * r, 0.0]).tobytes()
+        assert (j1.frame_angle, j2.frame_angle) == (math.pi / 3.0, 2.0 * math.pi / 3.0)
+        assert (j1.offsets, j2.offsets) == (THETA_OFFSETS_START, THETA_OFFSETS_END)
 
 
 class TestGeneralizedBubble:
