@@ -28,6 +28,7 @@ from .geometry import (
     PolylineEnergy,
     VertexAngleSet,
     checked_energy,
+    endpoint_tangent_array,
     endpoint_tangents,
     external_angle,
     polyline_length,
@@ -118,17 +119,10 @@ class PiecewiseClosedCurve:
         return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
 
     def corner_angles(self) -> VertexAngleSet:
-        angles = []
-        pi_corners = []
-        n = len(self.arcs)
-        for i in range(n):
-            _, tau_end = endpoint_tangents(self.arcs[i])
-            tau_start, _ = endpoint_tangents(self.arcs[(i + 1) % n])
-            th = external_angle(tau_end, tau_start)
-            angles.append(th)
-            if abs(th - math.pi) < 1e-9:
-                pi_corners.append(i)
-        return VertexAngleSet(tuple(angles), tuple(pi_corners))
+        """Corner i turns from the end of arc i into the start of arc i + 1."""
+        tau = endpoint_tangent_array(self.arcs)
+        angles = tuple(external_angle(a, b) for a, b in zip(tau[:, 1], np.roll(tau[:, 0], -1, axis=0)))
+        return VertexAngleSet(angles, tuple(i for i, th in enumerate(angles) if abs(th - math.pi) < 1e-9))
 
     def total_length(self) -> float:
         return float(sum(polyline_length(a) for a in self.arcs))

@@ -50,6 +50,7 @@ __all__ = [
     "external_angle",
     "signed_angle",
     "endpoint_tangents",
+    "endpoint_tangent_array",
     "rot90",
     "unit",
     "rotate_points",
@@ -304,23 +305,36 @@ def external_angle(tangent_in, tangent_out) -> float:
     return float(np.arccos(dot))
 
 
-def endpoint_tangents(curve) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order tangent estimates at the two ends of an open curve.
+def endpoint_tangent_array(curves) -> np.ndarray:
+    """Second-order tangent estimates at the start ``[i, 0]`` and end ``[i, 1]`` of each open curve i.
 
     The first edge direction is rotated back by half the turning at the first
     interior vertex (and symmetrically at the far end), the kernel's first and
     last psi, read from the end edges alone.  Exact on uniformly sampled
-    circular arcs and on straight lines.
+    circular arcs and on straight lines; a two-point curve's are its edge's.
     """
-    pts, closed = _points_of(curve)
-    if closed:
+    sets = [_points_of(c) for c in curves]
+    if any(closed for _, closed in sets):
         raise InvalidCurveError("endpoint tangents are defined for open curves")
-    t0, t1 = edge_tangents(pts[:2])[0], edge_tangents(pts[-2:])[0]
-    if len(pts) == 2:
-        return t0, t1
-    psi_first = float(signed_angle(*edge_vectors(pts[:3])))
-    psi_last = float(signed_angle(*edge_vectors(pts[-3:])))
-    return rotate_points(t0[None, :], -0.5 * psi_first)[0], rotate_points(t1[None, :], 0.5 * psi_last)[0]
+    two_point = np.array([len(p) == 2 for p, _ in sets])
+    # each end's three points (a two-point curve repeats its points) and two edges
+    ends = np.stack([p[[0, 1, min(2, len(p) - 1), max(len(p) - 3, 0), -2, -1]] for p, _ in sets])
+    e = np.diff(ends.reshape(-1, 2, 3, 2), axis=2)
+    edge = e[:, [0, 1], [0, 1]]  # the first edge at the start, the last at the end
+    a = np.linalg.norm(edge, axis=-1)
+    if not a.all():
+        raise InvalidCurveError("zero-length edge")
+    t = edge / a[..., None]
+    half = signed_angle(e[:, :, 0], e[:, :, 1]) * np.array([-0.5, 0.5])
+    c, s = np.cos(half), np.sin(half)
+    # the rotation of rotate_points, one (1, 2) @ (2, 2) product per end
+    turned = (t[..., None, :] @ np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2, 2))[..., 0, :]
+    return np.where(two_point[:, None, None], t, turned)
+
+
+def endpoint_tangents(curve) -> tuple[np.ndarray, np.ndarray]:
+    """The start and end tangents of one open curve (see ``endpoint_tangent_array``)."""
+    return tuple(endpoint_tangent_array([curve])[0])
 
 
 def resample_uniform(curve, n: int) -> DiscreteCurve:

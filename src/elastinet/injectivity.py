@@ -48,12 +48,13 @@ def _candidate_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nda
     """Pairs ``u < v`` of boxes ``[lo, hi]`` that may overlap, each pair once.
 
     The grid cells are the squares ``[m h, (m + 1) h)`` of a lattice through
-    the origin, with ``h`` twice the median box size.  A box's cell range
-    comes from monotone rounding of its corners, so two boxes that share a
-    point share a cell.  Boxes over ``_MAX_CELLS_PER_BOX`` cells (long edges)
-    are paired instead with every box whose box overlaps theirs.
+    the origin, with ``h`` twice the middle (upper median) box size.  A box's
+    cell range comes from monotone rounding of its corners, so two boxes that
+    share a point share a cell.  Boxes over ``_MAX_CELLS_PER_BOX`` cells (long
+    edges) are paired instead with every box whose box overlaps theirs.
     """
-    size = 2.0 * float(np.median((hi - lo).max(axis=1)))
+    sizes = (hi - lo).max(axis=1)
+    size = 2.0 * float(np.partition(sizes, len(sizes) // 2)[len(sizes) // 2])
     reach = float(max(np.abs(lo).max(), np.abs(hi).max()))
     h = max(size, reach * 2.0**-50)  # cell indices stay below 2**50
     f_lo = np.floor(lo / h)
@@ -106,7 +107,7 @@ def injectivity_report(network: Network) -> InjectivityReport:
     the network diameter count as shared.
 
     The segments of all curves are bucketed at once into a uniform grid
-    whose square cells are twice the median segment box, and only pairs of
+    whose square cells are twice the middle segment box, and only pairs of
     segments that share a cell are tested.  A segment whose box would cover
     more than ``_MAX_CELLS_PER_BOX`` cells (a long edge) is tested instead
     against every segment whose box overlaps its own.  The boxes of crossing

@@ -36,7 +36,7 @@ import numpy as np
 
 from .energy import penalized_energy
 from .errors import InvalidConfigError, InvalidInputError, OptimizationError
-from .geometry import DiscreteCurve, checked_energy, polyline_energy, signed_angle
+from .geometry import DiscreteCurve, checked_energy, polyline_energy, signed_angle, unit
 from .injectivity import InjectivityReport, injectivity_report
 from .networks import (
     Junction,
@@ -45,7 +45,6 @@ from .networks import (
     curve_clamps,
     end_slots,
     make_symmetric_double_drop,
-    network_diameter,
     recovery_sequence,
     translate_network,
     validate,
@@ -316,10 +315,11 @@ class _AngleForm:
         pad = np.zeros((self.nc, 1))
         return 2.0 * (np.concatenate([pad, d], axis=1) - np.concatenate([d, pad], axis=1))
 
-    def energy(self, z) -> tuple[float, float, float]:
-        """(F, E, L) at z, infinite where a length is not positive or an edge turns by pi."""
-        lengths = self.lengths(z)
-        d = self.differences(self.angles(z))
+    def energy(self, z, theta=None) -> tuple[float, float, float]:
+        """(F, E, L) at z (angles theta), infinite where a length is not positive or an edge turns by pi."""
+        return self._totals(self.lengths(z), self.differences(self.angles(z) if theta is None else theta))
+
+    def _totals(self, lengths, d) -> tuple[float, float, float]:
         if not (lengths.min() > 0.0 and np.abs(d).max() < math.pi):
             return _INFINITE
         elastic, length = float(np.sum(self.m * np.sum(d * d, axis=1) / lengths)), float(lengths.sum())
@@ -345,7 +345,7 @@ class _AngleForm:
         return np.concatenate([block.reshape(nc, 2, nt), head], axis=2).reshape(2 * nc, nt + self.nh)
 
     def restore(self, z):
-        """Gauss-Newton (least-change steps) onto the closure equations, or None.
+        """Gauss-Newton (least-change steps) onto the closure equations: (z, its angles), or None.
 
         The lengths stay: a curve far from closing would otherwise be closed
         mostly by shrinking it towards a point.
@@ -358,17 +358,17 @@ class _AngleForm:
             if not (self.lengths(z).min() > 0.0 and math.isfinite(defect)):
                 return None
             if defect <= tol:
-                return z
+                return z, theta
             jac = self.jacobian(z, theta)
             jac[:, self.nt : self.nt + self.nc] = 0.0
             try:
                 z = z - jac.T @ np.linalg.solve(jac @ jac.T, c)
             except np.linalg.LinAlgError:
                 return None
-        return z if defect <= 1e3 * tol else None
+        return (z, self.angles(z)) if defect <= 1e3 * tol else None
 
-    def evaluate(self, z) -> _Point:
-        theta = self.angles(z)
+    def evaluate(self, z, theta=None) -> _Point:
+        theta = self.angles(z) if theta is None else theta
         d = self.differences(theta)
         lengths = self.lengths(z)
         w = self.m / lengths
@@ -380,7 +380,8 @@ class _AngleForm:
         g = np.concatenate([g_theta[:, self.free].ravel()] + header)
         jac = self.jacobian(z, theta)
         mu = -np.linalg.solve(jac @ jac.T, jac @ g)
-        return _Point(z, theta, d, *self.energy(z), g, jac, mu.reshape(-1, 2), float(np.linalg.norm(g + jac.T @ mu)))
+        grad_norm = float(np.linalg.norm(g + jac.T @ mu))
+        return _Point(z, theta, d, *self._totals(lengths, d), g, jac, mu.reshape(-1, 2), grad_norm)
 
     def step(self, p: _Point, shift: float) -> np.ndarray:
         """Newton-KKT step at p with the Hessian shifted by ``shift``."""
@@ -413,7 +414,7 @@ class _AngleForm:
         # the free angles are solved lane by lane, z holds them curve by curve
         return np.concatenate([(y - ys @ x_border).reshape(nf, nc).T.ravel(), x_border[:nh]])
 
-    def line_search(self, p: _Point):
+    def line_search(self, p: _Point) -> _Point | None:
         """The next feasible iterate, on an Armijo decrease of F, or None."""
         scale = 2.0 * float(np.max(self.m / self.lengths(p.z)))
         for shift in [0.0] + [scale * 10.0**k for k in range(-8, 9)]:
@@ -425,29 +426,30 @@ class _AngleForm:
             return None
         t = 1.0
         while t >= STEP_MIN:
-            z = self.restore(p.z + t * dz)
-            if z is not None:
-                f = self.energy(z)[0]
+            restored = self.restore(p.z + t * dz)
+            if restored is not None:
+                f = self.energy(*restored)[0]
                 if f < p.f and f <= p.f + ARMIJO_C * t * slope:
-                    return z
+                    return self.evaluate(*restored)
                 # a decrease below the round-off of F cannot show: judge the
                 # full step by |g| instead
-                if t == 1.0 and f <= p.f and -slope <= ROUND_OFF * p.f and self.evaluate(z).grad_norm < p.grad_norm:
-                    return z
+                if t == 1.0 and f <= p.f and -slope <= ROUND_OFF * p.f:
+                    if (q := self.evaluate(*restored)).grad_norm < p.grad_norm:
+                        return q
             t *= 0.5
         return None
 
-    def network(self, z) -> Network:
-        """The network at z.  Junction curves run from junction to junction,
-        their end edges built from the junction along its frame ray."""
+    def frames(self, z) -> list[tuple[np.ndarray, float]]:
+        """The position and frame angle of each junction at z."""
         junctions = self.template.junctions
-        if self.free_frame:
-            j0, j1 = junctions
-            half = 0.5 * z[self.nt + self.nc + 1 :]
-            junctions = (
-                Junction(self.center - half, j0.frame_angle, j0.offsets),
-                Junction(self.center + half, float(z[self.nt + self.nc]), j1.offsets),
-            )
+        if not self.free_frame:
+            return [(j.position, j.frame_angle) for j in junctions]
+        half = 0.5 * z[self.nt + self.nc + 1 :]
+        return [(self.center - half, junctions[0].frame_angle), (self.center + half, float(z[self.nt + self.nc]))]
+
+    def points(self, z) -> list[np.ndarray]:
+        """Each curve's points at z.  Junction curves run from junction to
+        junction, their end edges built from the junction along its frame ray."""
         theta = self.angles(z)
         h = self.lengths(z) / self.m
         steps = h[:, None, None] * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
@@ -456,18 +458,26 @@ class _AngleForm:
             p = origin + np.concatenate([np.zeros((1, 2)), np.cumsum(steps[0], axis=0)])
             if not self.closed:
                 p[-1] = origin
-            return Network(self.template.kind, (DiscreteCurve(p[:-1] if self.closed else p, self.closed),))
+            return [p[:-1] if self.closed else p]
+        frames, offsets = self.frames(z), [j.offsets for j in self.template.junctions]
         curves = []
         for i, ((js, ss), (je, se)) in enumerate(self.slots):
-            start, end = junctions[js], junctions[je]
+            (start, a), (end, b) = frames[js], frames[je]
             p = np.empty((self.m + 1, 2))
-            p[0] = start.position
-            p[1] = start.position + h[i] * start.outgoing_dir(ss)
+            p[0] = start
+            p[1] = start + h[i] * unit(a + offsets[js][ss])
             p[2:-2] = p[1] + np.cumsum(steps[i, 1:-2], axis=0)
-            p[-2] = end.position + h[i] * end.outgoing_dir(se)
-            p[-1] = end.position
-            curves.append(DiscreteCurve(p))
-        return Network(self.template.kind, tuple(curves), junctions, self.template.prescribed_angles)
+            p[-2] = end + h[i] * unit(b + offsets[je][se])
+            p[-1] = end
+            curves.append(p)
+        return curves
+
+    def network(self, z, points=None) -> Network:
+        """The network at z, built from its ``points(z)`` if given."""
+        points = self.points(z) if points is None else points
+        curves = tuple(DiscreteCurve(p, self.closed) for p in points)
+        junctions = tuple(Junction(pos, a, j.offsets) for (pos, a), j in zip(self.frames(z), self.template.junctions))
+        return Network(self.template.kind, curves, junctions, self.template.prescribed_angles)
 
 
 def _pinned(network: Network) -> Network:
@@ -503,18 +513,18 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
         report = penalized_energy(network, 1.0)
         return _result(network, [[report.penalized], [report.elastic], [report.length], [math.nan]], "max_iters", 0, config)
     form = _AngleForm(_pinned(network), config.n_per_curve)
-    z = form.restore(form.z0)
-    if z is None or not math.isfinite(form.energy(z)[0]):
+    restored = form.restore(form.z0)
+    if restored is None or not math.isfinite(form.energy(*restored)[0]):
         raise OptimizationError(
             f"the network has no closed equal-edge form at {config.n_per_curve} points per curve"
             " whose edges turn by less than pi"
         )
-    p = form.evaluate(z)
+    p = form.evaluate(*restored)
     trace = [(p.f, p.elastic, p.length, p.grad_norm)]
     it, stalled = 0, False
     while True:
-        final = form.network(p.z)
-        if form.lengths(p.z).min() < DEGENERATION_FACTOR * network_diameter(final):
+        points = form.points(p.z)  # network_diameter of the points: the network is built once, at the end
+        if form.lengths(p.z).min() < DEGENERATION_FACTOR * float(np.linalg.norm(np.ptp(np.vstack(points), axis=0))):
             termination = "degeneration"
         elif p.grad_norm <= config.grad_tol:
             termination = "converged"
@@ -522,16 +532,15 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
             termination = "stalled"
         elif it >= config.max_iters:
             termination = "max_iters"
-        elif (z := form.line_search(p)) is None:
+        elif (q := form.line_search(p)) is None:
             termination = "line_search_failed"
         else:
-            q = form.evaluate(z)
             it += 1
             trace.append((q.f, q.elastic, q.length, q.grad_norm))
             stalled = 0.0 < p.f - q.f <= config.energy_rel_tol * max(abs(q.f), 1.0)
             p = q
             continue
-        return _result(final, zip(*trace), termination, it, config)
+        return _result(form.network(p.z, points), zip(*trace), termination, it, config)
 
 
 def _ladder(n_target: int, coarsest: int = 40) -> list[int]:

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .geometry import (
     DiscreteCurve,
-    endpoint_tangents,
+    endpoint_tangent_array,
     resample_uniform,
     rotate_points,
     signed_angle,
@@ -193,12 +193,6 @@ def network_diameter(network: Network) -> float:
     return float(np.linalg.norm(span))
 
 
-def _estimated_outgoing(curve: DiscreteCurve) -> tuple[np.ndarray, np.ndarray]:
-    """Outgoing direction estimates at (start, end) of an open curve."""
-    tau0, tau1 = endpoint_tangents(curve)
-    return tau0, -tau1
-
-
 def end_slots(kind: str, n_curves: int):
     """Per curve, the ``(junction, slot)`` met by its start and by its end.
 
@@ -214,6 +208,12 @@ def end_slots(kind: str, n_curves: int):
     if kind == "degenerate_theta":
         return tuple(((0, 2 * i), (0, 2 * i + 1)) for i in range(n_curves))
     return ()
+
+
+def _curve_ends(kind: str, curves):
+    """Junction, slot and estimated outgoing direction of every curve end, in one tangent pass."""
+    ends = np.array(end_slots(kind, len(curves))).reshape(-1, 2, 2)
+    return ends[..., 0], ends[..., 1], endpoint_tangent_array(curves) * np.array([[1.0], [-1.0]])
 
 
 def curve_clamps(network: Network, i: int):
@@ -241,21 +241,18 @@ def validate(network: Network, tol_pos: float | None = None, tol_ang: float = 1e
     if not (0.0 < tol_pos < math.inf and 0.0 < tol_ang < math.inf):
         raise InvalidInputError("tolerances must be positive and finite")
 
-    gap = 0.0
-    defect = 0.0
-    if network.kind == "drop":
-        pts = network.curves[0].points
-        gap = float(np.linalg.norm(pts[0] - pts[-1]))
-    elif network.kind == "double_drop":
-        p = network.curves[0].points[0]
-        for c in network.curves:
-            gap = max(gap, float(np.linalg.norm(c.points[0] - p)))
-            gap = max(gap, float(np.linalg.norm(c.points[-1] - p)))
-    for c, ends in zip(network.curves, end_slots(network.kind, len(network.curves))):
-        for point, (j, slot), outgoing in zip((c.points[0], c.points[-1]), ends, _estimated_outgoing(c)):
-            junction = network.junctions[j]
-            gap = max(gap, float(np.linalg.norm(point - junction.position)))
-            defect = max(defect, abs(float(signed_angle(junction.outgoing_dir(slot), outgoing))))
+    gap = defect = 0.0
+    if network.junctions:
+        j, slot, outgoing = _curve_ends(network.kind, network.curves)
+        meet = np.array([jn.position for jn in network.junctions])[j]
+        angle = np.array([[jn.frame_angle + o for o in jn.offsets] for jn in network.junctions])[j, slot]
+        defect = float(np.abs(signed_angle(np.stack([np.cos(angle), np.sin(angle)], axis=-1), outgoing)).max())
+    else:  # the ends of a drop, and of a double drop, meet at its first point
+        meet = network.curves[0].points[0]
+    if network.kind != "closed":
+        # each end's distance from where it meets, by np.linalg.norm's dot product
+        miss = (np.array([[c.points[0], c.points[-1]] for c in network.curves]) - meet)[..., None]
+        gap = float(np.sqrt(np.swapaxes(miss, -1, -2) @ miss).max())
     if network.kind == "degenerate_theta":
         defect = max(defect, _degenerate_pattern_defect(network.junctions[0]))
     elif network.kind in ("theta", "generalized_theta"):
@@ -447,10 +444,12 @@ def make_generalized_bubble(alpha1: float, alpha2: float, n: int, segment_length
         l_unit = 1.0 + alpha1 / s1 + alpha2 / s2
         segment_length = math.sqrt(e_unit / l_unit)
     ell = float(segment_length)
-    if ell <= 0:
-        raise InvalidInputError("segment length must be positive")
-    r_up = ell / (2.0 * s1)
-    r_dn = ell / (2.0 * s2)
+    if not 0.0 < ell < math.inf:
+        raise InvalidInputError("segment length must be positive and finite")
+    r_up, r_dn = ell / (2.0 * s1), ell / (2.0 * s2)
+    reach = 8.0 * max(r_up, r_dn)  # points lie within 2 r of the origin: squared lengths stay finite
+    if not reach * reach < math.inf:
+        raise InvalidInputError(f"bubble arcs of radius {max(r_up, r_dn):.6g} are too large")
     p2 = np.array([-ell, 0.0])
     # upper arc leaves the origin at angle pi - alpha1, counterclockwise
     c_up = r_up * unit(math.pi - alpha1 + math.pi / 2.0)
@@ -723,6 +722,8 @@ def _rebuild_junctions(kind, curves, raw_junctions, angles):
         if not n_junctions:
             raise ParseError("this kind carries no junctions", "/junctions")
         raise ParseError(f"expected exactly {n_junctions} junction{'s' * (n_junctions > 1)}", "/junctions")
+    if not n_junctions:
+        return ()
     if kind == "degenerate_theta":
         candidates = sorted(set(DEGENERATE_OFFSET_VARIANTS[0]) | set(DEGENERATE_OFFSET_VARIANTS[1]))
     elif angles is None:
@@ -732,14 +733,13 @@ def _rebuild_junctions(kind, curves, raw_junctions, angles):
         candidates = [0.0, a1, a1 + a2, 2.0 * math.pi - a1, 2.0 * math.pi - a1 - a2]
     # each slot takes the candidate offset closest to the estimated outgoing
     # direction of the curve end that meets it
-    offsets = [{} for _ in raw_junctions]
-    for c, ends in zip(curves, end_slots(kind, len(curves))):
-        for (j, slot), d in zip(ends, _estimated_outgoing(c)):
-            frame, est = raw_junctions[j][1], math.atan2(d[1], d[0])
-            offsets[j][slot] = min(candidates, key=lambda o: abs(float(_wrap_pi(est - (frame + o)))))
-    return tuple(
-        Junction(pos, frame, [fit[slot] for slot in sorted(fit)]) for (pos, frame), fit in zip(raw_junctions, offsets)
-    )
+    j, slot, outgoing = _curve_ends(kind, curves)
+    frames, candidates = np.array([frame for _, frame in raw_junctions])[j], np.array(candidates)
+    est = np.arctan2(outgoing[..., 1], outgoing[..., 0])
+    miss = np.abs(_wrap_pi(est[..., None] - (frames[..., None] + candidates)))
+    offsets = np.empty((n_junctions, slot.max() + 1))
+    offsets[j, slot] = candidates[np.argmin(miss, axis=-1)]
+    return tuple(Junction(pos, frame, fit) for (pos, frame), fit in zip(raw_junctions, offsets))
 
 
 def _reject_constant(name):
@@ -757,5 +757,4 @@ def load_json(path) -> Network:
 
 def save_json(network: Network, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(serialize(network), fh)
-        fh.write("\n")
+        fh.write(json.dumps(serialize(network)) + "\n")

@@ -13,6 +13,7 @@ from elastinet.networks import (
     load_json,
     make_circle,
     make_ellipse,
+    make_generalized_bubble,
     make_standard_double_bubble,
     make_degenerate_figure_eight,
     make_symmetric_double_drop,
@@ -24,6 +25,7 @@ from elastinet.networks import (
     validate,
     Network,
 )
+from elastinet.svg import render_svg
 
 
 @pytest.fixture
@@ -325,6 +327,47 @@ class TestMinimizeCommand:
         assert "Traceback" not in err
 
 
+def frozen_render_svg(network, width=640):
+    """``render_svg`` as it formatted numpy scalars, point by point."""
+    pts = np.vstack([c.points for c in network.curves])
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    margin = 0.05 * float(max(np.maximum(hi - lo, 1e-9)))
+    lo, hi = lo - margin, hi + margin
+    w, h = float(hi[0] - lo[0]), float(hi[1] - lo[1])
+    stroke = 0.004 * max(w, h)
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{int(round(width * h / w))}" '
+        f'viewBox="{lo[0]:.6g} {lo[1]:.6g} {w:.6g} {h:.6g}">'
+    ]
+    colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+    for i, c in enumerate(network.curves):
+        p = np.vstack([c.points, c.points[0]]) if c.closed else c.points
+        xs, ys = p[:, 0], hi[1] - p[:, 1] + lo[1]
+        coords = " ".join(f"{x:.8g},{y:.8g}" for x, y in zip(xs, ys))
+        lines.append(f'<polyline points="{coords}" fill="none" stroke="{colors[i % 4]}" stroke-width="{stroke:.6g}"/>')
+    for j in network.junctions:
+        x, y = j.position[0], hi[1] - j.position[1] + lo[1]
+        lines.append(f'<circle cx="{x:.8g}" cy="{y:.8g}" r="{2.0 * stroke:.6g}" fill="#000000"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_circle(1.3, 64),
+        lambda: make_teardrop(80),
+        lambda: make_standard_double_bubble(optimal_bubble_radius(), 60),
+        lambda: make_generalized_bubble(1.7, 2.5, 60),
+        lambda: make_degenerate_figure_eight(80),
+    ],
+    ids=["circle", "drop", "double-bubble", "generalized", "degenerate"],
+)
+def test_svg_text_is_unchanged(make):
+    net = rotate_network(make(), 0.3)
+    assert render_svg(net) == frozen_render_svg(net)
+
+
 class TestReferenceCommand:
     def test_circle_reference(self, tmp_path, capsys):
         out = tmp_path / "circle.json"
@@ -362,6 +405,14 @@ class TestReferenceCommand:
         assert main(["reference", "--shape", shape[0], f"{shape[1]}={radius}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("radius", ["1.5e308", "1e308", "1e160"])
+    def test_oversized_bubble_exits_2(self, capsys, radius):
+        # sqrt(3) r overflows, or the arcs' points or squared edge lengths do:
+        # rejected before any arithmetic, so no RuntimeWarning is printed
+        assert main(["reference", "--shape", "double-bubble", f"--r={radius}", "--n", "20"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestRecoveryCommand:

@@ -3,8 +3,9 @@
 The references below are frozen copies of the formulas the layers used before
 they read ``geometry.polyline_energy``: ``turning_angles`` and
 ``dual_lengths`` for the interior and cyclic cells, one half cell per clamped
-end, and the per-kind slot derivation of ``deserialize``.  The layers must
-reproduce them bit for bit.
+end, and the per-kind slot derivation of ``deserialize``; and of the per-end
+loops ``validate`` and ``deserialize`` ran before they estimated every end
+tangent in one array pass.  The layers must reproduce them bit for bit.
 """
 
 import math
@@ -27,13 +28,24 @@ from elastinet.bounds import (
     total_abs_curvature,
     turning_cauchy_schwarz,
 )
-from elastinet.geometry import endpoint_tangents, polyline_length, signed_angle, vertex_curvature
+from elastinet.geometry import (
+    DiscreteCurve,
+    endpoint_tangent_array,
+    endpoint_tangents,
+    polyline_length,
+    signed_angle,
+    vertex_curvature,
+)
 from elastinet.minimize import recovery_sequence
 from elastinet.networks import (
     DEGENERATE_OFFSET_VARIANTS,
+    THETA_OFFSETS_END,
     THETA_OFFSETS_START,
+    Junction,
+    Network,
     curve_clamps,
     deserialize,
+    end_slots,
     make_circle,
     make_degenerate_figure_eight,
     make_ellipse,
@@ -44,6 +56,7 @@ from elastinet.networks import (
     optimal_bubble_radius,
     rotate_network,
     serialize,
+    validate,
 )
 from elastinet.stationarity import el_residual, junction_residuals
 
@@ -237,6 +250,163 @@ def test_deserialize_rebuilds_the_per_kind_slots(net):
     want = frozen_offsets(net.kind, back.curves, frames, net.prescribed_angles)
     assert [j.offsets for j in back.junctions] == want
     assert [j.offsets for j in back.junctions] == [j.offsets for j in net.junctions]
+
+
+# ---------------------------------------------------------------------------
+# one end-tangent pass per network: validate and deserialize against frozen
+# copies of their per-end loops
+
+
+def frozen_endpoint_tangents(points):
+    """End tangents as ``endpoint_tangents`` took them, one curve at a time."""
+
+    def direction(e):
+        return (e / np.linalg.norm(e, axis=1)[:, None])[0]
+
+    def rotated(t, angle):
+        c, s = np.cos(angle), np.sin(angle)
+        about = np.zeros(2)
+        return (about + (t[None, :] - about) @ np.array([[c, s], [-s, c]]))[0]
+
+    t0, t1 = direction(points[1:2] - points[:1]), direction(points[-1:] - points[-2:-1])
+    if len(points) == 2:
+        return t0, t1
+    psi_first = float(signed_angle(points[1] - points[0], points[2] - points[1]))
+    psi_last = float(signed_angle(points[-2] - points[-3], points[-1] - points[-2]))
+    return rotated(t0, -0.5 * psi_first), rotated(t1, 0.5 * psi_last)
+
+
+def frozen_validate(net):
+    """(junction_gap, angle_defect) of ``validate``, junction ends checked one by one."""
+    gap = defect = 0.0
+    if net.kind == "drop":
+        pts = net.curves[0].points
+        gap = float(np.linalg.norm(pts[0] - pts[-1]))
+    elif net.kind == "double_drop":
+        p = net.curves[0].points[0]
+        for c in net.curves:
+            gap = max(gap, float(np.linalg.norm(c.points[0] - p)))
+            gap = max(gap, float(np.linalg.norm(c.points[-1] - p)))
+    for c, ends in zip(net.curves, end_slots(net.kind, len(net.curves))):
+        tau0, tau1 = frozen_endpoint_tangents(c.points)
+        for point, (j, slot), outgoing in zip((c.points[0], c.points[-1]), ends, (tau0, -tau1)):
+            junction = net.junctions[j]
+            gap = max(gap, float(np.linalg.norm(point - junction.position)))
+            defect = max(defect, abs(float(signed_angle(junction.outgoing_dir(slot), outgoing))))
+    if net.kind == "degenerate_theta":
+        defect = max(defect, networks._degenerate_pattern_defect(net.junctions[0]))
+    elif net.kind in ("theta", "generalized_theta"):
+        angles = net.prescribed_angles or (2.0 * math.pi / 3.0,) * 3
+        defect = max(defect, *(networks._triple_turn_defect(j.offsets, angles) for j in net.junctions))
+    return gap, defect
+
+
+def frozen_rebuilt_offsets(kind, curves, frames, angles):
+    """Slot offsets as ``deserialize`` chose them, curve end by curve end."""
+    if kind == "degenerate_theta":
+        candidates = sorted(set(DEGENERATE_OFFSET_VARIANTS[0]) | set(DEGENERATE_OFFSET_VARIANTS[1]))
+    elif angles is None:
+        candidates = list(THETA_OFFSETS_START)
+    else:
+        a1, a2 = angles[0], angles[1]
+        candidates = [0.0, a1, a1 + a2, 2.0 * math.pi - a1, 2.0 * math.pi - a1 - a2]
+    offsets = [{} for _ in frames]
+    for c, ends in zip(curves, end_slots(kind, len(curves))):
+        tau0, tau1 = frozen_endpoint_tangents(c.points)
+        for (j, slot), d in zip(ends, (tau0, -tau1)):
+            est = math.atan2(d[1], d[0])
+            offsets[j][slot] = min(candidates, key=lambda o: abs(float(networks._wrap_pi(est - (frames[j] + o)))))
+    return [tuple(fit[slot] for slot in sorted(fit)) for fit in offsets]
+
+
+def fuzzed_degenerate(rng, n):
+    """A rotated degenerate figure eight with jittered interior points."""
+    net = rotate_network(make_degenerate_figure_eight(n), float(rng.uniform(0.0, 2.0 * math.pi)))
+    curves = []
+    for c in net.curves:
+        p = c.points.copy()
+        p[1:-1] += rng.normal(0.0, 0.01, p[1:-1].shape)
+        curves.append(DiscreteCurve(p))
+    return Network("degenerate_theta", tuple(curves), net.junctions)
+
+
+def random_open_curves(rng, count=200):
+    """Open curves of 2 to 9 random points, the first a 2-point and the second a 3-point curve."""
+    sizes = [2, 3, *rng.integers(2, 10, count - 2)]
+    return [DiscreteCurve(rng.normal(size=(int(k), 2))) for k in sizes]
+
+
+def random_curve_networks(rng, curves):
+    """The curves five at a time, as a theta or generalized theta and a
+    degenerate theta around random junctions."""
+    nets = []
+    for k in range(0, len(curves) - 4, 5):
+        frames = rng.uniform(-math.pi, math.pi, 3)
+        positions = rng.normal(size=(3, 2))
+        if k % 2:
+            a1, a2 = np.sort(rng.uniform(0.3, 2.8, 2))
+            j0 = Junction(positions[0], frames[0], (0.0, a1, a1 + a2))
+            j1 = Junction(positions[1], frames[1], (0.0, 2.0 * math.pi - a1, 2.0 * math.pi - a1 - a2))
+            angles = (float(a1), float(a2), 2.0 * math.pi - a1 - a2)
+            nets.append(Network("generalized_theta", curves[k : k + 3], (j0, j1), angles))
+        else:
+            j0 = Junction(positions[0], frames[0], THETA_OFFSETS_START)
+            j1 = Junction(positions[1], frames[1], THETA_OFFSETS_END)
+            nets.append(Network("theta", curves[k : k + 3], (j0, j1)))
+        four = Junction(positions[2], frames[2], DEGENERATE_OFFSET_VARIANTS[k % 2])
+        nets.append(Network("degenerate_theta", curves[k + 3 : k + 5], (four,)))
+    return nets
+
+
+def _end_pass_networks():
+    rng = np.random.default_rng(29)
+    drop = make_teardrop(40)
+    nets = [make_circle(1.0, 16), make_ellipse(2.0, 1.0, 60), drop, make_symmetric_double_drop(drop)]
+    for n in (8, 31, 400):
+        nets += [
+            make_standard_double_bubble(optimal_bubble_radius(), n),
+            rotate_network(make_standard_double_bubble(2.5, n), 1.9),
+            make_generalized_bubble(0.9, 1.6, n),
+            rotate_network(make_generalized_bubble(1.7, 2.5, n), -2.2),
+            make_degenerate_figure_eight(n),
+        ]
+    nets += [recovery_sequence(make_degenerate_figure_eight(60), k) for k in (1, 12, 2000)]
+    for k in range(15):
+        n = 12 + 5 * k
+        nets += [random_theta_network(rng, n), random_drop(rng, n), fuzzed_degenerate(rng, n + 4)]
+    return nets + random_curve_networks(rng, random_open_curves(rng))
+
+
+END_PASS_NETWORKS = _end_pass_networks()
+END_PASS_IDS = [f"{i}-{net.kind}" for i, net in enumerate(END_PASS_NETWORKS)]
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_one_tangent_pass_matches_the_per_curve_estimates():
+    curves = random_open_curves(np.random.default_rng(31))
+    stacked = endpoint_tangent_array(curves)
+    for c, (start, end) in zip(curves, stacked):
+        want = frozen_endpoint_tangents(c.points)
+        for got in ((start, end), endpoint_tangents(c)):
+            _same(got[0], want[0])
+            _same(got[1], want[1])
+
+
+@pytest.mark.parametrize("net", END_PASS_NETWORKS, ids=END_PASS_IDS)
+def test_validate_matches_the_per_end_loop(net):
+    report = validate(net)
+    gap, defect = frozen_validate(net)
+    assert (_bits(report.junction_gap), _bits(report.angle_defect)) == (_bits(gap), _bits(defect))
+
+
+@pytest.mark.parametrize("net", END_PASS_NETWORKS, ids=END_PASS_IDS)
+def test_deserialize_matches_the_per_end_choice(net):
+    back = deserialize(serialize(net))
+    want = frozen_rebuilt_offsets(net.kind, net.curves, [j.frame_angle for j in net.junctions], net.prescribed_angles)
+    assert [j.offsets for j in back.junctions] == want
 
 
 def test_one_kernel_call_per_curve(monkeypatch):

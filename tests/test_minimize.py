@@ -9,8 +9,9 @@ import tracemalloc
 from elastinet.bounds import random_drop, random_theta_network
 from elastinet.energy import optimal_rescale, penalized_energy
 from elastinet.errors import ConstructionFailedError, InvalidConfigError, InvalidInputError, OptimizationError
-from elastinet.geometry import DiscreteCurve
+from elastinet.geometry import DiscreteCurve, polyline_length
 from elastinet.minimize import (
+    DEGENERATION_FACTOR,
     OptimizationConfig,
     discrete_gradient,
     dof_map,
@@ -204,6 +205,9 @@ class TestMinimize:
         cfg = OptimizationConfig(n_per_curve=40, max_iters=60, grad_tol=1e-12, energy_rel_tol=1e-14)
         res = minimize(theta, cfg)
         assert res.termination == "degeneration"
+        # the solver tests the points it builds the network from
+        shortest = min(polyline_length(c) for c in res.final.curves)
+        assert shortest < DEGENERATION_FACTOR * network_diameter(res.final)
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfigError):
@@ -604,7 +608,7 @@ def _perturbed_form(kind, n=16, scale=0.05, seed=0):
     rng = np.random.default_rng(seed)
     z = form.z0.copy()
     z[: form.nt] += rng.normal(0.0, scale, form.nt)
-    return form, form.restore(z)
+    return form, form.restore(z)[0]
 
 
 def _check_incidence(net):

@@ -288,6 +288,17 @@ class TestGeneralizedBubble:
         with pytest.raises(SingularAngleError):
             generalized_bubble_energy(np.pi / 2, np.pi)
 
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf, 1e300])
+    def test_segment_length_positive_finite_and_representable(self, length):
+        # the suite turns the RuntimeWarnings of an overflowing construction into errors
+        with pytest.raises(InvalidInputError):
+            make_generalized_bubble(1.7, 2.5, 20, length)
+
+    def test_tiny_angle_with_overflowing_arc_rejected(self):
+        # the default size is finite, but the arc radius ell / (2 sin(alpha1)) is not representable
+        with pytest.raises(InvalidInputError):
+            make_generalized_bubble(1e-300, 2.5, 20)
+
     def test_constructed_network_matches_formula(self):
         a1, a2 = 0.9, 1.6
         net = make_generalized_bubble(a1, a2, 400)
@@ -325,6 +336,7 @@ class TestSerialization:
         for i, net in enumerate(nets):
             path = tmp_path / f"net{i}.json"
             save_json(net, path)
+            assert path.read_text(encoding="utf-8") == json.dumps(serialize(net)) + "\n"
             back = load_json(path)
             assert back.kind == net.kind
             for a, b in zip(back.curves, net.curves):
