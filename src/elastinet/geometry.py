@@ -327,7 +327,7 @@ def endpoint_tangent_array(curves) -> np.ndarray:
     t = edge / a[..., None]
     half = signed_angle(e[:, :, 0], e[:, :, 1]) * np.array([-0.5, 0.5])
     c, s = np.cos(half), np.sin(half)
-    # the rotation of rotate_points, one (1, 2) @ (2, 2) product per end
+    # one (1, 2) @ (2, 2) product per end, as rotate_points takes it: bitwise its rotation
     turned = (t[..., None, :] @ np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2, 2))[..., 0, :]
     return np.where(two_point[:, None, None], t, turned)
 
