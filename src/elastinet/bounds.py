@@ -31,7 +31,6 @@ from .geometry import (
     endpoint_tangent_array,
     endpoint_tangents,
     external_angle,
-    polyline_length,
     rotate_points,
     unit,
 )
@@ -123,9 +122,6 @@ class PiecewiseClosedCurve:
         tau = endpoint_tangent_array(self.arcs)
         angles = tuple(external_angle(a, b) for a, b in zip(tau[:, 1], np.roll(tau[:, 0], -1, axis=0)))
         return VertexAngleSet(angles, tuple(i for i, th in enumerate(angles) if abs(th - math.pi) < 1e-9))
-
-    def total_length(self) -> float:
-        return float(sum(polyline_length(a) for a in self.arcs))
 
 
 def _arc_kernel(arc: DiscreteCurve) -> PolylineEnergy:

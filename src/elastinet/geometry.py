@@ -86,7 +86,11 @@ class DiscreteCurve:
             raise InvalidCurveError(
                 f"need at least {n_min} points for a {'closed' if self.closed else 'open'} curve"
             )
-        if np.any(edge_lengths(pts, self.closed) == 0.0):
+        with np.errstate(over="ignore"):  # an overflowing length is rejected here, not warned about
+            lengths = edge_lengths(pts, self.closed)
+        if not lengths.max() < math.inf:
+            raise InvalidCurveError("edge lengths overflow: coordinates too far apart")
+        if not lengths.min() > 0.0:
             raise InvalidCurveError("consecutive points must be distinct")
 
     @property
@@ -95,9 +99,6 @@ class DiscreteCurve:
 
     def reversed(self) -> "DiscreteCurve":
         return DiscreteCurve(self.points[::-1].copy(), self.closed)
-
-    def translated(self, delta) -> "DiscreteCurve":
-        return DiscreteCurve(self.points + np.asarray(delta, float), self.closed)
 
     def rotated(self, angle: float, about=(0.0, 0.0)) -> "DiscreteCurve":
         return DiscreteCurve(rotate_points(self.points, angle, about), self.closed)

@@ -523,8 +523,12 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
     trace = [(p.f, p.elastic, p.length, p.grad_norm)]
     it, stalled = 0, False
     while True:
-        points = form.points(p.z)  # network_diameter of the points: the network is built once, at the end
-        if form.lengths(p.z).min() < DEGENERATION_FACTOR * float(np.linalg.norm(np.ptp(np.vstack(points), axis=0))):
+        # a connected network's bounding-box diagonal is at most sqrt(2) times its length:
+        # only a curve under 2 DEGENERATION_FACTOR of the total can be degenerate
+        lengths = form.lengths(p.z)
+        points = form.points(p.z) if lengths.min() < 2.0 * DEGENERATION_FACTOR * lengths.sum() else None
+        diameter = 0.0 if points is None else float(np.linalg.norm(np.ptp(np.vstack(points), axis=0)))
+        if lengths.min() < DEGENERATION_FACTOR * diameter:
             termination = "degeneration"
         elif p.grad_norm <= config.grad_tol:
             termination = "converged"
@@ -544,9 +548,10 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
 
 
 def _ladder(n_target: int, coarsest: int = 40) -> list[int]:
+    """Points per curve of each rung: n_target halved, rounding up, while the half is at least ``coarsest``."""
     levels = [n_target]
-    while levels[-1] > coarsest:
-        levels.append(max(coarsest, (levels[-1] + 1) // 2))
+    while (half := (levels[-1] + 1) // 2) >= coarsest:
+        levels.append(half)
     return levels[::-1]
 
 

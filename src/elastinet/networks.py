@@ -335,10 +335,19 @@ def normalize_to_standard_frame(network: Network) -> Network:
 # reference constructions
 
 
+def _require_representable(radius: float, what: str) -> None:
+    """Reject, before any array arithmetic, a shape whose points lie within
+    2 ``radius`` of the origin but whose squared lengths could overflow."""
+    reach = 8.0 * radius
+    if not reach * reach < math.inf:
+        raise InvalidInputError(f"{what} {radius:.6g} is too large: squared lengths overflow")
+
+
 def make_circle(radius: float, n: int) -> Network:
     """Regular counterclockwise n-gon on a circle of the given radius."""
     if not 0.0 < radius < math.inf:
         raise InvalidInputError("radius must be positive and finite")
+    _require_representable(radius, "circle radius")
     if n < 8:
         raise InvalidInputError("need n >= 8 points")
     ang = 2.0 * np.pi * np.arange(n) / n
@@ -350,6 +359,7 @@ def make_ellipse(a: float, b: float, n: int) -> Network:
     """Closed ellipse with semi-axes a, b, near-uniform arclength sampling."""
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise InvalidInputError("semi-axes must be positive and finite")
+    _require_representable(max(a, b), "ellipse semi-axis")
     t = 2.0 * np.pi * np.arange(4 * n) / (4 * n)
     dense = np.column_stack([a * np.cos(t), b * np.sin(t)])
     curve = resample_uniform(DiscreteCurve(dense, closed=True), n)
@@ -447,9 +457,7 @@ def make_generalized_bubble(alpha1: float, alpha2: float, n: int, segment_length
     if not 0.0 < ell < math.inf:
         raise InvalidInputError("segment length must be positive and finite")
     r_up, r_dn = ell / (2.0 * s1), ell / (2.0 * s2)
-    reach = 8.0 * max(r_up, r_dn)  # points lie within 2 r of the origin: squared lengths stay finite
-    if not reach * reach < math.inf:
-        raise InvalidInputError(f"bubble arcs of radius {max(r_up, r_dn):.6g} are too large")
+    _require_representable(max(r_up, r_dn), "bubble arc radius")
     p2 = np.array([-ell, 0.0])
     # upper arc leaves the origin at angle pi - alpha1, counterclockwise
     c_up = r_up * unit(math.pi - alpha1 + math.pi / 2.0)

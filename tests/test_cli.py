@@ -91,6 +91,15 @@ class TestEnergyCommand:
         save_json(tampered, path)
         assert main(["energy", str(path)]) == 3
 
+    def test_overflowing_coordinates_exit_2(self, tmp_path, capsys):
+        # squared edge lengths overflow: rejected while loading, with no RuntimeWarning
+        path = tmp_path / "huge.json"
+        points = [[1e200, 0.0], [0.0, 1e200], [-1e200, 0.0], [0.0, -1e200]]
+        path.write_text(json.dumps({"kind": "closed", "curves": [{"points": points}]}))
+        assert main(["energy", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflow" in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-3"])
     def test_bad_tolerance_exits_2(self, bubble_file, capsys, tol):
         assert main(["energy", bubble_file, f"--tol-ang={tol}"]) == 2
@@ -413,6 +422,11 @@ class TestReferenceCommand:
         assert main(["reference", "--shape", "double-bubble", f"--r={radius}", "--n", "20"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_overflowing_circle_exits_2(self, capsys):
+        assert main(["reference", "--shape", "circle", "--radius=1e200", "--n", "20"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflow" in err and len(err.splitlines()) == 1
 
 
 class TestRecoveryCommand:

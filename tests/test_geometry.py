@@ -52,6 +52,11 @@ class TestPolylineLength:
         with pytest.raises(InvalidCurveError):
             DiscreteCurve(np.array([[0.0, 0.0]]))
 
+    def test_overflowing_edge_length_rejected(self):
+        # finite coordinates whose squared edge length overflows, without a RuntimeWarning
+        with pytest.raises(InvalidCurveError, match="overflow"):
+            DiscreteCurve(np.array([[1e200, 0.0], [-1e200, 0.0]]))
+
     def test_additive_under_concatenation(self):
         a = DiscreteCurve(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]]))
         b = DiscreteCurve(np.array([[2.0, 1.0], [3.0, 1.0]]))

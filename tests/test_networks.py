@@ -221,6 +221,13 @@ class TestMakeCircle:
             with pytest.raises(InvalidInputError):
                 make_ellipse(a, b, 64)
 
+    def test_overflowing_sizes(self):
+        # squared lengths would overflow: rejected before any array arithmetic, with no RuntimeWarning
+        with pytest.raises(InvalidInputError, match="overflow"):
+            make_circle(1e200, 20)
+        with pytest.raises(InvalidInputError, match="overflow"):
+            make_ellipse(1.0, 1e200, 20)
+
 
 class TestStandardDoubleBubble:
     def test_optimal_energy(self):
