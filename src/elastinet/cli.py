@@ -32,7 +32,6 @@ from .bounds import (
 )
 from .energy import penalized_energy
 from .errors import (
-    ConstructionFailedError,
     ElastinetError,
     InvalidConfigError,
     InvalidInputError,
@@ -49,7 +48,6 @@ from .minimize import (
 )
 from .networks import (
     Network,
-    _reject_constant,
     generalized_bubble_energy,
     load_json,
     make_circle,
@@ -57,6 +55,7 @@ from .networks import (
     make_standard_double_bubble,
     normalize_to_standard_frame,
     optimal_bubble_radius,
+    read_json,
     save_json,
     serialize,
     validate,
@@ -67,6 +66,13 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VALIDATION = 3
 EXIT_OPTIMIZATION = 4
+
+# exit code of a failed command: the first row whose types match the error
+_EXIT_CODES = (
+    ((ParseError, InvalidInputError, InvalidConfigError, OSError), EXIT_INPUT),
+    (OptimizationError, EXIT_OPTIMIZATION),
+    (ElastinetError, EXIT_VALIDATION),
+)
 
 
 def _fmt(x: float) -> str:
@@ -182,15 +188,9 @@ def cmd_bounds(args) -> int:
 
 
 def _load_config(path: str | None, seed_override: str | None) -> OptimizationConfig:
-    fields = {}
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                fields = json.load(fh, parse_constant=_reject_constant)
-            except ValueError as exc:  # malformed JSON or text
-                raise ParseError(f"invalid JSON: {exc}", "/") from None
-        if not isinstance(fields, dict):
-            raise ParseError("config must be an object", "/")
+    fields = read_json(path) if path else {}
+    if not isinstance(fields, dict):
+        raise ParseError("config must be an object", "/")
     if seed_override:
         try:
             fields["seed"] = int(seed_override)
@@ -323,27 +323,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="elastinet", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    network_input = argparse.ArgumentParser(add_help=False)
+    network_input.add_argument("input")
+    network_input.add_argument("--tol-ang", type=float, default=1e-3, dest="tol_ang")
 
-    p = sub.add_parser("energy", help="evaluate the penalized elastic energy of a network file")
-    p.add_argument("input")
+    p = sub.add_parser("energy", parents=[network_input], help="evaluate the penalized elastic energy of a network file")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--json", help="also write the report as JSON")
-    p.add_argument("--tol-ang", type=float, default=1e-3, dest="tol_ang")
     p.set_defaults(func=cmd_energy)
 
-    p = sub.add_parser("bounds", help="run the curvature lower-bound checks")
-    p.add_argument("input")
+    p = sub.add_parser("bounds", parents=[network_input], help="run the curvature lower-bound checks")
     p.add_argument("--corner-threshold", type=float, default=0.5, dest="corner_threshold")
-    p.add_argument("--tol-ang", type=float, default=1e-3, dest="tol_ang")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("minimize", help="descend the energy from a network file")
-    p.add_argument("input")
+    p = sub.add_parser("minimize", parents=[network_input], help="descend the energy from a network file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--kind-config", dest="kind_config", help="OptimizationConfig overrides (JSON)")
     p.add_argument("--no-multilevel", dest="multilevel", action="store_false")
     p.add_argument("--standard-frame", action="store_true", dest="standard_frame")
-    p.add_argument("--tol-ang", type=float, default=1e-3, dest="tol_ang")
     p.set_defaults(func=cmd_minimize, multilevel=True)
 
     p = sub.add_parser("reference", help="construct a reference network")
@@ -357,11 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--standard-frame", action="store_true", dest="standard_frame")
     p.set_defaults(func=cmd_reference)
 
-    p = sub.add_parser("recovery", help="build the recovery theta-network of a degenerate input")
-    p.add_argument("input")
+    p = sub.add_parser("recovery", parents=[network_input], help="build the recovery theta-network of a degenerate input")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out")
-    p.add_argument("--tol-ang", type=float, default=1e-3, dest="tol_ang")
     p.set_defaults(func=cmd_recovery)
 
     p = sub.add_parser("sweep", help="tabulate the generalized bubble energy over an angle grid")
@@ -381,18 +376,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, InvalidInputError, InvalidConfigError, OSError, ConstructionFailedError) as exc:
+    except (ElastinetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT if not isinstance(exc, ConstructionFailedError) else EXIT_VALIDATION
-    except NetworkValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OptimizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OPTIMIZATION
-    except ElastinetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

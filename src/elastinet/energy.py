@@ -78,10 +78,13 @@ def penalized_energy(network: Network, alpha: float = 1.0) -> EnergyReport:
         per.append(CurveEnergy(length, elastic, elastic + alpha * length))
         e_tot += elastic
         l_tot += length
+    penalized = e_tot + alpha * l_tot
+    if not math.isfinite(penalized):
+        raise InvalidConfigError(f"F_alpha overflows at alpha = {alpha:.6g}")
     return EnergyReport(
         length=l_tot,
         elastic=e_tot,
-        penalized=e_tot + alpha * l_tot,
+        penalized=penalized,
         alpha=float(alpha),
         per_curve=tuple(per),
         degenerate_curves=tuple(degenerate),

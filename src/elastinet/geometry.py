@@ -100,13 +100,6 @@ class DiscreteCurve:
     def reversed(self) -> "DiscreteCurve":
         return DiscreteCurve(self.points[::-1].copy(), self.closed)
 
-    def rotated(self, angle: float, about=(0.0, 0.0)) -> "DiscreteCurve":
-        return DiscreteCurve(rotate_points(self.points, angle, about), self.closed)
-
-    def scaled(self, factor: float, about=(0.0, 0.0)) -> "DiscreteCurve":
-        about = np.asarray(about, float)
-        return DiscreteCurve(about + factor * (self.points - about), self.closed)
-
 
 @dataclass(frozen=True)
 class VertexAngleSet:

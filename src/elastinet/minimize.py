@@ -162,12 +162,6 @@ class _PointDof:
         e, l = sum(t.elastic for t in terms), sum(t.length for t in terms)
         return e + l, e, l, np.concatenate([t.grad.ravel() for t in terms])
 
-    def rebuild(self, x: np.ndarray) -> Network:
-        net = self.template
-        sets = np.split(x.reshape(-1, 2), self.splits)
-        curves = tuple(DiscreteCurve(p.copy(), c.closed) for p, c in zip(sets, net.curves))
-        return Network(net.kind, curves, net.junctions, net.prescribed_angles)
-
 
 def dof_map(network: Network) -> _PointDof:
     """The discrete F of the network as a function of its points, for audits."""
@@ -556,18 +550,12 @@ def _ladder(n_target: int, coarsest: int = 40) -> list[int]:
 
 
 def minimize_multilevel(
-    network: Network,
-    config: OptimizationConfig | None = None,
-    levels: list[int] | None = None,
+    network: Network, config: OptimizationConfig | None = None
 ) -> tuple[OptimizationResult, tuple[OptimizationResult, ...]]:
     """Coarse-to-fine ladder of minimize() runs; returns (final, all levels)."""
     config = config or OptimizationConfig()
-    if levels is None:
-        levels = _ladder(config.n_per_curve)
-    if levels[-1] != config.n_per_curve:
-        raise InvalidConfigError("ladder must end at config.n_per_curve")
     results = []
-    for n in levels:
+    for n in _ladder(config.n_per_curve):
         results.append(minimize(results[-1].final if results else network, replace(config, n_per_curve=n)))
     return results[-1], tuple(results)
 

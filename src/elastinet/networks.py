@@ -73,6 +73,7 @@ __all__ = [
     "deserialize",
     "save_json",
     "load_json",
+    "read_json",
 ]
 
 # (curves, junctions) per kind
@@ -272,13 +273,22 @@ def _triple_turn_defect(offsets, angles) -> float:
 
 
 def _degenerate_pattern_defect(j: Junction) -> float:
-    """Deviation of the four-point offsets from the 60/120 pairing."""
-    gaps = np.sort(np.mod(np.asarray(j.offsets), 2.0 * np.pi))
+    """Deviation of the four-point offsets from the 60/120 pairing.
+
+    Each lobe's two slots must be cyclic neighbours around the point: two
+    smooth loops crossing there alternate their slots and are at least pi/3
+    off, however well the gaps fit.
+    """
+    angles = np.mod(np.asarray(j.offsets), 2.0 * np.pi)
+    order = np.argsort(angles)
+    gaps = angles[order]
     gaps = np.diff(np.concatenate([gaps, [gaps[0] + 2.0 * np.pi]]))
     best = np.inf
     for pattern in ([1, 2, 1, 2], [2, 1, 2, 1]):
         d = float(np.max(np.abs(gaps - np.asarray(pattern) * (np.pi / 3.0))))
         best = min(best, d)
+    if order[0] // 2 == order[2] // 2:  # slots 2i and 2i + 1 are lobe i's
+        best = max(best, np.pi / 3.0)
     return best
 
 
@@ -754,13 +764,21 @@ def _reject_constant(name):
     raise ParseError(f"non-finite number {name!r} is not allowed", "/")
 
 
-def load_json(path) -> Network:
+def read_json(path):
+    """The document of a UTF-8 JSON file, for every file the package reads.
+
+    Undecodable text, malformed JSON, ``NaN``/``Infinity`` and nesting too
+    deep to parse raise ``ParseError`` at ``/``; ``OSError`` propagates.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
+            return json.load(fh, parse_constant=_reject_constant)
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
             raise ParseError(f"invalid JSON: {exc}", "/") from None
-    return deserialize(doc)
+
+
+def load_json(path) -> Network:
+    return deserialize(read_json(path))
 
 
 def save_json(network: Network, path) -> None:

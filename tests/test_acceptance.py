@@ -15,9 +15,6 @@ from elastinet.bounds import (
     gauss_bonnet_check,
     pair_bound_check,
     pair_loop,
-    random_drop,
-    random_piecewise_closed_curve,
-    random_theta_network,
     theta_lower_bound_check,
 )
 from elastinet.bounds import PiecewiseClosedCurve
@@ -47,6 +44,7 @@ from elastinet.networks import (
     optimal_bubble_radius,
 )
 from elastinet.stationarity import junction_residuals
+from random_networks import random_drop, random_piecewise_closed_curve, random_theta_network
 
 FOUR_PI = 4.0 * math.pi
 BUBBLE_F = 18.40589562425381

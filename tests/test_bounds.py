@@ -10,15 +10,13 @@ from elastinet.bounds import (
     gauss_bonnet_check,
     pair_bound_check,
     pair_loop,
-    random_drop,
-    random_piecewise_closed_curve,
-    random_theta_network,
     tangent_gap_bound,
     theta_lower_bound_check,
     total_abs_curvature,
     turning_cauchy_schwarz,
 )
 from elastinet.errors import HypothesisNotMetError, InvalidInputError
+from random_networks import random_drop, random_piecewise_closed_curve, random_theta_network
 from elastinet.geometry import DiscreteCurve, resample_uniform
 from elastinet.networks import (
     Network,

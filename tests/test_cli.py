@@ -5,6 +5,7 @@ import platform
 import numpy as np
 import pytest
 
+from elastinet import cli, errors
 from elastinet.cli import main
 from elastinet.energy import optimal_rescale
 from elastinet.minimize import OptimizationConfig, minimize
@@ -74,6 +75,29 @@ class TestEnergyCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         assert main(["energy", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\xff\xfe" + json.dumps({"kind": "closed"}).encode(),
+            b"[" * 100000,
+            b'{"kind": "closed", "curves": [{"points": [[1' + b"0" * 5000 + b', 0]]}]}',
+        ],
+        ids=["not_utf8", "nested_too_deep", "integer_too_long"],
+    )
+    def test_unparsable_file_exits_2(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert main(["energy", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: /: invalid JSON") and len(err.splitlines()) == 1
+
+    def test_overflowing_alpha_exits_2(self, circle_file, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        assert main(["energy", circle_file, "--alpha", "1e308", "--json", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflows" in err and len(err.splitlines()) == 1
+        assert not out_path.exists()
 
     def test_directory_input_exits_2(self, tmp_path, capsys):
         assert main(["energy", str(tmp_path)]) == 2
@@ -258,6 +282,7 @@ class TestMinimizeCommand:
             '{"seed": "abc"}',
             '{"max_iters": 1e400}',
             '{"max_iters": true}',
+            "[" * 100000,
         ],
         ids=[
             "malformed_json",
@@ -270,6 +295,7 @@ class TestMinimizeCommand:
             "string_seed",
             "overflowing_max_iters",
             "boolean_max_iters",
+            "nested_too_deep",
         ],
     )
     def test_bad_kind_config_exits_2(self, tmp_path, circle_file, capsys, text):
@@ -328,12 +354,85 @@ class TestMinimizeCommand:
         first = final.curves[0].points[1] - final.curves[0].points[0]
         assert np.allclose(first / np.linalg.norm(first), final.junctions[0].outgoing_dir(0), atol=1e-9)
 
+    def test_unsolvable_rose_exits_4(self, tmp_path, capsys):
+        # seven petals do not close with 8 equal edges that each turn by less than pi
+        t = 2 * np.pi * np.arange(400) / 400
+        r = 1 + 0.9 * np.cos(7 * t)
+        points = np.column_stack([r * np.cos(t), r * np.sin(t)])
+        src = tmp_path / "rose.json"
+        src.write_text(json.dumps({"kind": "closed", "curves": [{"points": points.tolist()}]}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_per_curve": 8}))
+        assert main(["minimize", str(src), "--out", str(tmp_path / "run"), "--kind-config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_non_integer_seed_env_exits_2(self, tmp_path, circle_file, monkeypatch, capsys):
         monkeypatch.setenv("ELASTINET_SEED", "abc")
         assert main(["minimize", circle_file, "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "ELASTINET_SEED" in err
         assert "Traceback" not in err
+
+
+def _two_loops_doc():
+    """Two unit circles through the origin, crossing there at 60 degrees, filed as a degenerate theta.
+
+    Their four end tangents fit the 60/120 degree gaps of a four-point, but
+    each loop leaves and returns on opposite sides of the other.
+    """
+    s = np.linspace(0.0, 2 * np.pi, 201)
+    loop = np.column_stack([np.sin(s), 1 - np.cos(s)])
+    loop[0] = loop[-1] = 0.0
+    c, s60 = math.cos(math.pi / 3), math.sin(math.pi / 3)
+    turned = loop @ np.array([[c, s60], [-s60, c]])
+    return {
+        "kind": "degenerate_theta",
+        "curves": [{"points": loop.tolist()}, {"points": turned.tolist()}],
+        "junctions": [{"position": [0.0, 0.0], "frame_angle": 0.0}],
+    }
+
+
+@pytest.mark.parametrize("command", ["energy", "bounds", "minimize"])
+def test_two_crossing_loops_are_no_degenerate_theta(tmp_path, capsys, command):
+    path = tmp_path / "two_loops.json"
+    path.write_text(json.dumps(_two_loops_doc()))
+    extra = ["--out", str(tmp_path / "run")] if command == "minimize" else []
+    assert main([command, str(path), *extra]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: network fails validation") and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+_EXIT_CODES = {
+    errors.ElastinetError: 3,
+    errors.InvalidCurveError: 3,
+    errors.InvalidInputError: 2,
+    errors.InvalidConfigError: 2,
+    errors.ContractViolationError: 3,
+    errors.SingularAngleError: 3,
+    errors.NoOptimalRescaleError: 3,
+    errors.HypothesisNotMetError: 3,
+    errors.ConstructionFailedError: 3,
+    errors.ParseError: 2,
+    errors.NetworkValidationError: 3,
+    errors.OptimizationError: 4,
+    OSError: 2,
+}
+
+
+def test_exit_code_of_every_error(monkeypatch, capsys):
+    declared = {c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.ElastinetError)}
+    assert declared | {OSError} == set(_EXIT_CODES)
+    for error, code in _EXIT_CODES.items():
+
+        def fail(args, error=error):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_sweep", fail)
+        assert main(["sweep", "--alpha1-grid", "1", "--alpha2-grid", "2"]) == code, error
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("boom\n") and len(err.splitlines()) == 1
 
 
 def frozen_render_svg(network, width=640):

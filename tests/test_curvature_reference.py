@@ -21,8 +21,6 @@ from elastinet.bounds import (
     gauss_bonnet_check,
     pair_bound_check,
     pair_loop,
-    random_drop,
-    random_theta_network,
     tangent_gap_bound,
     theta_lower_bound_check,
     total_abs_curvature,
@@ -59,6 +57,7 @@ from elastinet.networks import (
     validate,
 )
 from elastinet.stationarity import el_residual, junction_residuals
+from random_networks import random_drop, random_piecewise_closed_curve, random_theta_network
 
 
 def frozen_turning_angles(points, closed):
@@ -232,7 +231,7 @@ def test_bound_checks(net):
 def test_piecewise_curves():
     rng = np.random.default_rng(3)
     for n in range(40, 60):
-        loop = bounds.random_piecewise_closed_curve(rng, n)
+        loop = random_piecewise_closed_curve(rng, n)
         arcs = [frozen_arc(a) for a in loop.arcs]
         total_k = float(sum(k for k, _, _ in arcs))
         assert gauss_bonnet_check(loop).lhs == total_k

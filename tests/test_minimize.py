@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 import tracemalloc
 
-from elastinet.bounds import random_drop, random_theta_network
 from elastinet.energy import optimal_rescale, penalized_energy
 from elastinet.errors import ConstructionFailedError, InvalidConfigError, InvalidInputError, OptimizationError
 from elastinet.geometry import DiscreteCurve, polyline_length
@@ -38,6 +37,7 @@ from elastinet.networks import (
     translate_network,
     validate,
 )
+from random_networks import random_drop, random_theta_network
 
 RBAR = optimal_bubble_radius()
 
@@ -118,16 +118,6 @@ class TestDiscreteGradient:
         assert np.linalg.norm(g.sum(axis=0)) < 1e-10
 
 
-def _same_network(a, b, atol):
-    assert (a.kind, a.prescribed_angles) == (b.kind, b.prescribed_angles)
-    for ca, cb in zip(a.curves, b.curves, strict=True):
-        assert ca.closed == cb.closed
-        np.testing.assert_allclose(ca.points, cb.points, rtol=0.0, atol=atol)
-    for ja, jb in zip(a.junctions, b.junctions, strict=True):
-        np.testing.assert_array_equal(ja.position, jb.position)
-        assert (ja.frame_angle, ja.offsets) == (jb.frame_angle, jb.offsets)
-
-
 class TestDofMap:
     @pytest.mark.parametrize(
         "net",
@@ -140,12 +130,9 @@ class TestDofMap:
         ],
         ids=lambda net: net.kind,
     )
-    def test_rebuild_of_pack_is_the_prepared_network(self, net):
+    def test_value_of_pack_is_the_network_energy(self, net):
         dof = dof_map(net)
-        back = dof.rebuild(dof.pack())
-        # every point is a variable, so the rebuilt network is the input
-        _same_network(back, dof.template, atol=4e-16 * network_diameter(net))
-        assert dof.value(dof.pack())[0] == pytest.approx(penalized_energy(back).penalized, rel=1e-14)
+        assert dof.value(dof.pack())[0] == pytest.approx(penalized_energy(net).penalized, rel=1e-14)
 
     def test_only_a_lone_four_point_is_pinned(self):
         cfg = OptimizationConfig(n_per_curve=30, max_iters=30, grad_tol=1e-12)
@@ -614,10 +601,6 @@ class TestInjectivityArithmeticChain:
 
 
 class TestMultilevel:
-    def test_ladder_must_end_at_target(self):
-        with pytest.raises(InvalidConfigError):
-            minimize_multilevel(make_teardrop(40), OptimizationConfig(n_per_curve=40, max_iters=10), levels=[20, 30])
-
     def test_theta_f_never_below_four_pi(self):
         rng = np.random.default_rng(6)
         net = random_theta_network(rng, n=40)

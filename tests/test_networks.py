@@ -14,7 +14,6 @@ from elastinet.errors import (
     ParseError,
     SingularAngleError,
 )
-from elastinet.bounds import random_theta_network
 from elastinet.cli import main
 from elastinet.geometry import DiscreteCurve
 from elastinet.minimize import recovery_sequence
@@ -43,7 +42,13 @@ from elastinet.networks import (
     serialize,
     validate,
 )
-from elastinet.networks import _first_horizontal_cut, _triple_turn_defect
+from elastinet.networks import (
+    DEGENERATE_OFFSET_VARIANTS,
+    _degenerate_pattern_defect,
+    _first_horizontal_cut,
+    _triple_turn_defect,
+)
+from random_networks import random_theta_network
 
 RBAR = optimal_bubble_radius()
 BUBBLE_F = 18.40589562425381
@@ -87,6 +92,12 @@ class TestValidate:
         report = validate(make_degenerate_figure_eight(200))
         assert report.valid
         assert report.angle_defect <= 1e-9
+
+    def test_four_point_lobes_take_neighbouring_slots(self):
+        # reversing a lobe swaps its two slots; two loops crossing alternate theirs
+        for a, b, c, d in DEGENERATE_OFFSET_VARIANTS:
+            assert _degenerate_pattern_defect(Junction(np.zeros(2), 0.3, (b, a, d, c))) < 1e-12
+            assert _degenerate_pattern_defect(Junction(np.zeros(2), 0.3, (a, d, b, c))) >= math.pi / 3
 
     @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
     def test_tolerances_positive_and_finite(self, bad):
