@@ -217,8 +217,10 @@ def amgm_energy_bound(curve_or_loop, c: float) -> AmGmCheck:
 def theta_lower_bound_check(theta: Network) -> ThetaBoundCheck:
     """F(Gamma) >= 4*pi via the three pairwise loops, each with F >= 8*pi/3.
 
-    The pair energies reuse the junction-frame end cells of the network
-    energy, so the identity F = (F_12 + F_23 + F_31) / 2 is exact.
+    Both bounds assume 120 degree junctions; a generalized theta is measured
+    against them but may fall below.  The pair energies reuse the
+    junction-frame end cells of the network energy, so the identity
+    F = (F_12 + F_23 + F_31) / 2 is exact.
     """
     if theta.kind not in ("theta", "generalized_theta"):
         raise InvalidInputError("expected a theta network")

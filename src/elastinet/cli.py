@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import os
+import reprlib
 import sys
 import time
 
@@ -168,11 +169,11 @@ def cmd_bounds(args) -> int:
             cs = turning_cauchy_schwarz(c)
             rows.append((f"cauchy_schwarz_{i}", cs.lhs, cs.rhs, cs.holds))
     elif net.kind in ("theta", "generalized_theta"):
-        tb = theta_lower_bound_check(net)
-        rows.append(("theta_4pi", tb.f_value, tb.bound, tb.holds))
-        for (i, j), fij in zip(((0, 1), (1, 2), (2, 0)), tb.pair_values):
-            rows.append((f"pair_F_{i}{j}", fij, tb.pair_bound, fij >= tb.pair_bound - 1e-9))
-        if net.kind == "theta":
+        if net.kind == "theta":  # F >= 4 pi and F_ij >= 8 pi / 3 need 120 degree junctions
+            tb = theta_lower_bound_check(net)
+            rows.append(("theta_4pi", tb.f_value, tb.bound, tb.holds))
+            for (i, j), fij in zip(((0, 1), (1, 2), (2, 0)), tb.pair_values):
+                rows.append((f"pair_F_{i}{j}", fij, tb.pair_bound, fij >= tb.pair_bound - 1e-9))
             for i, j in ((0, 1), (1, 2), (2, 0)):
                 pb = pair_bound_check(pair_loop(net, i, j))
                 rows.append((f"pair_absk_{i}{j}", pb.lhs, pb.rhs, pb.holds))
@@ -195,11 +196,11 @@ def _load_config(path: str | None, seed_override: str | None) -> OptimizationCon
         try:
             fields["seed"] = int(seed_override)
         except ValueError:
-            raise InvalidConfigError(f"ELASTINET_SEED must be an integer, got {seed_override!r}") from None
-    try:
-        return OptimizationConfig(**fields)
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfigError(str(exc)) from None
+            raise InvalidConfigError(f"ELASTINET_SEED must be an integer, got {reprlib.repr(seed_override)}") from None
+    unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(OptimizationConfig)})
+    if unknown:
+        raise InvalidConfigError(f"unknown config key {reprlib.repr(unknown[0])}")
+    return OptimizationConfig(**fields)
 
 
 def cmd_minimize(args) -> int:
@@ -294,7 +295,8 @@ def _parse_grid(text: str) -> np.ndarray:
         if not np.all(np.isfinite(grid)):
             raise ValueError("grid values must be finite")
     except ValueError as exc:
-        raise InvalidInputError(f"bad grid {text!r}: {exc}") from None
+        # the text of a failed conversion ends with the value, which the message already shows
+        raise InvalidInputError(f"bad grid {reprlib.repr(text)}: {str(exc).split(': ')[0]}") from None
     return grid
 
 

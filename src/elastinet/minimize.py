@@ -4,8 +4,10 @@ The solver works on the equal-edge tangent-angle form of a network: each
 curve has m edges of length ``h = L / m`` at angles ``theta``, energy
 ``sum (theta_k+1 - theta_k)^2 / h + L`` (the functional of
 ``polyline_energy`` on that mesh) and two closure equations,
-``h sum (cos, sin)(theta) = J_end - J_start``.  Junction curves start and end
-with an edge along the junction frame.  The rigid motions are removed by
+``h sum (cos, sin)(theta) = J_end - J_start``.  A closed curve's row of
+angles ends with one more, its first plus its total turning, which enters the
+energy but not the closure.  Junction curves start and end with an edge along
+the junction frame.  The rigid motions are removed by
 pinning a closed curve's first point and angle, a drop's first angle (its
 closure point sits at the origin), a theta's junction midpoint and frame of
 junction 0, and a degenerate theta's four-point and frame.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -36,7 +39,7 @@ import numpy as np
 
 from .energy import penalized_energy
 from .errors import InvalidConfigError, InvalidInputError, OptimizationError
-from .geometry import DiscreteCurve, checked_energy, polyline_energy, signed_angle, unit
+from .geometry import DiscreteCurve, checked_energy, polyline_energy, signed_angle
 from .injectivity import InjectivityReport, injectivity_report
 from .networks import (
     Junction,
@@ -87,11 +90,11 @@ class OptimizationConfig:
         for name in ("n_per_curve", "max_iters", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+                raise InvalidConfigError(f"{name} must be an integer, got {reprlib.repr(value)}")
         for name in ("grad_tol", "energy_rel_tol"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
-                raise InvalidConfigError(f"{name} must be a positive finite number, got {value!r}")
+                raise InvalidConfigError(f"{name} must be a positive finite number, got {reprlib.repr(value)}")
         if self.n_per_curve < 8:
             raise InvalidConfigError("n_per_curve must be at least 8")
         if self.max_iters < 0:
@@ -212,8 +215,8 @@ class _Point(NamedTuple):
     """A feasible iterate and what a Newton step at it needs."""
 
     z: np.ndarray
-    theta: np.ndarray  # edge angles, (curves, m)
-    d: np.ndarray  # their differences, a closed curve's closing one last
+    theta: np.ndarray  # the rows of angles, (curves, m), (1, m + 1) for a closed curve
+    d: np.ndarray  # their differences along each row
     f: float
     elastic: float
     length: float
@@ -223,53 +226,51 @@ class _Point(NamedTuple):
     grad_norm: float  # |g + jac^T mu|
 
 
-def _angle_profile(curve: DiscreteCurve, m: int) -> tuple[np.ndarray, float, float]:
-    """The curve's edge angles on an m-edge equal-length mesh, interpolated in
-    arclength between its edge midpoints; its length; its total turning if
-    closed, else 0."""
+def _angle_profile(curve: DiscreteCurve, m: int) -> tuple[np.ndarray, float]:
+    """The curve's row of angles, its m edge angles on an equal-length mesh
+    interpolated in arclength between its edge midpoints (for a closed curve
+    then the first plus its total turning), and its length."""
     p = curve.points
     e = np.diff(np.vstack([p, p[:1]]) if curve.closed else p, axis=0)
     a = np.hypot(e[:, 0], e[:, 1])
     angle = np.unwrap(np.arctan2(e[:, 1], e[:, 0]))
     total = float(a.sum())
     s = np.cumsum(a) - 0.5 * a
-    wrap = 0.0
     if curve.closed:
         wrap = 2.0 * math.pi * round((angle[-1] - angle[0] + float(signed_angle(e[-1], e[0]))) / (2.0 * math.pi))
         s = np.concatenate([[s[-1] - total], s, [s[0] + total]])
         angle = np.concatenate([[angle[-1] - wrap], angle, [angle[0] + wrap]])
-    return np.interp((np.arange(m) + 0.5) * (total / m), s, angle), total, wrap
+    row = np.interp((np.arange(m) + 0.5) * (total / m), s, angle)
+    return (np.append(row, row[0] + wrap) if curve.closed else row), total
 
 
 class _AngleForm:
     """A network in equal-edge tangent angles: the solver's variables.
 
+    Each curve is one row of angles: its m edge angles and, for a closed
+    curve, a last column that is no edge, the first angle plus the total
+    turning.  F is ``m / L sum(differences along the row)^2 + L`` per row.
     ``z`` holds the free angles as a (curves, nf) block, the curve lengths
-    and, for theta kinds, the frame angle of junction 1 and ``D``.  The other
-    angles are constants, except the last one of a theta curve: the frame of
-    junction 1 plus a constant.
+    and, for theta kinds, the frame angle of junction 1 and ``D``.  A row's
+    first and last angles are constants, but a drop's last is free and a
+    theta curve's last is the frame of junction 1 plus a constant.
     """
 
     def __init__(self, network: Network, n: int):
         self.template = network
         self.nc = nc = len(network.curves)
-        self.closed = network.curves[0].closed
-        self.m = m = n if self.closed else n - 1
+        self.n = n
+        self.m = m = n if network.curves[0].closed else n - 1
         self.slots = end_slots(network.kind, nc)
-        # every angle is free but the first (a junction end or the gauge) and
-        # a junction curve's last
-        self.free = slice(1, m - 1) if self.slots else slice(1, m)
-        self.nf = len(range(m)[self.free])
+        profiles = [_angle_profile(c, m) for c in network.curves]
+        theta = np.array([row for row, _ in profiles])
+        self.free = slice(1, None if network.kind == "drop" else -1)
+        self.nf = len(range(theta.shape[1])[self.free])
         self.nt = nc * self.nf
         self.free_frame = network.kind in ("theta", "generalized_theta")
         self.nh = nc + 3 * self.free_frame
-        self.touch = np.full(m, 2.0)  # angle differences each angle enters
-        if not self.closed:
-            self.touch[[0, -1]] = 1.0
-
-        profiles = [_angle_profile(c, m) for c in network.curves]
-        theta = np.array([t for t, _, _ in profiles])
-        self.wrap = profiles[0][2]
+        self.touch = np.full(theta.shape[1], 2.0)  # angle differences each angle enters
+        self.touch[[0, -1]] = 1.0
         self.const = theta.copy()
         junctions = network.junctions
         for i, ((js, ss), (je, se)) in enumerate(self.slots):
@@ -279,7 +280,7 @@ class _AngleForm:
             end = junctions[je].frame_angle + junctions[je].offsets[se] + math.pi
             end += 2.0 * math.pi * round((theta[i, -1] - end) / (2.0 * math.pi))
             self.const[i, -1] = end - junctions[je].frame_angle * self.free_frame
-        header = [[length for _, length, _ in profiles]]
+        header = [[length for _, length in profiles]]
         if self.free_frame:
             j0, j1 = junctions
             self.center = 0.5 * (j0.position + j1.position)
@@ -296,22 +297,14 @@ class _AngleForm:
             theta[:, -1] += z[self.nt + self.nc]
         return theta
 
-    def differences(self, theta):
-        d = np.diff(theta, axis=1)
-        if self.closed:
-            d = np.concatenate([d, theta[:, :1] + self.wrap - theta[:, -1:]], axis=1)
-        return d
-
     def d_sum(self, d):
         """dS/dtheta of S = sum d^2, per curve and angle."""
-        if self.closed:
-            return 2.0 * (np.roll(d, 1, axis=1) - d)
         pad = np.zeros((self.nc, 1))
         return 2.0 * (np.concatenate([pad, d], axis=1) - np.concatenate([d, pad], axis=1))
 
     def energy(self, z, theta=None) -> tuple[float, float, float]:
         """(F, E, L) at z (angles theta), infinite where a length is not positive or an edge turns by pi."""
-        return self._totals(self.lengths(z), self.differences(self.angles(z) if theta is None else theta))
+        return self._totals(self.lengths(z), np.diff(self.angles(z) if theta is None else theta, axis=1))
 
     def _totals(self, lengths, d) -> tuple[float, float, float]:
         if not (lengths.min() > 0.0 and np.abs(d).max() < math.pi):
@@ -320,7 +313,8 @@ class _AngleForm:
         return elastic + length, elastic, length
 
     def closure(self, z, theta):
-        c = self.lengths(z)[:, None] / self.m * np.stack([np.cos(theta).sum(1), np.sin(theta).sum(1)], 1)
+        edges = theta[:, : self.m]
+        c = self.lengths(z)[:, None] / self.m * np.stack([np.cos(edges).sum(1), np.sin(edges).sum(1)], 1)
         return c - z[self.nt + self.nc + 1 :] if self.free_frame else c
 
     def jacobian(self, z, theta):
@@ -332,7 +326,7 @@ class _AngleForm:
         block[lanes, 0, lanes] = -h[:, None] * sin[:, self.free]
         block[lanes, 1, lanes] = h[:, None] * cos[:, self.free]
         head = np.zeros((nc, 2, self.nh))
-        head[lanes, :, lanes] = np.stack([cos.sum(1), sin.sum(1)], 1) / self.m
+        head[lanes, :, lanes] = np.stack([cos[:, : self.m].sum(1), sin[:, : self.m].sum(1)], 1) / self.m
         if self.free_frame:
             head[:, :, nc] = h[:, None] * np.stack([-sin[:, -1], cos[:, -1]], 1)
             head[:, :, nc + 1 :] = -np.eye(2)
@@ -363,7 +357,7 @@ class _AngleForm:
 
     def evaluate(self, z, theta=None) -> _Point:
         theta = self.angles(z) if theta is None else theta
-        d = self.differences(theta)
+        d = np.diff(theta, axis=1)
         lengths = self.lengths(z)
         w = self.m / lengths
         s = np.sum(d * d, axis=1)
@@ -442,34 +436,29 @@ class _AngleForm:
         return [(self.center - half, junctions[0].frame_angle), (self.center + half, float(z[self.nt + self.nc]))]
 
     def points(self, z) -> list[np.ndarray]:
-        """Each curve's points at z.  Junction curves run from junction to
-        junction, their end edges built from the junction along its frame ray."""
-        theta = self.angles(z)
+        """Each curve's points at z: one cumulative sum of its edges from its
+        start, a junction or the template's first point, with the last point
+        set on its end.  A junction curve's last edge is laid back from its
+        end, so it stays on the frame ray."""
+        edges = self.angles(z)[:, : self.m]
         h = self.lengths(z) / self.m
-        steps = h[:, None, None] * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        if not self.slots:
-            origin = self.template.curves[0].points[0]
-            p = origin + np.concatenate([np.zeros((1, 2)), np.cumsum(steps[0], axis=0)])
-            if not self.closed:
-                p[-1] = origin
-            return [p[:-1] if self.closed else p]
-        frames, offsets = self.frames(z), [j.offsets for j in self.template.junctions]
+        steps = h[:, None, None] * np.stack([np.cos(edges), np.sin(edges)], axis=-1)
+        frames = self.frames(z)
+        origin = self.template.curves[0].points[0]
+        anchors = [(frames[js][0], frames[je][0]) for (js, _), (je, _) in self.slots] or [(origin, origin)]
         curves = []
-        for i, ((js, ss), (je, se)) in enumerate(self.slots):
-            (start, a), (end, b) = frames[js], frames[je]
-            p = np.empty((self.m + 1, 2))
-            p[0] = start
-            p[1] = start + h[i] * unit(a + offsets[js][ss])
-            p[2:-2] = p[1] + np.cumsum(steps[i, 1:-2], axis=0)
-            p[-2] = end + h[i] * unit(b + offsets[je][se])
+        for (start, end), step in zip(anchors, steps):
+            p = start + np.concatenate([np.zeros((1, 2)), np.cumsum(step, axis=0)])
             p[-1] = end
-            curves.append(p)
+            if self.slots:
+                p[-2] = end - step[-1]
+            curves.append(p[: self.n])
         return curves
 
     def network(self, z, points=None) -> Network:
         """The network at z, built from its ``points(z)`` if given."""
         points = self.points(z) if points is None else points
-        curves = tuple(DiscreteCurve(p, self.closed) for p in points)
+        curves = tuple(DiscreteCurve(p, c.closed) for p, c in zip(points, self.template.curves))
         junctions = tuple(Junction(pos, a, j.offsets) for (pos, a), j in zip(self.frames(z), self.template.junctions))
         return Network(self.template.kind, curves, junctions, self.template.prescribed_angles)
 

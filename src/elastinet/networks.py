@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,7 +150,7 @@ class Network:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise InvalidInputError(f"unknown network kind {self.kind!r}")
+            raise InvalidInputError(f"unknown network kind {reprlib.repr(self.kind)}")
         object.__setattr__(self, "curves", tuple(self.curves))
         object.__setattr__(self, "junctions", tuple(self.junctions))
         n_curves, n_junctions = _SHAPE[self.kind]
@@ -650,14 +652,19 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _finite_pair(value, path: str) -> np.ndarray:
+def _is_finite_number(x) -> bool:
+    """Whether a JSON value is a number that is finite as a float: strings
+    and booleans are no numbers."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"expected a number pair: {exc}", path) from None
-    if arr.shape != (2,) or not np.all(np.isfinite(arr)):
+        return not isinstance(x, bool) and isinstance(x, numbers.Real) and math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _finite_pair(value, path: str) -> np.ndarray:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_finite_number, value))):
         raise ParseError("expected a finite [x, y] pair", path)
-    return arr
+    return np.array(value, dtype=float)
 
 
 def serialize(network: Network) -> dict:
@@ -679,7 +686,7 @@ def deserialize(doc: dict) -> Network:
         raise ParseError("document must be an object", "/")
     kind = _require(doc, "kind", "")
     if kind not in KINDS:
-        raise ParseError(f"unknown kind {kind!r}", "/kind")
+        raise ParseError(f"unknown kind {reprlib.repr(kind)}", "/kind")
 
     curves_doc = _require(doc, "curves", "")
     if not isinstance(curves_doc, list) or not curves_doc:
@@ -691,11 +698,11 @@ def deserialize(doc: dict) -> Network:
         pts_doc = _require(cdoc, "points", f"/curves/{ci}")
         if not isinstance(pts_doc, list) or len(pts_doc) < 2:
             raise ParseError("points must list at least 2 pairs", f"/curves/{ci}/points")
-        try:
-            pts = np.asarray(pts_doc, dtype=float)
-        except (TypeError, ValueError, OverflowError):
+        try:  # numbers only: strings give kind "U", and other values kind "O"
+            pts = np.asarray(pts_doc)
+        except ValueError:
             pts = None
-        if pts is None or pts.shape != (len(pts_doc), 2) or not np.isfinite(pts).all():
+        if pts is None or pts.dtype.kind not in "if" or pts.shape != (len(pts_doc), 2) or not np.isfinite(pts).all():
             # pair by pair, to report the first bad one
             pts = np.array([_finite_pair(p, f"/curves/{ci}/points/{pi}") for pi, p in enumerate(pts_doc)])
         try:
@@ -712,7 +719,7 @@ def deserialize(doc: dict) -> Network:
             raise ParseError("junction must be an object", f"/junctions/{ji}")
         pos = _finite_pair(_require(jdoc, "position", f"/junctions/{ji}"), f"/junctions/{ji}/position")
         frame = _require(jdoc, "frame_angle", f"/junctions/{ji}")
-        if not isinstance(frame, (int, float)) or not math.isfinite(frame):
+        if not _is_finite_number(frame):
             raise ParseError("frame_angle must be a finite number", f"/junctions/{ji}/frame_angle")
         raw_junctions.append((pos, float(frame)))
 
@@ -723,7 +730,7 @@ def deserialize(doc: dict) -> Network:
             raise ParseError("angles must list three numbers", "/angles")
         angles = []
         for ai, a in enumerate(ang_doc):
-            if not isinstance(a, (int, float)) or not math.isfinite(a):
+            if not _is_finite_number(a):
                 raise ParseError("angle must be a finite number", f"/angles/{ai}")
             angles.append(float(a))
         angles = tuple(angles)

@@ -98,40 +98,35 @@ def _endpoint_curvature(kappa: np.ndarray, s: np.ndarray) -> tuple[float, float,
     return k0, d0, k1, d1
 
 
-def junction_residuals(network: Network) -> ResidualReport:
-    """Scalar and vector junction conditions plus interior residuals."""
-    slots = end_slots(network.kind, len(network.curves))
-    if not slots:
-        raise InvalidInputError("junction residuals need a junction-constrained network")
+def _residual_report(network: Network) -> ResidualReport:
+    """Interior residuals of every curve and the junction sums, none for a junction-free network."""
     profiles = [_curvature_profile(c) for c in network.curves]
     interior = tuple(residual for residual, _, _ in profiles)
     max_abs = max(float(np.max(np.abs(r))) for r in interior)
 
     scalars = [0.0] * len(network.junctions)
     vectors = [np.zeros(2)] * len(network.junctions)
-    for i, ends in enumerate(slots):
+    for i, ends in enumerate(end_slots(network.kind, len(network.curves))):
         k0, d0, k1, d1 = _endpoint_curvature(*profiles[i][1:])
         for (j, _), k, dk, tau in zip(ends, (k0, k1), (d0, d1), curve_clamps(network, i)):
             scalars[j] += k
             vectors[j] = vectors[j] + 2.0 * dk * rot90(tau) + k * k * tau
-    return ResidualReport(
-        interior_residuals=interior,
-        interior_max_abs=max_abs,
-        junction_scalar=tuple(scalars),
-        junction_vector=tuple(vectors),
-    )
+    return ResidualReport(interior, max_abs, tuple(scalars), tuple(vectors))
+
+
+def junction_residuals(network: Network) -> ResidualReport:
+    """Scalar and vector junction conditions plus interior residuals."""
+    if not network.junctions:
+        raise InvalidInputError("junction residuals need a junction-constrained network")
+    return _residual_report(network)
 
 
 def criticality_audit(network: Network, interior_tol: float = 1e-2, junction_tol: float = 1e-2) -> AuditReport:
     """Pass iff interior and junction residuals stay below the thresholds."""
-    if network.junctions:
-        report = junction_residuals(network)
-        passed = report.interior_max_abs <= interior_tol and all(
-            abs(s) <= junction_tol for s in report.junction_scalar
-        ) and all(float(np.linalg.norm(v)) <= junction_tol for v in report.junction_vector)
-    else:
-        interior = tuple(el_residual(c) for c in network.curves)
-        max_abs = max(float(np.max(np.abs(r))) for r in interior)
-        report = ResidualReport(interior, max_abs, (), ())
-        passed = max_abs <= interior_tol
+    report = _residual_report(network)
+    passed = (
+        report.interior_max_abs <= interior_tol
+        and all(abs(s) <= junction_tol for s in report.junction_scalar)
+        and all(float(np.linalg.norm(v)) <= junction_tol for v in report.junction_vector)
+    )
     return AuditReport(passed=bool(passed), interior_tol=interior_tol, junction_tol=junction_tol, report=report)

@@ -7,7 +7,7 @@ import pytest
 
 from elastinet import cli, errors
 from elastinet.cli import main
-from elastinet.energy import optimal_rescale
+from elastinet.energy import optimal_rescale, penalized_energy
 from elastinet.minimize import OptimizationConfig, minimize
 from elastinet.networks import (
     deserialize,
@@ -22,6 +22,7 @@ from elastinet.networks import (
     optimal_bubble_radius,
     rotate_network,
     save_json,
+    serialize,
     translate_network,
     validate,
     Network,
@@ -124,6 +125,32 @@ class TestEnergyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "overflow" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "field, value, path",
+        [
+            ("point", ["0.5", "0.2"], "/curves/0/points/3"),
+            ("position", [True, 0.0], "/junctions/0/position"),
+            ("frame_angle", True, "/junctions/0/frame_angle"),
+            ("angle", True, "/angles/0"),
+        ],
+        ids=["string_point", "boolean_position", "boolean_frame_angle", "boolean_angle"],
+    )
+    def test_non_numbers_exit_2(self, tmp_path, capsys, field, value, path):
+        if field == "point":
+            doc = serialize(make_circle(1.0, 16))
+            doc["curves"][0]["points"][3] = value
+        else:
+            doc = serialize(make_generalized_bubble(1.7, 2.5, 40))
+            if field == "angle":
+                doc["angles"][0] = value
+            else:
+                doc["junctions"][0][field] = value
+        src = tmp_path / "net.json"
+        src.write_text(json.dumps(doc))
+        assert main(["energy", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-3"])
     def test_bad_tolerance_exits_2(self, bubble_file, capsys, tol):
         assert main(["energy", bubble_file, f"--tol-ang={tol}"]) == 2
@@ -166,6 +193,7 @@ class TestRepeatedRayTheta:
 
 
 DROP_ROWS = ["drop_bound_0", "cauchy_schwarz_0", "drop_bound_1", "cauchy_schwarz_1"]
+THETA_GAP_ROWS = ["tangent_gap_0", "tangent_gap_1", "tangent_gap_2"]
 
 
 class TestBoundsCommand:
@@ -205,6 +233,26 @@ class TestBoundsCommand:
         assert main(["bounds", str(path)]) == 0
         table = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
         assert [row[0] for row in table] == rows
+        assert all(row[3] == "True" for row in table)
+
+    def test_bubble_rows(self, bubble_file, capsys):
+        assert main(["bounds", bubble_file]) == 0
+        table = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        pairs = ["01", "12", "20"]
+        assert [row[0] for row in table] == (
+            ["theta_4pi"] + [f"pair_F_{p}" for p in pairs] + [f"pair_absk_{p}" for p in pairs] + THETA_GAP_ROWS
+        )
+
+    @pytest.mark.parametrize("alpha1, alpha2", [(0.6, 0.8), (1.0, 2.0), (0.5, 2.6)])
+    def test_generalized_theta_skips_the_120_degree_bounds(self, tmp_path, capsys, alpha1, alpha2):
+        # F >= 4 pi and F_ij >= 8 pi / 3 fail on these valid networks: 6.81 < 4 pi, F_01 < 8 pi / 3
+        path = tmp_path / "generalized.json"
+        argv = ["reference", "--shape", "generalized", "--alpha1", str(alpha1), "--alpha2", str(alpha2)]
+        assert main(argv + ["--n", "200", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["bounds", str(path)]) == 0
+        table = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[0] for row in table] == THETA_GAP_ROWS
         assert all(row[3] == "True" for row in table)
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
@@ -354,6 +402,28 @@ class TestMinimizeCommand:
         first = final.curves[0].points[1] - final.curves[0].points[0]
         assert np.allclose(first / np.linalg.norm(first), final.junctions[0].outgoing_dir(0), atol=1e-9)
 
+    @pytest.mark.parametrize("kind", ["closed", "drop"])
+    def test_standard_frame_of_junction_free_kinds(self, tmp_path, kind):
+        net = make_ellipse(2.0, 1.0, 60) if kind == "closed" else optimal_rescale(make_teardrop(60))[1]
+        src = tmp_path / "moved.json"
+        save_json(translate_network(net, (2.0, -3.0)), src)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_per_curve": 60, "max_iters": 20}))
+        runs = {}
+        for flags in ([], ["--standard-frame"]):
+            out = tmp_path / f"run{len(flags)}"
+            assert main(["minimize", str(src), "--out", str(out), "--kind-config", str(cfg), *flags]) == 0
+            runs[bool(flags)] = load_json(out / "network_final.json")
+        (plain,), (final,) = runs[False].curves, runs[True].curves
+        if kind == "closed":  # the centroid lands at the origin
+            assert np.allclose(final.points.mean(axis=0), 0.0, atol=1e-12)
+            assert not np.allclose(plain.points.mean(axis=0), 0.0, atol=1e-3)
+        else:  # the closure point lands at the origin
+            assert np.array_equal(final.points[0], [0.0, 0.0])
+        assert np.allclose(final.points - plain.points, final.points[0] - plain.points[0], rtol=0.0, atol=1e-12)
+        f_plain, f_final = (penalized_energy(runs[key]).penalized for key in (False, True))
+        assert f_final == pytest.approx(f_plain, rel=1e-12, abs=0.0)
+
     def test_unsolvable_rose_exits_4(self, tmp_path, capsys):
         # seven petals do not close with 8 equal edges that each turn by less than pi
         t = 2 * np.pi * np.arange(400) / 400
@@ -419,6 +489,31 @@ _EXIT_CODES = {
     errors.OptimizationError: 4,
     OSError: 2,
 }
+
+
+@pytest.mark.parametrize(
+    "case", ["long_kind", "deep_kind", "long_config_key", "long_config_seed", "long_env_seed", "long_grid"]
+)
+def test_error_line_shortens_the_value(tmp_path, monkeypatch, capsys, case):
+    src, cfg = tmp_path / "net.json", tmp_path / "cfg.json"
+    save_json(make_circle(1.0, 16), src)
+    cfg.write_text("{}")
+    argv = ["minimize", str(src), "--out", str(tmp_path / "run"), "--kind-config", str(cfg)]
+    if case in ("long_kind", "deep_kind"):
+        kind = json.dumps("k" * 10**6) if case == "long_kind" else "[" * 900 + "]" * 900
+        src.write_text(f'{{"kind": {kind}, "curves": [{{"points": [[0, 0], [1, 0]]}}]}}')
+        argv = ["energy", str(src)]
+    elif case == "long_config_key":
+        cfg.write_text(json.dumps({"k" * 10**5: 1}))
+    elif case == "long_config_seed":
+        cfg.write_text(json.dumps({"seed": "7" * 10**5}))
+    elif case == "long_env_seed":
+        monkeypatch.setenv("ELASTINET_SEED", "x" * 10**5)
+    else:
+        argv = ["sweep", "--alpha1-grid", "x" * 10**5, "--alpha2-grid", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and len(err) < 300
 
 
 def test_exit_code_of_every_error(monkeypatch, capsys):

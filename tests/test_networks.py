@@ -35,6 +35,7 @@ from elastinet.networks import (
     make_standard_double_bubble,
     make_symmetric_double_drop,
     make_teardrop,
+    mirror_drop_curve,
     normalize_to_standard_frame,
     optimal_bubble_radius,
     rotate_network,
@@ -454,8 +455,8 @@ class TestPointParsing:
 
     @pytest.mark.parametrize(
         "bad",
-        [[0.5], "0.5, 0.5", [0.5, 0.5, 0.5], [0.5, float("nan")], [0.5, 10**400], [0.5, None], {"x": 0.5}],
-        ids=["ragged", "string", "triple", "nan", "int_overflow", "null", "object"],
+        [[0.5], "0.5, 0.5", [0.5, 0.5, 0.5], [0.5, float("nan")], [0.5, 10**400], [0.5, None], {"x": 0.5}, ["0.5", "0.2"], [0.5, "0.2"]],
+        ids=["ragged", "string", "triple", "nan", "int_overflow", "null", "object", "string_numbers", "string_number"],
     )
     def test_bad_pair_reports_its_path(self, circle_doc, bad):
         doc = json.loads(json.dumps(circle_doc))
@@ -493,6 +494,21 @@ class TestHorizontalCut:
     def test_horizontal_run_cut_at_its_center(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 1.0], [4.0, 1.0], [5.0, 0.0]])
         assert _first_horizontal_cut(DiscreteCurve(pts)) == pytest.approx(math.sqrt(2.0) + 1.5, rel=1e-15)
+
+    def test_recovery_cut_on_a_vertex(self):
+        """A flat cap with a vertex added at its middle is cut on that vertex."""
+        eight = make_degenerate_figure_eight(200)
+        up = eight.curves[0].points
+        k = len(up) // 2  # the cap's middle edge runs from vertex k - 1 to vertex k
+        upper = DiscreteCurve(np.insert(up, k, 0.5 * (up[k - 1] + up[k]), axis=0))
+        net = Network("degenerate_theta", (upper, mirror_drop_curve(upper)), eight.junctions)
+        f = penalized_energy(net).penalized
+        for n in (10, 100, 1000):
+            theta = recovery_sequence(net, n)
+            # a cut on a vertex repeats it; a cut inside an edge adds a point
+            assert [c.n_points for c in theta.curves[:2]] == [upper.n_points + 1] * 2
+            assert abs(penalized_energy(theta).penalized - f - 3.0 / n) < 1e-12
+            assert validate(theta, tol_ang=1e-6).valid
 
 
 class TestStandardFrame:
