@@ -80,20 +80,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_manifest(out_dir: str, command: str, input_path: str | None, config: dict, seed: int, t0: float):
-    manifest = {
-        "command": command,
-        "input": input_path,
-        "config": config,
-        "seed": seed,
-        "tool_version": __version__,
-        "python_version": sys.version.split()[0],
-        "numpy_version": np.__version__,
-        "wall_time_s": time.monotonic() - t0,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+def _write(path: str, text: str) -> None:
+    """Write one output file of a command."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _load_validated(path: str, tol_ang: float):
@@ -109,25 +99,12 @@ def _load_validated(path: str, tol_ang: float):
 def cmd_energy(args) -> int:
     net = _load_validated(args.input, args.tol_ang)
     report = penalized_energy(net, args.alpha)
-    doc = {
-        "alpha": report.alpha,
-        "length": report.length,
-        "elastic": report.elastic,
-        "penalized": report.penalized,
-        "per_curve": [
-            {"length": ce.length, "elastic": ce.elastic, "penalized": ce.penalized}
-            for ce in report.per_curve
-        ],
-        "degenerate_curves": list(report.degenerate_curves),
-    }
     print(f"{'curve':>8} {'length':>14} {'elastic':>14} {'penalized':>14}")
     for i, ce in enumerate(report.per_curve):
         print(f"{i:>8} {ce.length:>14.6f} {ce.elastic:>14.6f} {ce.penalized:>14.6f}")
     print(f"{'total':>8} {report.length:>14.6f} {report.elastic:>14.6f} {report.penalized:>14.6f}")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+        _write(args.json, json.dumps({"alpha": report.alpha, **dataclasses.asdict(report)}) + "\n")
     return EXIT_OK
 
 
@@ -136,11 +113,8 @@ def _closed_to_piecewise(curve: DiscreteCurve, corner_threshold: float) -> Piece
     psi = checked_energy(curve.points, curve.closed).psi
     corners = np.nonzero(np.abs(psi) > corner_threshold)[0]
     pts = curve.points
-    if len(corners) == 0:
-        loop = np.vstack([pts, pts[0]])
-        return PiecewiseClosedCurve((DiscreteCurve(loop),), closure_tol=1e-9)
     arcs = []
-    idx = list(corners)
+    idx = list(corners) or [0]  # no corner: one arc around the whole loop
     for a, b in zip(idx, idx[1:] + [idx[0] + len(pts)]):
         rng = np.arange(a, b + 1) % len(pts)
         arcs.append(DiscreteCurve(pts[rng]))
@@ -216,12 +190,9 @@ def cmd_minimize(args) -> int:
         final = normalize_to_standard_frame(final)
     save_svg(final, os.path.join(args.out, "after.svg"))
     save_json(final, os.path.join(args.out, "network_final.json"))
-    with open(os.path.join(args.out, "trace.csv"), "w", encoding="utf-8") as fh:
-        fh.write("iter,F,E,L,grad_norm\n")
-        for i, (f, e, l, g) in enumerate(
-            zip(result.energy_trace, result.elastic_trace, result.length_trace, result.grad_norm_trace)
-        ):
-            fh.write(f"{i},{_fmt(f)},{_fmt(e)},{_fmt(l)},{_fmt(g)}\n")
+    traces = zip(result.energy_trace, result.elastic_trace, result.length_trace, result.grad_norm_trace)
+    rows = (f"{i},{_fmt(f)},{_fmt(e)},{_fmt(l)},{_fmt(g)}\n" for i, (f, e, l, g) in enumerate(traces))
+    _write(os.path.join(args.out, "trace.csv"), "iter,F,E,L,grad_norm\n" + "".join(rows))
     summary = {
         "final_F": float(result.energy_trace[-1]),
         "final_E": float(result.elastic_trace[-1]),
@@ -234,10 +205,18 @@ def cmd_minimize(args) -> int:
             "angle_defect": result.constraint_violation.angle_defect,
         },
     }
-    with open(os.path.join(args.out, "result.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    _write_manifest(args.out, "minimize", args.input, dataclasses.asdict(config), config.seed, t0)
+    _write(os.path.join(args.out, "result.json"), json.dumps(summary, indent=2) + "\n")
+    manifest = {
+        "command": "minimize",
+        "input": args.input,
+        "config": dataclasses.asdict(config),
+        "seed": config.seed,
+        "tool_version": __version__,
+        "python_version": sys.version.split()[0],
+        "numpy_version": np.__version__,
+        "wall_time_s": time.monotonic() - t0,
+    }
+    _write(os.path.join(args.out, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
     print(f"final F = {result.energy_trace[-1]:.6f} ({result.termination}, {result.iterations} iterations)")
     return EXIT_OK
 
@@ -248,12 +227,10 @@ def cmd_reference(args) -> int:
     elif args.shape == "double-bubble":
         r = args.r if args.r is not None else optimal_bubble_radius()
         net = make_standard_double_bubble(r, args.n)
-    elif args.shape == "generalized":
+    else:  # generalized: argparse restricts the choices
         if args.alpha1 is None or args.alpha2 is None:
             raise InvalidInputError("generalized shape needs --alpha1 and --alpha2")
         net = make_generalized_bubble(args.alpha1, args.alpha2, args.n)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidInputError(f"unknown shape {args.shape!r}")
     if args.standard_frame:
         net = normalize_to_standard_frame(net)
     report = penalized_energy(net, 1.0)
@@ -314,18 +291,28 @@ def cmd_sweep(args) -> int:
             lines.append(f"{_fmt(a1)},{_fmt(a2)},{cell}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so that they exit through ``_EXIT_CODES`` like
+    every other input error; subparsers inherit it as argparse's
+    ``parser_class``."""
+
+    def error(self, message):
+        if len(message) > 250:  # keep both ends: the option and, for a choice, the choices
+            message = f"{message[:150]}...{message[-100:]}"
+        raise InvalidInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="elastinet", description=__doc__)
+    parser = _Parser(prog="elastinet", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    network_input = argparse.ArgumentParser(add_help=False)
+    network_input = _Parser(add_help=False)
     network_input.add_argument("input")
     network_input.add_argument("--tol-ang", type=float, default=1e-3, dest="tol_ang")
 
@@ -370,13 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; ``--help`` and ``--version`` exit through ``SystemExit(0)``."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on bad usage, matching our input-error code
-        return int(exc.code) if exc.code else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ElastinetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,6 +45,7 @@ from .networks import (
     Junction,
     Network,
     ValidationReport,
+    _is_finite_number,
     curve_clamps,
     end_slots,
     make_symmetric_double_drop,
@@ -93,7 +94,7 @@ class OptimizationConfig:
                 raise InvalidConfigError(f"{name} must be an integer, got {reprlib.repr(value)}")
         for name in ("grad_tol", "energy_rel_tol"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
+            if not (_is_finite_number(value) and value > 0.0):  # an int beyond the float range is not finite
                 raise InvalidConfigError(f"{name} must be a positive finite number, got {reprlib.repr(value)}")
         if self.n_per_curve < 8:
             raise InvalidConfigError("n_per_curve must be at least 8")

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,8 @@ from elastinet.networks import (
     Network,
 )
 from elastinet.svg import render_svg
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -78,20 +84,26 @@ class TestEnergyCommand:
         assert main(["energy", str(bad)]) == 2
 
     @pytest.mark.parametrize(
-        "data",
+        "data, message",
         [
-            b"\xff\xfe" + json.dumps({"kind": "closed"}).encode(),
-            b"[" * 100000,
-            b'{"kind": "closed", "curves": [{"points": [[1' + b"0" * 5000 + b', 0]]}]}',
+            (b"\xff\xfe" + json.dumps({"kind": "closed"}).encode(), "/: invalid JSON"),
+            (b"[" * 100000, "/: invalid JSON"),
+            (b'{"kind": "closed", "curves": [{"points": [[1' + b"0" * 5000 + b', 0]]}]}', "/: invalid JSON"),
+            (b"[]", "/: document must be an object"),
+            (b'{"kind": "drop", "curves": [{"points": [[0, 0]]}]}', "/curves/0/points: points must list at least 2"),
+            (
+                json.dumps({**serialize(make_standard_double_bubble(1.0, 20)), "angles": [2.0, 2.0, 2.0]}).encode(),
+                "/angles: angles only apply to generalized networks",
+            ),
         ],
-        ids=["not_utf8", "nested_too_deep", "integer_too_long"],
+        ids=["not_utf8", "nested_too_deep", "integer_too_long", "document_is_a_list", "one_point_curve", "theta_angles"],
     )
-    def test_unparsable_file_exits_2(self, tmp_path, capsys, data):
+    def test_unparsable_file_exits_2(self, tmp_path, capsys, data, message):
         path = tmp_path / "bad.json"
         path.write_bytes(data)
         assert main(["energy", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: /: invalid JSON") and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
 
     def test_overflowing_alpha_exits_2(self, circle_file, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -331,6 +343,9 @@ class TestMinimizeCommand:
             '{"max_iters": 1e400}',
             '{"max_iters": true}',
             "[" * 100000,
+            "[]",
+            '{"grad_tol": 1' + "0" * 400 + "}",
+            '{"energy_rel_tol": 1' + "0" * 400 + "}",
         ],
         ids=[
             "malformed_json",
@@ -344,6 +359,9 @@ class TestMinimizeCommand:
             "overflowing_max_iters",
             "boolean_max_iters",
             "nested_too_deep",
+            "config_is_a_list",
+            "overflowing_grad_tol",
+            "overflowing_energy_rel_tol",
         ],
     )
     def test_bad_kind_config_exits_2(self, tmp_path, circle_file, capsys, text):
@@ -351,7 +369,7 @@ class TestMinimizeCommand:
         cfg.write_text(text)
         assert main(["minimize", circle_file, "--out", str(tmp_path / "run"), "--kind-config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
     def test_seed_env_override(self, tmp_path, circle_file, monkeypatch):
@@ -516,6 +534,76 @@ def test_error_line_shortens_the_value(tmp_path, monkeypatch, capsys, case):
     assert err.startswith("error: ") and len(err.splitlines()) == 1 and len(err) < 300
 
 
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        [LONG],
+        ["reference", "--shape", LONG],
+        ["reference", "--shape", "circle", "--n", LONG],
+        ["energy", "net.json", "--tol-ang", LONG],
+        ["sweep", "--alpha1-grid", "1"],
+        ["recovery", "net.json"],
+        ["energy", "net.json", LONG],
+        ["energy", "net.json", f"--{LONG}"],
+    ],
+    ids=[
+        "no_command",
+        "unknown_command",
+        "bad_choice",
+        "bad_integer",
+        "bad_number",
+        "missing_option",
+        "missing_required_number",
+        "extra_argument",
+        "unrecognized_flag",
+    ],
+)
+def test_usage_error_is_one_short_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1 and len(captured.err) < 300
+
+
+@pytest.mark.parametrize(
+    "argv", [["--version"], ["--help"], ["minimize", "--help"]], ids=["version", "help", "command_help"]
+)
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--version"], 0),
+        (["reference", "--shape", LONG], 2),
+        (["energy", "net.json", "--tol-ang", LONG], 2),
+    ],
+    ids=["version", "long_shape", "long_tol_ang"],
+)
+def test_cli_process_exit(argv, code):
+    # a real process: what the shell sees, SystemExit and stderr included
+    proc = subprocess.run(
+        [sys.executable, "-m", "elastinet.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code
+    if code:
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and len(lines[0]) < 300
+    else:
+        assert proc.stdout.strip() and proc.stderr == ""
+
+
 def test_exit_code_of_every_error(monkeypatch, capsys):
     declared = {c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.ElastinetError)}
     assert declared | {OSError} == set(_EXIT_CODES)
@@ -663,7 +751,7 @@ class TestSweepCommand:
         assert main(["sweep", "--alpha1-grid", "1:2:0", "--alpha2-grid", "1"]) == 2
         assert main(["sweep", "--alpha1-grid", "nonsense", "--alpha2-grid", "1"]) == 2
 
-    @pytest.mark.parametrize("grid", ["nan", "inf", "-inf", "1e400", "nan:2:3", "1:inf:3", "-1e308:1e308:3"])
+    @pytest.mark.parametrize("grid", ["nan", "inf", "-inf", "1e400", "nan:2:3", "1:inf:3", "-1e308:1e308:3", "1:2"])
     def test_non_finite_grid_exits_2(self, capsys, grid):
         assert main(["sweep", "--alpha1-grid", "1", f"--alpha2-grid={grid}"]) == 2
         captured = capsys.readouterr()

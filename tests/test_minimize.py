@@ -222,6 +222,8 @@ class TestMinimize:
             {"grad_tol": float("nan")},
             {"energy_rel_tol": float("inf")},
             {"seed": "abc"},
+            {"grad_tol": 10**400},
+            {"energy_rel_tol": 10**400},
         ):
             with pytest.raises(InvalidConfigError):
                 OptimizationConfig(**bad)
