@@ -24,7 +24,7 @@ predicted decrease is below the round-off of F, if F does not rise and
 ``|g|`` falls.  ``|g|`` is the norm of the gradient in the free variables
 projected onto the tangent space of the closure equations, the KKT residual;
 ``grad_tol`` and ``converged`` read it.
-``minimize_multilevel`` runs a coarse-to-fine ladder of such solves.
+``minimize_multilevel`` runs such a solve at a coarse rung, then at the target.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ DEGENERATION_FACTOR = 1e-3
 ARMIJO_C = 1e-4  # sufficient decrease of the line search
 STEP_MIN = 1e-12  # smallest step length it tries
 ROUND_OFF = 1e-12  # predicted decreases of F below this share are not tested on F
+COARSEST = 40  # fewest points per curve of the multilevel coarse rung
 
 
 @dataclass(frozen=True)
@@ -531,18 +532,18 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
         return _result(form.network(p.z, points), zip(*trace), termination, it, config)
 
 
-def _ladder(n_target: int, coarsest: int = 40) -> list[int]:
-    """Points per curve of each rung: n_target halved, rounding up, while the half is at least ``coarsest``."""
-    levels = [n_target]
-    while (half := (levels[-1] + 1) // 2) >= coarsest:
-        levels.append(half)
-    return levels[::-1]
+def _ladder(n_target: int) -> list[int]:
+    """Points per curve of each rung: n_target halved, rounding up, while the half is at least COARSEST, then n_target."""
+    coarse = n_target
+    while (half := (coarse + 1) // 2) >= COARSEST:
+        coarse = half
+    return sorted({coarse, n_target})
 
 
 def minimize_multilevel(
     network: Network, config: OptimizationConfig | None = None
 ) -> tuple[OptimizationResult, tuple[OptimizationResult, ...]]:
-    """Coarse-to-fine ladder of minimize() runs; returns (final, all levels)."""
+    """minimize() at the coarse rung of ``_ladder``, then at ``n_per_curve``; returns (final, all levels)."""
     config = config or OptimizationConfig()
     results = []
     for n in _ladder(config.n_per_curve):

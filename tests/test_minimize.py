@@ -764,7 +764,8 @@ class TestLadders:
     def test_theta_ladder(self):
         cfg = OptimizationConfig(n_per_curve=200, max_iters=1000, grad_tol=1e-3, energy_rel_tol=1e-9)
         result, levels = minimize_multilevel(make_standard_double_bubble(RBAR, 200), cfg)
-        assert sum(level.iterations for level in levels) <= 7
+        assert len(levels) == 2
+        assert sum(level.iterations for level in levels) <= 6
         self._check(levels, cfg.grad_tol)
         f_final = result.energy_trace[-1]
         # above the continuum optimum 18.3111919 by the pinned end edges' O(h) bias
@@ -774,12 +775,13 @@ class TestLadders:
         _check_incidence(result.final)
         assert injectivity_report(result.final).total == 0
 
-    @pytest.mark.parametrize("n", [8, 39, 40, 78, 79, 80, 200, 300, 800])
+    @pytest.mark.parametrize("n", [8, 39, 40, 78, 79, 80, 156, 157, 200, 300, 800, 2000])
     def test_ladder_rule(self, n):
-        """Each rung halves the next, rounding up, while the half is at least 40."""
+        """One coarse rung, n halved (rounding up) while the half is at least 40, then n; one rung below 79."""
         levels = _ladder(n)
-        assert levels[-1] == n
-        assert all(coarse == math.ceil(fine / 2) for coarse, fine in zip(levels, levels[1:]))
+        # halving k times, rounding up each time, gives ceil(n / 2^k); the coarse rung is the last of these >= 40
+        halvings = [math.ceil(n / 2**k) for k in range(n.bit_length() + 1)]
+        assert levels == sorted({min([c for c in halvings if c >= 40], default=n), n})
         assert math.ceil(levels[0] / 2) < 40
         if n >= 79:
             assert 40 <= levels[0] < 80
@@ -787,9 +789,13 @@ class TestLadders:
             assert levels == [n]
 
     @pytest.mark.parametrize("seed", range(20))
-    @pytest.mark.parametrize("generator", [random_theta_network, random_drop], ids=["theta", "drop"])
-    def test_fuzzed_ladder(self, generator, seed):
-        cfg = OptimizationConfig(n_per_curve=100)
+    @pytest.mark.parametrize(
+        "generator, n",
+        [(random_theta_network, 100), (random_drop, 100), (random_theta_network, 200), (random_drop, 200)],
+        ids=["theta", "drop", "theta-200", "drop-200"],
+    )
+    def test_fuzzed_ladder(self, generator, n, seed):
+        cfg = OptimizationConfig(n_per_curve=n)
         result, levels = minimize_multilevel(generator(np.random.default_rng(seed)), cfg)
         self._check(levels, cfg.grad_tol)
         if result.final.kind == "drop":
@@ -804,6 +810,8 @@ class TestLadders:
         cfg = OptimizationConfig(n_per_curve=n, max_iters=1000, grad_tol=1e-9)
         result, levels = minimize_multilevel(make_standard_double_bubble(RBAR, 200), cfg)
         self._check(levels, cfg.grad_tol)
+        assert len(levels) == 2
+        assert sum(level.iterations for level in levels) <= 8
         assert result.energy_trace[-1] - 18.3111919385 == pytest.approx(5.85 / n, rel=0.02)
 
     @pytest.mark.parametrize(
