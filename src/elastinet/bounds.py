@@ -31,6 +31,7 @@ from .geometry import (
     endpoint_tangent_array,
     endpoint_tangents,
     external_angle,
+    points_diameter,
 )
 from .networks import Network
 
@@ -109,8 +110,7 @@ class PiecewiseClosedCurve:
                 raise InvalidInputError(f"arc {i} does not chain to arc {(i + 1) % len(arcs)} (gap {gap:g})")
 
     def diameter(self) -> float:
-        pts = np.vstack([a.points for a in self.arcs])
-        return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+        return points_diameter([a.points for a in self.arcs])
 
     def corner_angles(self) -> VertexAngleSet:
         """Corner i turns from the end of arc i into the start of arc i + 1."""

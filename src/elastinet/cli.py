@@ -184,7 +184,8 @@ def cmd_minimize(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     save_svg(net, os.path.join(args.out, "before.svg"))
 
-    result = minimize_multilevel(net, config)[0] if args.multilevel else minimize(net, config)
+    levels = minimize_multilevel(net, config)[1] if args.multilevel else (minimize(net, config),)
+    result = levels[-1]
     final = result.final
     if args.standard_frame:
         final = normalize_to_standard_frame(final)
@@ -217,7 +218,9 @@ def cmd_minimize(args) -> int:
         "wall_time_s": time.monotonic() - t0,
     }
     _write(os.path.join(args.out, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
-    print(f"final F = {result.energy_trace[-1]:.6f} ({result.termination}, {result.iterations} iterations)")
+    steps = [level.iterations for level in levels]
+    per_rung = f": {' + '.join(map(str, steps))}" if len(steps) > 1 else ""
+    print(f"final F = {result.energy_trace[-1]:.6f} ({result.termination}, {sum(steps)} iterations{per_rung})")
     return EXIT_OK
 
 

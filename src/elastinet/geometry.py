@@ -38,6 +38,7 @@ __all__ = [
     "DiscreteCurve",
     "VertexAngleSet",
     "polyline_length",
+    "points_diameter",
     "resample_uniform",
     "edge_vectors",
     "edge_lengths",
@@ -156,6 +157,12 @@ def polyline_length(curve) -> float:
     if len(pts) < 2:
         raise InvalidCurveError("length needs at least 2 points")
     return float(edge_lengths(pts, closed).sum())
+
+
+def points_diameter(point_sets) -> float:
+    """Diagonal of the bounding box of all the point arrays: the norm of max - min per coordinate."""
+    pts = np.vstack(point_sets)
+    return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
 
 
 def edge_tangents(curve) -> np.ndarray:

@@ -24,7 +24,8 @@ predicted decrease is below the round-off of F, if F does not rise and
 ``|g|`` falls.  ``|g|`` is the norm of the gradient in the free variables
 projected onto the tangent space of the closure equations, the KKT residual;
 ``grad_tol`` and ``converged`` read it.
-``minimize_multilevel`` runs such a solve at a coarse rung, then at the target.
+``minimize_multilevel`` runs such a solve at the target and, only if it takes
+a damped or shifted step, a coarse rung and then the target, as before.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .energy import penalized_energy
 from .errors import InvalidConfigError, InvalidInputError, OptimizationError
-from .geometry import DiscreteCurve, checked_energy, polyline_energy, signed_angle
+from .geometry import DiscreteCurve, checked_energy, points_diameter, polyline_energy, signed_angle
 from .injectivity import InjectivityReport, injectivity_report
 from .networks import (
     Junction,
@@ -115,7 +116,9 @@ class OptimizationResult:
       the full step lower ``|g|`` where the predicted decrease of F is below
       its round-off (``ROUND_OFF``);
     * ``degeneration``: a curve shrank below ``DEGENERATION_FACTOR`` times the
-      network diameter.
+      network diameter;
+    * ``damped``: ``minimize_multilevel``'s first attempt took a step that is
+      not a full, unshifted Newton step; never returned by ``minimize``.
 
     ``resample_events`` is always empty, since the solver never resamples; it
     stays for readers of the older result format.
@@ -404,8 +407,8 @@ class _AngleForm:
         # the free angles are solved lane by lane, z holds them curve by curve
         return np.concatenate([(y - ys @ x_border).reshape(nf, nc).T.ravel(), x_border[:nh]])
 
-    def line_search(self, p: _Point) -> _Point | None:
-        """The next feasible iterate, on an Armijo decrease of F, or None."""
+    def line_search(self, p: _Point) -> tuple[_Point, bool] | None:
+        """The next feasible iterate, on an Armijo decrease of F, and if it is the full, unshifted step; or None."""
         scale = 2.0 * float(np.max(self.m / self.lengths(p.z)))
         for shift in [0.0] + [scale * 10.0**k for k in range(-8, 9)]:
             dz = self.step(p, shift)
@@ -420,12 +423,12 @@ class _AngleForm:
             if restored is not None:
                 f = self.energy(*restored)[0]
                 if f < p.f and f <= p.f + ARMIJO_C * t * slope:
-                    return self.evaluate(*restored)
+                    return self.evaluate(*restored), t == 1.0 and shift == 0.0
                 # a decrease below the round-off of F cannot show: judge the
                 # full step by |g| instead
                 if t == 1.0 and f <= p.f and -slope <= ROUND_OFF * p.f:
                     if (q := self.evaluate(*restored)).grad_norm < p.grad_norm:
-                        return q
+                        return q, shift == 0.0
             t *= 0.5
         return None
 
@@ -487,9 +490,13 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
     reflection, so it is symmetric by construction and F and ``|g|`` are twice
     the lobe's; the lobe is solved to half of ``grad_tol``.
     """
-    config = config or OptimizationConfig()
+    return _minimize(network, config or OptimizationConfig(), False)
+
+
+def _minimize(network: Network, config: OptimizationConfig, stop_damped: bool) -> OptimizationResult:
+    """minimize(); with ``stop_damped``, ended ``damped`` by its first step that is not a full, unshifted Newton step."""
     if network.kind == "double_drop":
-        lobe = minimize(Network("drop", (network.curves[0],)), replace(config, grad_tol=0.5 * config.grad_tol))
+        lobe = _minimize(Network("drop", (network.curves[0],)), replace(config, grad_tol=0.5 * config.grad_tol), stop_damped)
         traces = (lobe.energy_trace, lobe.elastic_trace, lobe.length_trace, lobe.grad_norm_trace)
         return _result(
             make_symmetric_double_drop(lobe.final), [2.0 * t for t in traces], lobe.termination, lobe.iterations, config
@@ -506,24 +513,28 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
         )
     p = form.evaluate(*restored)
     trace = [(p.f, p.elastic, p.length, p.grad_norm)]
-    it, stalled = 0, False
+    it, stalled, damped = 0, False, False
     while True:
         # a connected network's bounding-box diagonal is at most sqrt(2) times its length:
         # only a curve under 2 DEGENERATION_FACTOR of the total can be degenerate
         lengths = form.lengths(p.z)
         points = form.points(p.z) if lengths.min() < 2.0 * DEGENERATION_FACTOR * lengths.sum() else None
-        diameter = 0.0 if points is None else float(np.linalg.norm(np.ptp(np.vstack(points), axis=0)))
+        diameter = 0.0 if points is None else points_diameter(points)
         if lengths.min() < DEGENERATION_FACTOR * diameter:
             termination = "degeneration"
         elif p.grad_norm <= config.grad_tol:
             termination = "converged"
+        elif damped:
+            termination = "damped"
         elif stalled:
             termination = "stalled"
         elif it >= config.max_iters:
             termination = "max_iters"
-        elif (q := form.line_search(p)) is None:
+        elif (step := form.line_search(p)) is None:
             termination = "line_search_failed"
         else:
+            q, full = step
+            damped = stop_damped and not full
             it += 1
             trace.append((q.f, q.elastic, q.length, q.grad_norm))
             stalled = 0.0 < p.f - q.f <= config.energy_rel_tol * max(abs(q.f), 1.0)
@@ -543,11 +554,15 @@ def _ladder(n_target: int) -> list[int]:
 def minimize_multilevel(
     network: Network, config: OptimizationConfig | None = None
 ) -> tuple[OptimizationResult, tuple[OptimizationResult, ...]]:
-    """minimize() at the coarse rung of ``_ladder``, then at ``n_per_curve``; returns (final, all levels)."""
+    """Returns (final, all levels).  A solve at ``n_per_curve``, stopped (``damped``) at its first step that is not a
+    full, unshifted Newton step if ``_ladder`` has two rungs, is the only level if it converges; if not, minimize()
+    runs at each rung of ``_ladder`` from ``network`` after it, so the final result is bitwise the ladder's."""
     config = config or OptimizationConfig()
-    results = []
-    for n in _ladder(config.n_per_curve):
-        results.append(minimize(results[-1].final if results else network, replace(config, n_per_curve=n)))
+    rungs = _ladder(config.n_per_curve)
+    results = [_minimize(network, config, len(rungs) > 1)]
+    if len(rungs) > 1 and results[0].termination != "converged":
+        for n in rungs:
+            results.append(minimize(results[-1].final if len(results) > 1 else network, replace(config, n_per_curve=n)))
     return results[-1], tuple(results)
 
 

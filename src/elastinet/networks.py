@@ -41,6 +41,7 @@ from .errors import (
 from .geometry import (
     DiscreteCurve,
     endpoint_tangent_array,
+    points_diameter,
     resample_uniform,
     rotate_points,
     signed_angle,
@@ -191,9 +192,7 @@ class ValidationReport:
 
 
 def network_diameter(network: Network) -> float:
-    pts = np.vstack([c.points for c in network.curves])
-    span = pts.max(axis=0) - pts.min(axis=0)
-    return float(np.linalg.norm(span))
+    return points_diameter([c.points for c in network.curves])
 
 
 def end_slots(kind: str, n_curves: int):

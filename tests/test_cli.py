@@ -12,7 +12,7 @@ import pytest
 from elastinet import cli, errors
 from elastinet.cli import main
 from elastinet.energy import optimal_rescale, penalized_energy
-from elastinet.minimize import OptimizationConfig, minimize
+from elastinet.minimize import OptimizationConfig, minimize, minimize_multilevel
 from elastinet.networks import (
     deserialize,
     load_json,
@@ -385,6 +385,26 @@ class TestMinimizeCommand:
         assert manifest["python_version"] == platform.python_version()
         assert manifest["numpy_version"] == np.__version__
 
+
+    @pytest.mark.parametrize(
+        "initial, printed",
+        [
+            (lambda: optimal_rescale(make_teardrop(100))[1], "(converged, 5 iterations)"),
+            (lambda: make_ellipse(2.0, 1.0, 100), "(converged, 5 iterations: 1 + 4 + 0)"),
+        ],
+        ids=["one-rung", "fallback"],
+    )
+    def test_prints_every_rung(self, tmp_path, capsys, initial, printed):
+        """The summary line counts the Newton steps of every level, and lists them after a fallback."""
+        src = tmp_path / "input.json"
+        save_json(initial(), src)
+        settings = {"n_per_curve": 100, "max_iters": 1000, "grad_tol": 1e-3}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        assert main(["minimize", str(src), "--out", str(tmp_path / "run"), "--kind-config", str(cfg)]) == 0
+        result, levels = minimize_multilevel(load_json(src), OptimizationConfig(**settings))
+        assert capsys.readouterr().out == f"final F = {result.energy_trace[-1]:.6f} {printed}\n"
+        assert sum(level.iterations for level in levels) == 5
 
     @pytest.mark.parametrize("kind", ["theta", "double_drop"])
     def test_no_multilevel_is_one_minimize_call(self, tmp_path, kind):

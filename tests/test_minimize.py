@@ -751,22 +751,54 @@ def test_tridiagonal_solve_matches_dense_solve(n, lanes, k):
             np.testing.assert_allclose(x[:, lane], np.linalg.solve(dense, b), rtol=0.0, atol=1e-12 * np.abs(b).max())
 
 
-class TestLadders:
-    """Coarse-to-fine ladders: every rung converges, every trace descends."""
+def _newton_steps(network, n, steps):
+    """The F trace of the first ``steps`` Newton steps at n points per curve from network, and whether each was full."""
+    form = _AngleForm(_pinned(network), n)
+    p = form.evaluate(*form.restore(form.z0))
+    trace, full = [p.f], []
+    for _ in range(steps):
+        p, was_full = form.line_search(p)
+        trace.append(p.f)
+        full.append(was_full)
+    return trace, full
 
-    def _check(self, results, grad_tol):
-        for level in results:
+
+FUZZED_STARTS = pytest.mark.parametrize(
+    "generator, n",
+    [(random_theta_network, 100), (random_drop, 100), (random_theta_network, 200), (random_drop, 200)],
+    ids=["theta", "drop", "theta-200", "drop-200"],
+)
+
+
+class TestLadders:
+    """Target-first multilevel solves: every trace descends; a damped attempt
+    at the target is followed by the converged rungs of ``_ladder``."""
+
+    def _check(self, network, cfg, levels):
+        if levels[0].termination == "damped":
+            attempt, levels = levels[0], levels[1:]
+            assert [level.config.n_per_curve for level in levels] == _ladder(cfg.n_per_curve)
+            # the attempt is the target solve up to and including its first damped step
+            trace, full = _newton_steps(network, cfg.n_per_curve, attempt.iterations)
+            assert attempt.energy_trace.tolist() == trace
+            assert full == [True] * (attempt.iterations - 1) + [False]
+            assert np.all(np.diff(attempt.energy_trace) <= 0.0)
+        else:
+            assert len(levels) == 1
+        for level in levels:
             assert level.termination == "converged"
-            assert level.grad_norm_trace[-1] <= grad_tol
+            assert level.grad_norm_trace[-1] <= cfg.grad_tol
             assert level.resample_events == ()
             assert np.all(np.diff(level.energy_trace) <= 0.0)
 
     def test_theta_ladder(self):
+        """From B_rbar, Newton at the target takes only full steps: one rung."""
         cfg = OptimizationConfig(n_per_curve=200, max_iters=1000, grad_tol=1e-3, energy_rel_tol=1e-9)
-        result, levels = minimize_multilevel(make_standard_double_bubble(RBAR, 200), cfg)
-        assert len(levels) == 2
-        assert sum(level.iterations for level in levels) <= 6
-        self._check(levels, cfg.grad_tol)
+        initial = make_standard_double_bubble(RBAR, 200)
+        result, levels = minimize_multilevel(initial, cfg)
+        assert len(levels) == 1
+        assert levels[0].iterations <= 3
+        self._check(initial, cfg, levels)
         f_final = result.energy_trace[-1]
         # above the continuum optimum 18.3111919 by the pinned end edges' O(h) bias
         assert 18.3111919 < f_final < 18.345
@@ -789,43 +821,62 @@ class TestLadders:
             assert levels == [n]
 
     @pytest.mark.parametrize("seed", range(20))
-    @pytest.mark.parametrize(
-        "generator, n",
-        [(random_theta_network, 100), (random_drop, 100), (random_theta_network, 200), (random_drop, 200)],
-        ids=["theta", "drop", "theta-200", "drop-200"],
-    )
+    @FUZZED_STARTS
     def test_fuzzed_ladder(self, generator, n, seed):
         cfg = OptimizationConfig(n_per_curve=n)
-        result, levels = minimize_multilevel(generator(np.random.default_rng(seed)), cfg)
-        self._check(levels, cfg.grad_tol)
+        initial = generator(np.random.default_rng(seed))
+        result, levels = minimize_multilevel(initial, cfg)
+        self._check(initial, cfg, levels)
         if result.final.kind == "drop":
             (c,) = result.final.curves
             assert c.points[0].tobytes() == c.points[-1].tobytes()
         else:
             _check_incidence(result.final)
 
+    @pytest.mark.parametrize("seed", range(20))
+    @FUZZED_STARTS
+    def test_fallback_is_the_ladder(self, generator, n, seed):
+        """After a damped attempt, the levels are bitwise minimize() at each rung of _ladder from the start."""
+        cfg = OptimizationConfig(n_per_curve=n)
+        initial = generator(np.random.default_rng(seed))
+        result, levels = minimize_multilevel(initial, cfg)
+        if levels[0].termination != "damped":
+            assert len(levels) == 1
+            return
+        network = initial
+        for level, rung in zip(levels[1:], _ladder(n), strict=True):
+            want = minimize(network, dataclasses.replace(cfg, n_per_curve=rung))
+            assert (level.termination, level.iterations) == (want.termination, want.iterations)
+            assert level.energy_trace.tobytes() == want.energy_trace.tobytes()
+            for got, expected in zip(level.final.curves, want.final.curves, strict=True):
+                assert got.points.tobytes() == expected.points.tobytes()
+            network = want.final
+        assert result is levels[-1]
+
     @pytest.mark.parametrize("n", [400, 800])
     def test_theta_first_order_bias(self, n):
         """The pinned end edges put F above the continuum optimum by 5.85 / n."""
         cfg = OptimizationConfig(n_per_curve=n, max_iters=1000, grad_tol=1e-9)
-        result, levels = minimize_multilevel(make_standard_double_bubble(RBAR, 200), cfg)
-        self._check(levels, cfg.grad_tol)
-        assert len(levels) == 2
+        initial = make_standard_double_bubble(RBAR, 200)
+        result, levels = minimize_multilevel(initial, cfg)
+        self._check(initial, cfg, levels)
         assert sum(level.iterations for level in levels) <= 8
         assert result.energy_trace[-1] - 18.3111919385 == pytest.approx(5.85 / n, rel=0.02)
 
     @pytest.mark.parametrize(
-        "initial, n, target",
+        "initial, n, target, terminations",
         [
-            (lambda: make_ellipse(2.0, 1.0, 200), 200, 4 * np.pi),
-            (lambda: optimal_rescale(make_teardrop(300))[1], 300, 10.60375),
+            (lambda: make_ellipse(2.0, 1.0, 200), 200, 4 * np.pi, ["damped", "converged", "converged"]),
+            (lambda: optimal_rescale(make_teardrop(300))[1], 300, 10.60375, ["converged"]),
         ],
         ids=["ellipse", "teardrop"],
     )
-    def test_curve_ladder(self, initial, n, target):
+    def test_curve_ladder(self, initial, n, target, terminations):
+        """The ellipse's first Newton step at the target is damped; the teardrop's are all full."""
         cfg = OptimizationConfig(n_per_curve=n, max_iters=40000, grad_tol=1e-3, energy_rel_tol=3e-6)
         result, levels = minimize_multilevel(initial(), cfg)
-        self._check(levels, cfg.grad_tol)
+        assert [level.termination for level in levels] == terminations
+        self._check(initial(), cfg, levels)
         assert abs(result.energy_trace[-1] - target) < 1e-4 * target
 
     def test_double_drop_gradient_honest(self):
