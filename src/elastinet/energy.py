@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidConfigError, InvalidCurveError, NoOptimalRescaleError
-from .geometry import DiscreteCurve, PolylineEnergy, checked_energy, polyline_energy
-from .networks import Network, curve_clamps, network_diameter, scale_network
+from .geometry import DiscreteCurve, PolylineEnergy, checked_energy, points_diameter, polyline_energy
+from .networks import Network, _clamps, scale_network
 
 __all__ = [
     "CurveEnergy",
@@ -63,41 +65,46 @@ def elastic_energy(curve: DiscreteCurve) -> float:
 
 def penalized_energy(network: Network, alpha: float = 1.0) -> EnergyReport:
     """F_alpha of a network; near-zero-length curves contribute nothing."""
+    return _penalized_energy(network, alpha, [c.points for c in network.curves])
+
+
+def _penalized_energy(network: Network, alpha: float, point_sets) -> EnergyReport:
+    """``penalized_energy`` of the network's curves laid on ``point_sets``, one array per curve."""
     if not (alpha > 0) or not math.isfinite(alpha):
         raise InvalidConfigError("alpha must be positive and finite")
-    diam = network_diameter(network)
-    per = []
-    degenerate = []
+    diam = points_diameter(point_sets)
+    per, degenerate = [], []
     e_tot = l_tot = 0.0
-    for i, c in enumerate(network.curves):
-        elastic, length = curve_energy(c, *curve_clamps(network, i))
-        if length < DEGENERATE_LENGTH_FACTOR * diam:
+    for i, (c, points, clamps) in enumerate(zip(network.curves, point_sets, _clamps(network))):
+        out = checked_energy(points, c.closed, *clamps)
+        if out.length < DEGENERATE_LENGTH_FACTOR * diam:
             degenerate.append(i)
             per.append(CurveEnergy(0.0, 0.0, 0.0))
             continue
-        per.append(CurveEnergy(length, elastic, elastic + alpha * length))
-        e_tot += elastic
-        l_tot += length
+        per.append(CurveEnergy(out.length, out.elastic, out.elastic + alpha * out.length))
+        e_tot += out.elastic
+        l_tot += out.length
     penalized = e_tot + alpha * l_tot
     if not math.isfinite(penalized):
         raise InvalidConfigError(f"F_alpha overflows at alpha = {alpha:.6g}")
-    return EnergyReport(
-        length=l_tot,
-        elastic=e_tot,
-        penalized=penalized,
-        alpha=float(alpha),
-        per_curve=tuple(per),
-        degenerate_curves=tuple(degenerate),
-    )
+    return EnergyReport(l_tot, e_tot, penalized, float(alpha), tuple(per), tuple(degenerate))
 
 
 def scaling_identity_check(network: Network, alpha: float) -> float:
-    """|F_1(G) - alpha^(-1/2) F_alpha(alpha^(-1/2) G)|, zero up to round-off."""
-    if not (alpha > 0):
-        raise InvalidConfigError("alpha must be positive")
+    """|F_1(G) - alpha^(-1/2) F_alpha(alpha^(-1/2) G)|, zero up to round-off; G dilated as by ``scale_network``."""
+    if not (alpha > 0) or not math.isfinite(alpha):
+        raise InvalidConfigError("alpha must be positive and finite")
     f1 = penalized_energy(network, 1.0).penalized
     lam = alpha ** -0.5
-    f_alpha = penalized_energy(scale_network(network, lam), alpha).penalized
+    about = network.junctions[0].position if network.junctions else np.zeros(2)
+    points = [about + lam * (c.points - about) for c in network.curves]
+    with np.errstate(over="ignore"):
+        try:
+            f_alpha = _penalized_energy(network, alpha, points).penalized
+        except InvalidCurveError:  # a dilated curve's own fault, such as edge lengths that overflow
+            for c, pts in zip(network.curves, points):
+                DiscreteCurve(pts, c.closed)
+            raise
     return abs(f1 - lam * f_alpha)
 
 

@@ -5,11 +5,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DiscreteCurve
 from .networks import Network, network_diameter
 
 __all__ = ["InjectivityReport", "injectivity_report"]
@@ -25,17 +25,11 @@ class InjectivityReport:
         return sum(self.self_intersections) + sum(c for _, _, c in self.pairwise_crossings)
 
 
-def _segments(curve: DiscreteCurve) -> np.ndarray:
-    pts = curve.points
-    if curve.closed:
-        return np.stack([pts, np.roll(pts, -1, axis=0)], axis=1)
-    return np.stack([pts[:-1], pts[1:]], axis=1)
-
-
-def _cross(o, a, b):
-    return (a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1]) - (a[..., 1] - o[..., 1]) * (
-        b[..., 0] - o[..., 0]
-    )
+def _segments(points: np.ndarray, closed: bool) -> np.ndarray:
+    """The segments of one curve as four rows: x and y of their starts, then of their ends."""
+    pts = points.T
+    end = np.concatenate([pts[:, 1:], pts[:, :1]], axis=1) if closed else pts[:, 1:]
+    return np.concatenate([pts[:, : end.shape[1]], end])
 
 
 # Boxes that would touch more grid cells than this are tested directly
@@ -45,7 +39,8 @@ _MAX_CELLS_PER_BOX = 64
 
 
 def _candidate_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs ``u < v`` of boxes ``[lo, hi]`` that may overlap, each pair once.
+    """Pairs ``u < v`` of boxes that may overlap, each pair once; box k spans
+    ``lo[:, k]`` to ``hi[:, k]``, row 0 in x and row 1 in y.
 
     The grid cells are the squares ``[m h, (m + 1) h)`` of a lattice through
     the origin, with ``h`` twice the middle (upper median) box size.  A box's
@@ -53,43 +48,46 @@ def _candidate_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nda
     share a point share a cell.  Boxes over ``_MAX_CELLS_PER_BOX`` cells (long
     edges) are paired instead with every box whose box overlaps theirs.
     """
-    sizes = (hi - lo).max(axis=1)
-    size = 2.0 * float(np.partition(sizes, len(sizes) // 2)[len(sizes) // 2])
-    reach = float(max(np.abs(lo).max(), np.abs(hi).max()))
+    k = lo.shape[1]
+    extent = hi - lo
+    sizes = np.maximum(extent[0], extent[1])
+    size = 2.0 * float(np.partition(sizes, k // 2)[k // 2])
+    reach = float(max(hi.max(), -lo.min()))  # the largest |coordinate|, as lo <= hi
     h = max(size, reach * 2.0**-50)  # cell indices stay below 2**50
     f_lo = np.floor(lo / h)
-    f_hi = np.floor(hi / h)
-    n_cells = (f_hi[:, 0] - f_lo[:, 0] + 1) * (f_hi[:, 1] - f_lo[:, 1] + 1)
+    width = np.floor(hi / h) - f_lo + 1  # cells per box along x and along y
+    n_cells = width[0] * width[1]
     is_long = n_cells > _MAX_CELLS_PER_BOX
     grid = np.flatnonzero(~is_long)
-    c_lo = f_lo[grid].astype(np.int64)
-    span = (f_hi[grid, 1] - f_lo[grid, 1] + 1).astype(np.int64)
+    lx, ly = np.take(f_lo, grid, axis=1).astype(np.int64)
+    span = width[1, grid].astype(np.int64)
     n_cells = n_cells[grid].astype(np.int64)
-    # one incidence per (box, cell) it touches
+    # one incidence per (box, cell) it touches, in box order
     at = np.repeat(np.arange(len(grid)), n_cells)
-    local = np.arange(len(at)) - np.repeat(np.cumsum(n_cells) - n_cells, n_cells)
-    cx = c_lo[at, 0] + local // span[at]
-    cy = c_lo[at, 1] + local % span[at]
+    row, col = np.divmod(np.arange(len(at)) - np.repeat(np.cumsum(n_cells) - n_cells, n_cells), span[at])
+    cx, cy = lx[at] + row, ly[at] + col
+    # sorted by cell; lexsort is stable, so the boxes in a cell stay in order
     order = np.lexsort((cy, cx))
     at, cx, cy = at[order], cx[order], cy[order]
     # every incidence pairs with the later ones in its cell
-    run_start = np.flatnonzero(np.r_[True, (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])])
-    run_len = np.diff(np.r_[run_start, len(at)])
-    later = np.repeat(run_start + run_len, run_len) - np.arange(len(at)) - 1
+    run = np.ones(len(at) + 1, dtype=bool)
+    run[1:-1] = (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])
+    run = np.flatnonzero(run)  # where each cell's incidences start, then len(at)
+    later = np.repeat(run[1:], run[1:] - run[:-1]) - np.arange(1, len(at) + 1)
     first = np.repeat(np.arange(len(at)), later)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-    a, b = np.minimum(at[first], at[second]), np.maximum(at[first], at[second])
+    second = np.arange(1, len(first) + 1) + first - np.repeat(np.cumsum(later) - later, later)
+    a, b = at[first], at[second]
     # keep a pair only in the lowest cell of both boxes' common range
-    keep = (cx[first] == np.maximum(c_lo[a, 0], c_lo[b, 0])) & (cy[first] == np.maximum(c_lo[a, 1], c_lo[b, 1]))
+    keep = (cx[first] == np.maximum(lx[a], lx[b])) & (cy[first] == np.maximum(ly[a], ly[b]))
     us, vs = [grid[a[keep]]], [grid[b[keep]]]
 
     long_boxes = np.flatnonzero(is_long)
-    block = max(1, 2**20 // len(lo))
+    block = max(1, 2**20 // k)
     for start in range(0, len(long_boxes), block):
         rows = long_boxes[start : start + block]
-        overlap = np.all((lo[None] <= hi[rows, None]) & (hi[None] >= lo[rows, None]), axis=-1)
+        overlap = ((lo[:, None] <= hi[:, rows, None]) & (hi[:, None] >= lo[:, rows, None])).all(axis=0)
         # a pair of long boxes is taken from its first box only
-        overlap &= ~is_long | (np.arange(len(lo)) > rows[:, None])
+        overlap &= ~is_long | (np.arange(k) > rows[:, None])
         r, other = np.nonzero(overlap)
         us.append(np.minimum(rows[r], other))
         vs.append(np.maximum(rows[r], other))
@@ -116,37 +114,31 @@ def injectivity_report(network: Network) -> InjectivityReport:
     are O(k) expected in the total number of segments k, plus O(k) per long
     edge.
     """
+    curves, n = network.curves, len(network.curves)
+    segs = [_segments(c.points, c.closed) for c in curves]
+    seg = np.concatenate(segs, axis=1)
+    start, end = seg[:2], seg[2:]
     eps = 1e-12 * max(network_diameter(network), 1e-30)
-    segs = [_segments(c) for c in network.curves]
-    n_curves = len(segs)
-    sizes = np.array([len(s) for s in segs])
-    seg = np.concatenate(segs)
-    curve = np.repeat(np.arange(n_curves), sizes)
-    index = np.arange(len(seg)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    closed = np.array([c.closed for c in network.curves])
 
-    u, v = _candidate_pairs(seg.min(axis=1) - eps, seg.max(axis=1) + eps)
-    cu, cv = curve[u], curve[v]
-    same = cu == cv
-    gap = index[v] - index[u]
-    ok = ~same | (gap >= 2)
-    ok &= ~(same & closed[cu] & (index[u] == 0) & (gap == sizes[cu] - 1))
-    u, v, cu, cv, same = u[ok], v[ok], cu[ok], cv[ok], same[ok]
+    u, v = _candidate_pairs(np.minimum(start, end) - eps, np.maximum(start, end) + eps)
+    # each coordinate holds segment u = (p, q) in row 0 and v = (r, s) in row 1;
+    # c_start holds (q - p) x (r - p) for u and (s - r) x (p - r) for v, c_end
+    # (q - p) x (s - p) and (s - r) x (q - r): zero at a shared end
+    x0, y0, x1, y1 = np.take(seg, np.stack([u, v]), axis=1)
+    dx, dy = x1 - x0, y1 - y0
+    c_start = dx * (y0[::-1] - y0) - dy * (x0[::-1] - x0)
+    c_end = dx * (y1[::-1] - y0) - dy * (x1[::-1] - x0)
+    # opposite signs, compared without their product, which can overflow
+    hit = np.sign(c_start) * np.sign(c_end) < 0
+    u, v = u[hit[0] & hit[1]], v[hit[0] & hit[1]]
+    if len(u):  # ends closer than eps are shared: junctions, drop closure points
+        gap = np.linalg.norm(seg[:, u].reshape(2, 1, 2, -1) - seg[:, v].reshape(1, 2, 2, -1), axis=2)
+        apart = (gap > eps).all(axis=(0, 1))
+        u, v = u[apart], v[apart]
 
-    p, q = seg[u, 0], seg[u, 1]
-    r, s = seg[v, 0], seg[v, 1]
-    hit = (_cross(p, q, r) * _cross(p, q, s) < 0) & (_cross(r, s, p) * _cross(r, s, q) < 0)
-    for a in (p, q):
-        for b in (r, s):
-            hit &= np.linalg.norm(a - b, axis=-1) > eps
-
-    self_counts = np.bincount(cu[hit & same], minlength=n_curves)
-    # curve pairs (i, j), i < j, in row-major order
-    ci, cj = cu[hit & ~same], cv[hit & ~same]
-    slot = ci * n_curves - ci * (ci + 1) // 2 + (cj - ci - 1)
-    pair_counts = np.bincount(slot, minlength=n_curves * (n_curves - 1) // 2)
-    pairs = [(i, j) for i in range(n_curves) for j in range(i + 1, n_curves)]
+    curve = np.repeat(np.arange(n), [s.shape[1] for s in segs])
+    crossings = Counter(zip(curve[u].tolist(), curve[v].tolist()))  # by curve pair (i, j), i <= j as u < v
     return InjectivityReport(
-        tuple(int(c) for c in self_counts),
-        tuple((i, j, int(c)) for (i, j), c in zip(pairs, pair_counts)),
+        tuple(crossings[i, i] for i in range(n)),
+        tuple((i, j, crossings[i, j]) for i in range(n) for j in range(i + 1, n)),
     )

@@ -24,8 +24,9 @@ predicted decrease is below the round-off of F, if F does not rise and
 ``|g|`` falls.  ``|g|`` is the norm of the gradient in the free variables
 projected onto the tangent space of the closure equations, the KKT residual;
 ``grad_tol`` and ``converged`` read it.
-``minimize_multilevel`` runs such a solve at the target and, only if it takes
-a damped or shifted step, a coarse rung and then the target, as before.
+``minimize_multilevel`` runs such a solve at the target and, only after a
+damped or shifted step or another end than ``converged`` or ``stalled``, a
+coarse rung and then the target, as before.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .networks import (
     Junction,
     Network,
     ValidationReport,
+    _clamps,
     _is_finite_number,
-    curve_clamps,
     end_slots,
     make_symmetric_double_drop,
     recovery_sequence,
@@ -148,7 +149,7 @@ class _PointDof:
 
     def __init__(self, network: Network):
         self.template = network
-        self.clamps = [curve_clamps(network, i) for i in range(len(network.curves))]
+        self.clamps = _clamps(network)
         self.splits = np.cumsum([c.n_points for c in network.curves])[:-1]
 
     def pack(self) -> np.ndarray:
@@ -555,12 +556,13 @@ def minimize_multilevel(
     network: Network, config: OptimizationConfig | None = None
 ) -> tuple[OptimizationResult, tuple[OptimizationResult, ...]]:
     """Returns (final, all levels).  A solve at ``n_per_curve``, stopped (``damped``) at its first step that is not a
-    full, unshifted Newton step if ``_ladder`` has two rungs, is the only level if it converges; if not, minimize()
-    runs at each rung of ``_ladder`` from ``network`` after it, so the final result is bitwise the ladder's."""
+    full, unshifted Newton step if ``_ladder`` has two rungs, is the only level if it converges or stalls (after full
+    steps only, which the ladder would repeat); if not, minimize() runs at each rung of ``_ladder`` from ``network``
+    after it, so the final result is bitwise the ladder's."""
     config = config or OptimizationConfig()
     rungs = _ladder(config.n_per_curve)
     results = [_minimize(network, config, len(rungs) > 1)]
-    if len(rungs) > 1 and results[0].termination != "converged":
+    if len(rungs) > 1 and results[0].termination not in ("converged", "stalled"):
         for n in rungs:
             results.append(minimize(results[-1].final if len(results) > 1 else network, replace(config, n_per_curve=n)))
     return results[-1], tuple(results)

@@ -212,10 +212,16 @@ def end_slots(kind: str, n_curves: int):
     return ()
 
 
-def _curve_ends(kind: str, curves):
-    """Junction, slot and estimated outgoing direction of every curve end, in one tangent pass."""
-    ends = np.array(end_slots(kind, len(curves))).reshape(-1, 2, 2)
-    return ends[..., 0], ends[..., 1], endpoint_tangent_array(curves) * np.array([[1.0], [-1.0]])
+def _clamps(network: Network):
+    """``curve_clamps`` of every curve at once: row i holds curve i's start and end directions."""
+    if not network.junctions:
+        return [(None, None)] * len(network.curves)
+    jn, slots = network.junctions, end_slots(network.kind, len(network.curves))
+    angle = np.array([[jn[j].frame_angle + jn[j].offsets[s] for j, s in ends] for ends in slots])
+    clamps = np.empty(angle.shape + (2,))
+    clamps[..., 0], clamps[..., 1] = np.cos(angle), np.sin(angle)
+    clamps[:, 1] *= -1.0  # the frame arriving at each curve's end
+    return clamps
 
 
 def curve_clamps(network: Network, i: int):
@@ -224,11 +230,7 @@ def curve_clamps(network: Network, i: int):
     Returns (start direction, incoming direction at the end); both unit
     vectors for junction-constrained kinds.
     """
-    slots = end_slots(network.kind, len(network.curves))
-    if not slots:
-        return None, None
-    (j_start, s_start), (j_end, s_end) = slots[i]
-    return network.junctions[j_start].outgoing_dir(s_start), -network.junctions[j_end].outgoing_dir(s_end)
+    return tuple(_clamps(network)[i])
 
 
 def validate(network: Network, tol_pos: float | None = None, tol_ang: float = 1e-6) -> ValidationReport:
@@ -245,10 +247,10 @@ def validate(network: Network, tol_pos: float | None = None, tol_ang: float = 1e
 
     gap = defect = 0.0
     if network.junctions:
-        j, slot, outgoing = _curve_ends(network.kind, network.curves)
+        j = np.array(end_slots(network.kind, len(network.curves)))[..., 0]
         meet = np.array([jn.position for jn in network.junctions])[j]
-        angle = np.array([[jn.frame_angle + o for o in jn.offsets] for jn in network.junctions])[j, slot]
-        defect = float(np.abs(signed_angle(np.stack([np.cos(angle), np.sin(angle)], axis=-1), outgoing)).max())
+        # each end's travel direction against its clamp, the same angle as outgoing against the frame
+        defect = float(np.abs(signed_angle(_clamps(network), endpoint_tangent_array(network.curves))).max())
     else:  # the ends of a drop, and of a double drop, meet at its first point
         meet = network.curves[0].points[0]
     if network.kind != "closed":
@@ -259,7 +261,7 @@ def validate(network: Network, tol_pos: float | None = None, tol_ang: float = 1e
         defect = max(defect, _degenerate_pattern_defect(network.junctions[0]))
     elif network.kind in ("theta", "generalized_theta"):
         angles = network.prescribed_angles or (_TWO_THIRDS_PI,) * 3
-        defect = max(defect, *(_triple_turn_defect(j.offsets, angles) for j in network.junctions))
+        defect = max(defect, _triple_turn_defect([j.offsets for j in network.junctions], angles))
 
     return ValidationReport(valid=(gap <= tol_pos and defect <= tol_ang), junction_gap=gap, angle_defect=defect)
 
@@ -268,9 +270,11 @@ def _triple_turn_defect(offsets, angles) -> float:
     """Deviation of the turns from slot i to slot i + 1 from the angles a_i.
 
     All three turns go the same way round, counterclockwise or clockwise.
+    ``offsets`` are one junction's, or one row per junction for the worst.
     """
-    turns = np.diff(offsets + offsets[:1])
-    return min(float(np.max(np.abs(_wrap_pi(sense * turns - np.asarray(angles))))) for sense in (1.0, -1.0))
+    turns = np.diff(offsets, axis=-1, append=np.asarray(offsets)[..., :1])
+    miss = np.abs(_wrap_pi(np.multiply.outer([1.0, -1.0], turns) - np.asarray(angles)))
+    return float(miss.max(axis=-1).min(axis=0).max())
 
 
 def _degenerate_pattern_defect(j: Junction) -> float:
@@ -282,12 +286,8 @@ def _degenerate_pattern_defect(j: Junction) -> float:
     """
     angles = np.mod(np.asarray(j.offsets), 2.0 * np.pi)
     order = np.argsort(angles)
-    gaps = angles[order]
-    gaps = np.diff(np.concatenate([gaps, [gaps[0] + 2.0 * np.pi]]))
-    best = np.inf
-    for pattern in ([1, 2, 1, 2], [2, 1, 2, 1]):
-        d = float(np.max(np.abs(gaps - np.asarray(pattern) * (np.pi / 3.0))))
-        best = min(best, d)
+    gaps = np.diff(angles[order], append=angles[order[0]] + 2.0 * np.pi)
+    best = float(np.abs(gaps - np.array([[1, 2, 1, 2], [2, 1, 2, 1]]) * (np.pi / 3.0)).max(axis=1).min())
     if order[0] // 2 == order[2] // 2:  # slots 2i and 2i + 1 are lobe i's
         best = max(best, np.pi / 3.0)
     return best
@@ -701,12 +701,15 @@ def deserialize(doc: dict) -> Network:
             pts = np.asarray(pts_doc)
         except ValueError:
             pts = None
-        if pts is None or pts.dtype.kind not in "if" or pts.shape != (len(pts_doc), 2) or not np.isfinite(pts).all():
+        if pts is None or pts.dtype.kind not in "if" or pts.shape != (len(pts_doc), 2):
             # pair by pair, to report the first bad one
             pts = np.array([_finite_pair(p, f"/curves/{ci}/points/{pi}") for pi, p in enumerate(pts_doc)])
-        try:
+        try:  # DiscreteCurve checks the coordinates once: finite, with distinct neighbours
             curves.append(DiscreteCurve(pts, closed=(kind == "closed")))
         except InvalidCurveError as exc:
+            if not np.isfinite(pts).all():  # pair by pair, to report the first bad one
+                for pi, p in enumerate(pts_doc):
+                    _finite_pair(p, f"/curves/{ci}/points/{pi}")
             raise ParseError(str(exc), f"/curves/{ci}") from None
 
     junctions_doc = doc.get("junctions", [])
@@ -727,12 +730,10 @@ def deserialize(doc: dict) -> Network:
         ang_doc = _require(doc, "angles", "")
         if not isinstance(ang_doc, list) or len(ang_doc) != 3:
             raise ParseError("angles must list three numbers", "/angles")
-        angles = []
         for ai, a in enumerate(ang_doc):
             if not _is_finite_number(a):
                 raise ParseError("angle must be a finite number", f"/angles/{ai}")
-            angles.append(float(a))
-        angles = tuple(angles)
+        angles = tuple(float(a) for a in ang_doc)
     elif "angles" in doc:
         raise ParseError("angles only apply to generalized networks", "/angles")
 
@@ -757,7 +758,8 @@ def _rebuild_junctions(kind, curves, raw_junctions, angles):
         candidates = [0.0, a1, a1 + a2, 2.0 * math.pi - a1, 2.0 * math.pi - a1 - a2]
     # each slot takes the candidate offset closest to the estimated outgoing
     # direction of the curve end that meets it
-    j, slot, outgoing = _curve_ends(kind, curves)
+    j, slot = np.array(end_slots(kind, len(curves))).transpose(2, 0, 1)
+    outgoing = endpoint_tangent_array(curves) * np.array([[1.0], [-1.0]])
     frames, candidates = np.array([frame for _, frame in raw_junctions])[j], np.array(candidates)
     est = np.arctan2(outgoing[..., 1], outgoing[..., 0])
     miss = np.abs(_wrap_pi(est[..., None] - (frames[..., None] + candidates)))

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import DiscreteCurve, rot90, vertex_arclengths, vertex_curvature
-from .networks import Network, curve_clamps, end_slots
+from .geometry import DiscreteCurve, vertex_arclengths, vertex_curvature
+from .networks import Network, _clamps, end_slots
 
 __all__ = [
     "ResidualReport",
@@ -64,11 +64,9 @@ def _curvature_profile(curve: DiscreteCurve):
     if curve.closed:
         total = s[-1] + float(np.linalg.norm(curve.points[0] - curve.points[-1]))
         s_ext = np.concatenate([[s[0] - (total - s[-1])], s, [total]])
-        k_ext = np.concatenate([[kappa[-1]], kappa, [kappa[0]]])
-        ks = _second_derivative(k_ext, s_ext)
-        return 2.0 * ks + kappa**3 - kappa, kappa, s
-    ks = _second_derivative(kappa, s[1:-1])
-    k_in = kappa[1:-1]
+        ks, k_in = _second_derivative(np.concatenate([[kappa[-1]], kappa, [kappa[0]]]), s_ext), kappa
+    else:
+        ks, k_in = _second_derivative(kappa, s[1:-1]), kappa[1:-1]
     return 2.0 * ks + k_in**3 - k_in, kappa, s
 
 
@@ -77,41 +75,33 @@ def el_residual(curve: DiscreteCurve) -> np.ndarray:
     return _curvature_profile(curve)[0]
 
 
-def _quadratic_eval(s3: np.ndarray, k3: np.ndarray, s0: float) -> tuple[float, float]:
-    """Value and slope at s0 of the quadratic through three (s, k) samples."""
-    val = 0.0
-    der = 0.0
-    for i in range(3):
-        others = [j for j in range(3) if j != i]
-        denom = (s3[i] - s3[others[0]]) * (s3[i] - s3[others[1]])
-        val += k3[i] * (s0 - s3[others[0]]) * (s0 - s3[others[1]]) / denom
-        der += k3[i] * ((s0 - s3[others[0]]) + (s0 - s3[others[1]])) / denom
-    return float(val), float(der)
-
-
-def _endpoint_curvature(kappa: np.ndarray, s: np.ndarray) -> tuple[float, float, float, float]:
-    """(k, k') extrapolated to both ends of an open curve."""
-    length = s[-1]
-    s_in = s[1:-1]
-    k0, d0 = _quadratic_eval(s_in[:3], kappa[:3], 0.0)
-    k1, d1 = _quadratic_eval(s_in[-3:], kappa[-3:], length)
-    return k0, d0, k1, d1
+def _quadratic_eval(s3, k3, s0: float) -> tuple[float, float]:
+    """Value and slope at s0 of the quadratic through three (s, k) samples, given as Python floats."""
+    val = der = 0.0
+    for i, (j, l) in enumerate(((1, 2), (0, 2), (0, 1))):
+        denom = (s3[i] - s3[j]) * (s3[i] - s3[l])
+        val += k3[i] * (s0 - s3[j]) * (s0 - s3[l]) / denom
+        der += k3[i] * ((s0 - s3[j]) + (s0 - s3[l])) / denom
+    return val, der
 
 
 def _residual_report(network: Network) -> ResidualReport:
-    """Interior residuals of every curve and the junction sums, none for a junction-free network."""
+    """Interior residuals of every curve and the junction sums (on Python floats: for six ends, cheaper than numpy)."""
     profiles = [_curvature_profile(c) for c in network.curves]
     interior = tuple(residual for residual, _, _ in profiles)
     max_abs = max(float(np.max(np.abs(r))) for r in interior)
-
-    scalars = [0.0] * len(network.junctions)
-    vectors = [np.zeros(2)] * len(network.junctions)
-    for i, ends in enumerate(end_slots(network.kind, len(network.curves))):
-        k0, d0, k1, d1 = _endpoint_curvature(*profiles[i][1:])
-        for (j, _), k, dk, tau in zip(ends, (k0, k1), (d0, d1), curve_clamps(network, i)):
+    slots = end_slots(network.kind, len(network.curves))
+    if not slots:
+        return ResidualReport(interior, max_abs, (), ())
+    scalars, vectors = [0.0] * len(network.junctions), [(0.0, 0.0)] * len(network.junctions)
+    for (_, kappa, s), ends, clamps in zip(profiles, slots, _clamps(network).tolist()):
+        s_in, k_in = s[[1, 2, 3, -4, -3, -2, -1]].tolist(), kappa[[0, 1, 2, -3, -2, -1]].tolist()
+        at_ends = (_quadratic_eval(s_in[:3], k_in[:3], 0.0), _quadratic_eval(s_in[3:6], k_in[3:], s_in[6]))
+        for (j, _), (k, dk), (tx, ty) in zip(ends, at_ends, clamps):
             scalars[j] += k
-            vectors[j] = vectors[j] + 2.0 * dk * rot90(tau) + k * k * tau
-    return ResidualReport(interior, max_abs, tuple(scalars), tuple(vectors))
+            vx, vy = vectors[j]  # plus 2 k' nu + k^2 tau, with nu = rot90(tau) = (-ty, tx)
+            vectors[j] = (vx + 2.0 * dk * -ty + k * k * tx, vy + 2.0 * dk * tx + k * k * ty)
+    return ResidualReport(interior, max_abs, tuple(scalars), tuple(np.array(v) for v in vectors))
 
 
 def junction_residuals(network: Network) -> ResidualReport:

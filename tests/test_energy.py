@@ -21,6 +21,8 @@ from elastinet.networks import (
     make_ellipse,
     make_generalized_bubble,
     make_standard_double_bubble,
+    make_symmetric_double_drop,
+    make_teardrop,
     optimal_bubble_radius,
     rotate_network,
     scale_network,
@@ -151,10 +153,10 @@ class TestPenalizedEnergy:
         assert report.penalized == pytest.approx(10 * np.pi, rel=1e-4)
 
     def test_alpha_must_be_positive(self):
-        with pytest.raises(InvalidConfigError):
-            penalized_energy(make_circle(1.0, 32), 0.0)
-        with pytest.raises(InvalidConfigError):
-            penalized_energy(make_circle(1.0, 32), -1.0)
+        for alpha in (0.0, -1.0, math.inf, math.nan):
+            for check in (penalized_energy, scaling_identity_check):
+                with pytest.raises(InvalidConfigError, match="alpha must be positive and finite"):
+                    check(make_circle(1.0, 32), alpha)
 
     def test_near_zero_length_curve_contributes_nothing(self):
         base = make_standard_double_bubble(1.0, 60)
@@ -188,6 +190,30 @@ class TestScalingIdentity:
 
     def test_alpha_one_trivial(self):
         assert scaling_identity_check(make_circle(1.0, 64), 1.0) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            make_ellipse(2.0, 1.0, 40),
+            make_teardrop(40, 1.7),
+            make_symmetric_double_drop(make_teardrop(30)),
+            rotate_network(make_standard_double_bubble(optimal_bubble_radius(), 40), 0.3),
+            translate_network(make_generalized_bubble(1.7, 2.5, 40), [0.4, -1.1]),
+            translate_network(make_degenerate_figure_eight(60), [2.0, 1.0]),
+        ],
+        ids=lambda net: net.kind,
+    )
+    @pytest.mark.parametrize("alpha", [0.05, 2.0, 30.0])
+    def test_matches_the_dilated_network(self, net, alpha):
+        """The identity evaluated on dilated points equals it on the network scale_network builds."""
+        lam = alpha**-0.5
+        f1 = penalized_energy(net, 1.0).penalized
+        dilated = penalized_energy(scale_network(net, lam), alpha).penalized
+        assert scaling_identity_check(net, alpha) == pytest.approx(abs(f1 - lam * dilated), rel=0.0, abs=1e-14 * f1)
+
+    def test_overflowing_dilation_is_the_curve_error(self):
+        with pytest.raises(InvalidCurveError, match="edge lengths overflow"):
+            scaling_identity_check(make_circle(1.0, 16), 1e-320)
 
 
 class TestOptimalRescale:

@@ -471,6 +471,13 @@ def _jittered(net, rng, scale):
     return Network(net.kind, tuple(curves), net.junctions)
 
 
+def _random_loop(rng, n):
+    """A closed curve through n points at random radii, in angle order: embedded."""
+    th = 2.0 * np.pi * np.arange(n) / n
+    r = rng.uniform(0.5, 1.5, n)
+    return Network("closed", (DiscreteCurve(np.column_stack([r * np.cos(th), r * np.sin(th)]), closed=True),))
+
+
 def _gerono(m):
     """Closed lemniscate x = sin(2t)/2, y = sin(t), sampled off t = 0 and t = pi
     and mirrored exactly, so its one crossing is exactly the origin."""
@@ -510,6 +517,24 @@ class TestInjectivity:
         looped = assert_matches_all_pairs(_jittered(drop, rng, 0.4))
         assert crossed.total > 0 and looped.total > 0
         assert any(c for _, _, c in crossed.pairwise_crossings)
+        # closed curves, double drops and three-point curves, small to large
+        n = (3, 4, 7, 30, 150, 600)[seed]
+        loop = _random_loop(rng, n)
+        scribble = Network("closed", (DiscreteCurve(rng.normal(size=(n, 2)), closed=True),))
+        lobes = make_symmetric_double_drop(random_drop(rng, n=max(n, 3)))
+        for net in (loop, scribble, lobes, random_theta_network(rng, n=3), random_drop(rng, n=2)):
+            assert_matches_all_pairs(net)
+            assert_matches_all_pairs(_jittered(net, rng, 0.3))
+        assert loop.curves[0].n_points == n
+        assert assert_matches_all_pairs(loop).total == 0
+        assert n < 30 or assert_matches_all_pairs(scribble).total > 0
+
+    def test_huge_coordinates(self):
+        # the two cross products of a side test overflow when multiplied
+        t = (np.arange(200) + 0.5) * (2 * np.pi / 200)
+        pts = 1e150 * np.column_stack([0.5 * np.sin(2 * t), np.sin(t)])
+        report = injectivity_report(Network("closed", (DiscreteCurve(pts, closed=True),)))
+        assert report.self_intersections == (1,)
 
     @pytest.mark.parametrize("m", [3, 10, 57, 400])
     def test_lemniscate_crossing_on_cell_corner(self, m):
@@ -772,7 +797,8 @@ FUZZED_STARTS = pytest.mark.parametrize(
 
 class TestLadders:
     """Target-first multilevel solves: every trace descends; a damped attempt
-    at the target is followed by the converged rungs of ``_ladder``."""
+    at the target is followed by the converged rungs of ``_ladder``, and a
+    stalled one, all of whose steps were full, is the one level."""
 
     def _check(self, network, cfg, levels):
         if levels[0].termination == "damped":
@@ -786,8 +812,16 @@ class TestLadders:
         else:
             assert len(levels) == 1
         for level in levels:
-            assert level.termination == "converged"
-            assert level.grad_norm_trace[-1] <= cfg.grad_tol
+            if level.termination == "stalled":
+                trace, full = _newton_steps(network, cfg.n_per_curve, level.iterations)
+                assert level.energy_trace.tolist() == trace
+                assert all(full)
+                f = level.energy_trace
+                assert 0.0 < f[-2] - f[-1] <= cfg.energy_rel_tol * max(abs(f[-1]), 1.0)
+                assert level.grad_norm_trace[-1] > cfg.grad_tol
+            else:
+                assert level.termination == "converged"
+                assert level.grad_norm_trace[-1] <= cfg.grad_tol
             assert level.resample_events == ()
             assert np.all(np.diff(level.energy_trace) <= 0.0)
 
@@ -878,6 +912,21 @@ class TestLadders:
         assert [level.termination for level in levels] == terminations
         self._check(initial(), cfg, levels)
         assert abs(result.energy_trace[-1] - target) < 1e-4 * target
+
+    def test_stalled_attempt_is_kept(self):
+        """The ladder after a stalled attempt stalls too, at the same F and a larger |g|."""
+        cfg = OptimizationConfig(n_per_curve=300, max_iters=40000, grad_tol=1e-9, energy_rel_tol=3e-6)
+        initial = optimal_rescale(make_teardrop(300))[1]
+        result, levels = minimize_multilevel(initial, cfg)
+        assert [level.termination for level in levels] == ["stalled"]
+        self._check(initial, cfg, levels)
+        network = initial
+        for n in _ladder(300):
+            ladder = minimize(network, dataclasses.replace(cfg, n_per_curve=n))
+            assert ladder.termination == "stalled"
+            network = ladder.final
+        assert ladder.energy_trace[-1] == pytest.approx(result.energy_trace[-1], rel=1e-14)
+        assert result.grad_norm_trace[-1] < ladder.grad_norm_trace[-1]
 
     def test_double_drop_gradient_honest(self):
         cfg = OptimizationConfig(n_per_curve=300, max_iters=40000, grad_tol=1e-3, energy_rel_tol=3e-6)

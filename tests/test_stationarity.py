@@ -16,7 +16,7 @@ from elastinet.networks import (
     translate_network,
 )
 from elastinet.energy import optimal_rescale
-from elastinet.stationarity import _endpoint_curvature, criticality_audit, el_residual, junction_residuals
+from elastinet.stationarity import criticality_audit, el_residual, junction_residuals
 
 RBAR = optimal_bubble_radius()
 RBAR_INV_SQ = 1.206748335783172
@@ -45,6 +45,23 @@ class TestElResidual:
             el_residual(DiscreteCurve(pts))
 
 
+def quadratic_at(s3, k3, s0):
+    """Value and slope at s0 of the quadratic through three (s, k) samples, one term at a time."""
+    val = der = 0.0
+    for i in range(3):
+        others = [j for j in range(3) if j != i]
+        denom = (s3[i] - s3[others[0]]) * (s3[i] - s3[others[1]])
+        val += k3[i] * (s0 - s3[others[0]]) * (s0 - s3[others[1]]) / denom
+        der += k3[i] * ((s0 - s3[others[0]]) + (s0 - s3[others[1]])) / denom
+    return float(val), float(der)
+
+
+def endpoint_curvature(kappa, s):
+    """(k, k') at both ends of an open curve, from the three interior vertices nearest to each."""
+    s_in = s[1:-1]
+    return (*quadratic_at(s_in[:3], kappa[:3], 0.0), *quadratic_at(s_in[-3:], kappa[-3:], s[-1]))
+
+
 def per_kind_junction_sums(network):
     """The junction sums with the ends of each junction listed kind by kind."""
     if network.kind == "degenerate_theta":
@@ -56,7 +73,7 @@ def per_kind_junction_sums(network):
         scalar, vector = 0.0, np.zeros(2)
         for i, end in ends:
             curve = network.curves[i]
-            k0, d0, k1, d1 = _endpoint_curvature(vertex_curvature(curve)[0], vertex_arclengths(curve))
+            k0, d0, k1, d1 = endpoint_curvature(vertex_curvature(curve)[0], vertex_arclengths(curve))
             k, dk = (k0, d0) if end == 0 else (k1, d1)
             tau = np.asarray(curve_clamps(network, i)[end], float)
             scalar += k
