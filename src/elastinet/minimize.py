@@ -15,13 +15,15 @@ junction 0, and a degenerate theta's four-point and frame.
 Each step is a Newton step on the KKT conditions (Nocedal and Wright, ch.
 18): one cyclic-reduction solve (Buzbee, Golub and Nielson, SIAM J. Numer.
 Anal. 7, 1970) of the per-curve tridiagonal Hessian of the Lagrangian for all
-right-hand sides, O(m) work and memory in O(log m) vectorized sweeps, plus a
-Schur complement over the bordering lengths, free frame, ``D = J_1 - J_0``
-and closure rows.  The Hessian is shifted (Levenberg) until the step
-descends; each trial point is put back onto the closure equations by
-Gauss-Newton and accepted on an Armijo decrease of F, or, where the
-predicted decrease is below the round-off of F, if F does not rise and
-``|g|`` falls.  ``|g|`` is the norm of the gradient in the free variables
+right-hand sides, O(m) work and memory in O(log m) vectorized sweeps down to
+at most 31 rows that one batched dense solve finishes, plus a Schur
+complement over the bordering lengths, free frame, ``D = J_1 - J_0`` and
+closure rows.  An iterate's cos and sin come from one pass, the last of its
+restoration, shared by the closure, its Jacobian and the step.  The Hessian
+is shifted (Levenberg) until the step descends; each trial point is put back
+onto the closure equations by Gauss-Newton and accepted on an Armijo
+decrease of F, or, where the predicted decrease is below the round-off of F,
+if F does not rise and ``|g|`` falls.  ``|g|`` is the norm of the gradient in the free variables
 projected onto the tangent space of the closure equations, the KKT residual;
 ``grad_tol`` and ``converged`` read it.
 ``minimize_multilevel`` runs such a solve at the target and, only after a
@@ -31,6 +33,7 @@ coarse rung and then the target, as before.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import reprlib
@@ -191,24 +194,27 @@ def _tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
     """Solve symmetric tridiagonal systems, one per lane, for many right-hand sides.
 
     ``diag`` is (n, lanes), ``off`` (n - 1, lanes) and ``rhs`` (n, lanes, k).
-    Odd-even cyclic reduction without pivoting, on the system padded with
-    identity rows to 2^p - 1 rows: each level eliminates the even rows of all
-    lanes at once; O(n k) work and memory in O(log n) sweeps.
+    Odd-even cyclic reduction without pivoting, on the system padded with identity
+    rows to ``(b + 1) 2^p - 1`` rows: each of p levels eliminates the even rows of all
+    lanes at once (a Schur complement), and one batched dense solve finishes the
+    b <= 31 rows left; O(n k) work and memory in O(log n) sweeps.
     """
     n, lanes = diag.shape
-    pad = 2 ** n.bit_length() - 1 - n
-    d = np.concatenate([diag, np.ones((pad, lanes))])[:, :, None]
-    e = np.concatenate([np.zeros((1, lanes)), off, np.zeros((pad + 1, lanes))])[:, :, None]  # e[i] couples rows i-1, i
-    r = np.concatenate([rhs, np.zeros((pad,) + rhs.shape[1:])])
+    block = 1 << (n // 32).bit_length()  # 2^levels: the fewest levels that leave at most 31 rows
+    size = -(-(n + 1) // block) * block - 1
+    d, e, r = np.ones((size, lanes, 1)), np.zeros((size + 1, lanes, 1)), np.zeros((size,) + rhs.shape[1:])
+    d[:n, :, 0], e[1:n, :, 0], r[:n] = diag, off, rhs  # e[i] couples rows i-1, i
     levels = []
-    while len(d) > 1:
+    while len(d) > 31:
         lo, hi, inv = e[0::2], e[1::2], 1.0 / d[0::2]  # the even rows' couplings and inverse pivots
         s_lo, s_hi, ri = lo * inv, hi * inv, r[0::2] * inv
         levels.append((s_lo, s_hi, ri))
         d = d[1::2] - hi[:-1] * s_hi[:-1] - lo[1:] * s_lo[1:]
         r = r[1::2] - hi[:-1] * ri[:-1] - lo[1:] * ri[1:]
         e = -lo * s_hi
-    x, zero = r / d, np.zeros((1,) + r.shape[1:])
+    i, base = np.arange(len(d)), np.zeros((lanes, len(d), len(d)))  # the rows left, dense, lane by lane
+    base[:, i, i], base[:, i[1:], i[:-1]], base[:, i[:-1], i[1:]] = d[:, :, 0].T, e[1:-1, :, 0].T, e[1:-1, :, 0].T
+    x, zero = np.linalg.solve(base, r.transpose(1, 0, 2)).transpose(1, 0, 2), np.zeros((1,) + r.shape[1:])
     for s_lo, s_hi, ri in reversed(levels):
         xp = np.concatenate([zero, x, zero])
         x = np.empty((2 * len(ri) - 1,) + x.shape[1:])
@@ -221,8 +227,9 @@ class _Point(NamedTuple):
     """A feasible iterate and what a Newton step at it needs."""
 
     z: np.ndarray
-    theta: np.ndarray  # the rows of angles, (curves, m), (1, m + 1) for a closed curve
-    d: np.ndarray  # their differences along each row
+    cs: np.ndarray  # cos and sin of the rows of angles, (2, curves, m), (2, 1, m + 1) for a closed curve
+    ds: np.ndarray  # dS/dtheta of S = sum d^2, d the differences along each row
+    s: np.ndarray  # S per row
     f: float
     elastic: float
     length: float
@@ -303,11 +310,6 @@ class _AngleForm:
             theta[:, -1] += z[self.nt + self.nc]
         return theta
 
-    def d_sum(self, d):
-        """dS/dtheta of S = sum d^2, per curve and angle."""
-        pad = np.zeros((self.nc, 1))
-        return 2.0 * (np.concatenate([pad, d], axis=1) - np.concatenate([d, pad], axis=1))
-
     def energy(self, z, theta=None) -> tuple[float, float, float]:
         """(F, E, L) at z (angles theta), infinite where a length is not positive or an edge turns by pi."""
         return self._totals(self.lengths(z), np.diff(self.angles(z) if theta is None else theta, axis=1))
@@ -318,28 +320,31 @@ class _AngleForm:
         elastic, length = float(np.sum(self.m * np.sum(d * d, axis=1) / lengths)), float(lengths.sum())
         return elastic + length, elastic, length
 
-    def closure(self, z, theta):
-        edges = theta[:, : self.m]
-        c = self.lengths(z)[:, None] / self.m * np.stack([np.cos(edges).sum(1), np.sin(edges).sum(1)], 1)
+    def trig(self, theta):
+        """cos and sin at angles theta, (2, curves, columns), and their sums over each row's edges, (curves, 2)."""
+        cs = np.empty((2,) + theta.shape)
+        np.cos(theta, out=cs[0]), np.sin(theta, out=cs[1])
+        return cs, np.add.reduce(cs[:, :, : self.m], axis=2).T
+
+    def closure(self, z, sums):
+        c = self.lengths(z)[:, None] / self.m * sums
         return c - z[self.nt + self.nc + 1 :] if self.free_frame else c
 
-    def jacobian(self, z, theta):
+    def jacobian(self, z, cs, sums):
         nc, nf, nt = self.nc, self.nf, self.nt
-        h = self.lengths(z) / self.m
-        cos, sin = np.cos(theta), np.sin(theta)
-        lanes = np.arange(nc)
-        block = np.zeros((nc, 2, nc, nf))
-        block[lanes, 0, lanes] = -h[:, None] * sin[:, self.free]
-        block[lanes, 1, lanes] = h[:, None] * cos[:, self.free]
-        head = np.zeros((nc, 2, self.nh))
-        head[lanes, :, lanes] = np.stack([cos[:, : self.m].sum(1), sin[:, : self.m].sum(1)], 1) / self.m
+        h, (cos, sin) = self.lengths(z) / self.m, cs
+        jac = np.zeros((nc, 2, nt + self.nh))
+        for i in range(nc):  # curve i's rows: its free angles and its length
+            jac[i, 0, i * nf : (i + 1) * nf] = -h[i] * sin[i, self.free]
+            jac[i, 1, i * nf : (i + 1) * nf] = h[i] * cos[i, self.free]
+            jac[i, :, nt + i] = sums[i] / self.m
         if self.free_frame:
-            head[:, :, nc] = h[:, None] * np.stack([-sin[:, -1], cos[:, -1]], 1)
-            head[:, :, nc + 1 :] = -np.eye(2)
-        return np.concatenate([block.reshape(nc, 2, nt), head], axis=2).reshape(2 * nc, nt + self.nh)
+            jac[:, :, nt + nc] = h[:, None] * np.stack([-sin[:, -1], cos[:, -1]], 1)
+            jac[:, :, nt + nc + 1 :] = -np.eye(2)
+        return jac.reshape(2 * nc, nt + self.nh)
 
     def restore(self, z):
-        """Gauss-Newton (least-change steps) onto the closure equations: (z, its angles), or None.
+        """Gauss-Newton (least-change steps) onto the closure equations: (z, its angles, their ``trig``), or None.
 
         The lengths stay: a curve far from closing would otherwise be closed
         mostly by shrinking it towards a point.
@@ -347,46 +352,48 @@ class _AngleForm:
         tol = 1e-15 * max(1.0, float(np.abs(self.lengths(z)).sum()))
         for _ in range(12):
             theta = self.angles(z)
-            c = self.closure(z, theta).ravel()
+            cs, sums = self.trig(theta)
+            c = self.closure(z, sums).ravel()
             defect = float(np.max(np.abs(c)))
             if not (self.lengths(z).min() > 0.0 and math.isfinite(defect)):
                 return None
             if defect <= tol:
-                return z, theta
-            jac = self.jacobian(z, theta)
+                return z, theta, cs, sums
+            jac = self.jacobian(z, cs, sums)
             jac[:, self.nt : self.nt + self.nc] = 0.0
             try:
                 z = z - jac.T @ np.linalg.solve(jac @ jac.T, c)
             except np.linalg.LinAlgError:
                 return None
-        return (z, self.angles(z)) if defect <= 1e3 * tol else None
+        theta = self.angles(z)
+        return (z, theta, *self.trig(theta)) if defect <= 1e3 * tol else None
 
-    def evaluate(self, z, theta=None) -> _Point:
-        theta = self.angles(z) if theta is None else theta
+    def evaluate(self, z, theta, cs, sums) -> _Point:
         d = np.diff(theta, axis=1)
         lengths = self.lengths(z)
         w = self.m / lengths
-        s = np.sum(d * d, axis=1)
-        g_theta = w[:, None] * self.d_sum(d)
+        s, pad = np.sum(d * d, axis=1), np.zeros((self.nc, 1))
+        ds = 2.0 * (np.concatenate([pad, d], axis=1) - np.concatenate([d, pad], axis=1))  # dS/dtheta of S = sum d^2
+        g_theta = w[:, None] * ds
         header = [1.0 - w * s / lengths]
         if self.free_frame:
             header += [[g_theta[:, -1].sum()], np.zeros(2)]
         g = np.concatenate([g_theta[:, self.free].ravel()] + header)
-        jac = self.jacobian(z, theta)
+        jac = self.jacobian(z, cs, sums)
         mu = -np.linalg.solve(jac @ jac.T, jac @ g)
         grad_norm = float(np.linalg.norm(g + jac.T @ mu))
-        return _Point(z, theta, d, *self._totals(lengths, d), g, jac, mu.reshape(-1, 2), grad_norm)
+        return _Point(z, cs, ds, s, *self._totals(lengths, d), g, jac, mu.reshape(-1, 2), grad_norm)
 
     def step(self, p: _Point, shift: float) -> np.ndarray:
         """Newton-KKT step at p with the Hessian shifted by ``shift``."""
         nc, nf, nt, nh = self.nc, self.nf, self.nt, self.nh
         lengths = self.lengths(p.z)
         w = self.m / lengths
-        cos, sin = np.cos(p.theta), np.sin(p.theta)
+        cos, sin = p.cs
         # Hessian of the Lagrangian: tridiagonal in each curve's angles, and
         # the angle-length column
         diag = 2.0 * w[:, None] * self.touch - (p.mu[:, :1] * cos + p.mu[:, 1:] * sin) / w[:, None]
-        cross = -(w / lengths)[:, None] * self.d_sum(p.d) + (p.mu[:, 1:] * cos - p.mu[:, :1] * sin) / self.m
+        cross = -(w / lengths)[:, None] * p.ds + (p.mu[:, 1:] * cos - p.mu[:, :1] * sin) / self.m
         # border columns: lengths, [free frame, D], closure rows
         nb = nh + 2 * nc
         lanes = np.arange(nc)
@@ -394,7 +401,7 @@ class _AngleForm:
         border[:, lanes, lanes] = cross[:, self.free].T
         border[:, :, nh:] = p.jac[:, :nt].reshape(2 * nc, nc, nf).transpose(2, 1, 0)
         corner = np.zeros((nb, nb))
-        corner[lanes, lanes] = 2.0 * w * np.sum(p.d * p.d, axis=1) / lengths**2 + shift
+        corner[lanes, lanes] = 2.0 * w * p.s / lengths**2 + shift
         if self.free_frame:
             border[-1, :, nc] = -2.0 * w
             corner[nc, nc] = diag[:, -1].sum() + shift
@@ -410,8 +417,8 @@ class _AngleForm:
 
     def line_search(self, p: _Point) -> tuple[_Point, bool] | None:
         """The next feasible iterate, on an Armijo decrease of F, and if it is the full, unshifted step; or None."""
-        scale = 2.0 * float(np.max(self.m / self.lengths(p.z)))
-        for shift in [0.0] + [scale * 10.0**k for k in range(-8, 9)]:
+        shifts = (2.0 * float(np.max(self.m / self.lengths(p.z))) * 10.0**k for k in range(-8, 9))
+        for shift in itertools.chain([0.0], shifts):  # the Levenberg scale only once a shift is tried
             dz = self.step(p, shift)
             slope = float(p.g @ dz)
             if slope < 0.0:  # False for NaN too
@@ -422,7 +429,7 @@ class _AngleForm:
         while t >= STEP_MIN:
             restored = self.restore(p.z + t * dz)
             if restored is not None:
-                f = self.energy(*restored)[0]
+                f = self.energy(*restored[:2])[0]
                 if f < p.f and f <= p.f + ARMIJO_C * t * slope:
                     return self.evaluate(*restored), t == 1.0 and shift == 0.0
                 # a decrease below the round-off of F cannot show: judge the
@@ -507,7 +514,7 @@ def _minimize(network: Network, config: OptimizationConfig, stop_damped: bool) -
         return _result(network, [[report.penalized], [report.elastic], [report.length], [math.nan]], "max_iters", 0, config)
     form = _AngleForm(_pinned(network), config.n_per_curve)
     restored = form.restore(form.z0)
-    if restored is None or not math.isfinite(form.energy(*restored)[0]):
+    if restored is None or not math.isfinite(form.energy(*restored[:2])[0]):
         raise OptimizationError(
             f"the network has no closed equal-edge form at {config.n_per_curve} points per curve"
             " whose edges turn by less than pi"

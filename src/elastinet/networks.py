@@ -22,6 +22,7 @@ Kinds:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -701,7 +702,9 @@ def deserialize(doc: dict) -> Network:
             pts = np.asarray(pts_doc)
         except ValueError:
             pts = None
-        if pts is None or pts.dtype.kind not in "if" or pts.shape != (len(pts_doc), 2):
+        numeric = pts is not None and pts.dtype.kind in "if" and pts.shape == (len(pts_doc), 2)
+        # booleans turn into numbers too: one pass over the value types finds them
+        if not (numeric and bool not in set(map(type, itertools.chain.from_iterable(pts_doc)))):
             # pair by pair, to report the first bad one
             pts = np.array([_finite_pair(p, f"/curves/{ci}/points/{pi}") for pi, p in enumerate(pts_doc)])
         try:  # DiscreteCurve checks the coordinates once: finite, with distinct neighbours

@@ -36,7 +36,7 @@ def render_svg(network: Network, width: int = 640) -> str:
         if c.closed:
             p = np.vstack([p, p[0]])
         xs, ys = mapped(p)
-        coords = " ".join(f"{x:.8g},{y:.8g}" for x, y in zip(xs.tolist(), ys.tolist()))
+        coords = " ".join(["%.8g,%.8g"] * len(p)) % tuple(np.column_stack([xs, ys]).ravel().tolist())
         color = _COLORS[i % len(_COLORS)]
         lines.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="{stroke:.6g}"/>'

@@ -95,8 +95,25 @@ class TestEnergyCommand:
                 json.dumps({**serialize(make_standard_double_bubble(1.0, 20)), "angles": [2.0, 2.0, 2.0]}).encode(),
                 "/angles: angles only apply to generalized networks",
             ),
+            (
+                b'{"kind": "drop", "curves": [{"points": [[0, 0], [true, 1], [0, 0]]}]}',
+                "/curves/0/points/1: expected a finite [x, y] pair",
+            ),
+            (
+                b'{"kind": "drop", "curves": [{"points": [[0.5, 0], [true, 1.5], [0.5, 0]]}]}',
+                "/curves/0/points/1: expected a finite [x, y] pair",
+            ),
         ],
-        ids=["not_utf8", "nested_too_deep", "integer_too_long", "document_is_a_list", "one_point_curve", "theta_angles"],
+        ids=[
+            "not_utf8",
+            "nested_too_deep",
+            "integer_too_long",
+            "document_is_a_list",
+            "one_point_curve",
+            "theta_angles",
+            "boolean_among_integers",
+            "boolean_among_floats",
+        ],
     )
     def test_unparsable_file_exits_2(self, tmp_path, capsys, data, message):
         path = tmp_path / "bad.json"

@@ -657,6 +657,16 @@ def _perturbed_form(kind, n=16, scale=0.05, seed=0):
     return form, form.restore(z)[0]
 
 
+def _trig(form, z):
+    """The angle form's trigonometric pass at z, off the closure equations too."""
+    return form.trig(form.angles(z))
+
+
+def _evaluate(form, z):
+    """The angle form's point at z, off the closure equations too."""
+    return form.evaluate(z, form.angles(z), *_trig(form, z))
+
+
 def _check_incidence(net):
     """Curve ends sit bitwise on their junctions and end edges on the frame rays."""
     for curve, ends in zip(net.curves, end_slots(net.kind, len(net.curves))):
@@ -682,11 +692,11 @@ class TestAngleForm:
 
     def test_closure_restored(self, kind):
         form, z = _perturbed_form(kind)
-        assert np.max(np.abs(form.closure(z, form.angles(z)))) <= 1e-15 * max(1.0, form.lengths(z).sum())
+        assert np.max(np.abs(form.closure(z, _trig(form, z)[1]))) <= 1e-15 * max(1.0, form.lengths(z).sum())
 
     def test_gradient_and_jacobian_match_central_differences(self, kind):
         form, z = _perturbed_form(kind)
-        p = form.evaluate(z)
+        p = _evaluate(form, z)
         h = 1e-6
         fd_g = np.empty(len(z))
         fd_jac = np.empty((2 * form.nc, len(z)))
@@ -695,7 +705,7 @@ class TestAngleForm:
             zp[i] += h
             zm[i] -= h
             fd_g[i] = (form.energy(zp)[0] - form.energy(zm)[0]) / (2 * h)
-            fd_jac[:, i] = (form.closure(zp, form.angles(zp)) - form.closure(zm, form.angles(zm))).ravel() / (2 * h)
+            fd_jac[:, i] = (form.closure(zp, _trig(form, zp)[1]) - form.closure(zm, _trig(form, zm)[1])).ravel() / (2 * h)
         denom = np.maximum(np.abs(p.g), 1e-3 * max(np.abs(p.g).max(), 1.0))
         assert np.max(np.abs(fd_g - p.g) / denom) < 1e-5
         assert np.max(np.abs(fd_jac - p.jac)) < 1e-8
@@ -706,11 +716,11 @@ class TestAngleForm:
     def test_step_solves_the_dense_kkt_system(self, kind):
         # Hessian of the Lagrangian by central differences of its gradient
         form, z = _perturbed_form(kind, n=10)
-        p = form.evaluate(z)
+        p = _evaluate(form, z)
         mu = p.mu.ravel()
 
         def lagrangian_gradient(zz):
-            q = form.evaluate(zz)
+            q = _evaluate(form, zz)
             return q.g + q.jac.T @ mu
 
         h = 1e-6
@@ -755,22 +765,26 @@ def test_solution_does_not_depend_on_scale(kind, n):
 
 
 @pytest.mark.parametrize("lanes, k", [(1, 1), (1, 13), (3, 1), (3, 13)])
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 12, 199, 256, 1000])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 12, 30, 31, 32, 33, 63, 64, 65, 199, 256, 1000])
 def test_tridiagonal_solve_matches_dense_solve(n, lanes, k):
     rng = np.random.default_rng(n * 100 + lanes * 10 + k)
     diag = 4.0 + np.abs(rng.normal(size=(n, lanes)))
     rhs = rng.normal(size=(n, lanes, k))
     # diagonally dominant, as the solver's Hessians nearly are; a general
-    # off-diagonal, and the read-only broadcast one step() passes
-    for off in (rng.uniform(-2.0, 2.0, (n - 1, lanes)), np.broadcast_to(rng.uniform(-2.0, 2.0, lanes), (n - 1, lanes))):
-        inputs = [diag, off, rhs]
+    # off-diagonal, the read-only broadcast one step() passes, and diagonal
+    # entries of both signs, as an unshifted Hessian at a saddle has
+    general = rng.uniform(-2.0, 2.0, (n - 1, lanes))
+    broadcast = np.broadcast_to(rng.uniform(-2.0, 2.0, lanes), (n - 1, lanes))
+    indefinite = diag * np.where(np.arange(n) % 3 == 1, -1.0, 1.0)[:, None]
+    for main, off in ((diag, general), (diag, broadcast), (indefinite, 0.5 * general)):
+        inputs = [main, off, rhs]
         copies = [a.copy() for a in inputs]
-        x = _tridiagonal_solve(diag, off, rhs)
+        x = _tridiagonal_solve(main, off, rhs)
         assert x.shape == rhs.shape
         for a, a0 in zip(inputs, copies):
             assert np.array_equal(a, a0)
         for lane in range(lanes):
-            dense = np.diag(diag[:, lane]) + np.diag(off[:, lane], 1) + np.diag(off[:, lane], -1)
+            dense = np.diag(main[:, lane]) + np.diag(off[:, lane], 1) + np.diag(off[:, lane], -1)
             b = rhs[:, lane]
             assert np.abs(dense @ x[:, lane] - b).max() <= 1e-12 * np.abs(b).max()
             np.testing.assert_allclose(x[:, lane], np.linalg.solve(dense, b), rtol=0.0, atol=1e-12 * np.abs(b).max())
@@ -898,18 +912,19 @@ class TestLadders:
         assert result.energy_trace[-1] - 18.3111919385 == pytest.approx(5.85 / n, rel=0.02)
 
     @pytest.mark.parametrize(
-        "initial, n, target, terminations",
+        "initial, n, target, terminations, steps",
         [
-            (lambda: make_ellipse(2.0, 1.0, 200), 200, 4 * np.pi, ["damped", "converged", "converged"]),
-            (lambda: optimal_rescale(make_teardrop(300))[1], 300, 10.60375, ["converged"]),
+            (lambda: make_ellipse(2.0, 1.0, 200), 200, 4 * np.pi, ["damped", "converged", "converged"], [1, 4, 0]),
+            (lambda: optimal_rescale(make_teardrop(300))[1], 300, 10.60375, ["converged"], [5]),
         ],
         ids=["ellipse", "teardrop"],
     )
-    def test_curve_ladder(self, initial, n, target, terminations):
+    def test_curve_ladder(self, initial, n, target, terminations, steps):
         """The ellipse's first Newton step at the target is damped; the teardrop's are all full."""
         cfg = OptimizationConfig(n_per_curve=n, max_iters=40000, grad_tol=1e-3, energy_rel_tol=3e-6)
         result, levels = minimize_multilevel(initial(), cfg)
         assert [level.termination for level in levels] == terminations
+        assert [level.iterations for level in levels] == steps
         self._check(initial(), cfg, levels)
         assert abs(result.energy_trace[-1] - target) < 1e-4 * target
 
@@ -933,5 +948,6 @@ class TestLadders:
         drop = optimal_rescale(make_teardrop(300))[1]
         res = minimize_symmetric_double_drop(make_symmetric_double_drop(drop), cfg)
         assert res.termination == "converged"
+        assert res.iterations == 5
         assert res.grad_norm_trace[-1] <= cfg.grad_tol
         assert abs(res.energy_trace[-1] - 21.2075) < 1e-4 * 21.2075

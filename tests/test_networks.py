@@ -455,8 +455,14 @@ class TestPointParsing:
 
     @pytest.mark.parametrize(
         "bad",
-        [[0.5], "0.5, 0.5", [0.5, 0.5, 0.5], [0.5, float("nan")], [0.5, 10**400], [0.5, None], {"x": 0.5}, ["0.5", "0.2"], [0.5, "0.2"]],
-        ids=["ragged", "string", "triple", "nan", "int_overflow", "null", "object", "string_numbers", "string_number"],
+        [
+            [0.5], "0.5, 0.5", [0.5, 0.5, 0.5], [0.5, float("nan")], [0.5, 10**400], [0.5, None], {"x": 0.5},
+            ["0.5", "0.2"], [0.5, "0.2"], [True, 0.5],
+        ],
+        ids=[
+            "ragged", "string", "triple", "nan", "int_overflow", "null", "object", "string_numbers", "string_number",
+            "boolean",
+        ],
     )
     def test_bad_pair_reports_its_path(self, circle_doc, bad):
         doc = json.loads(json.dumps(circle_doc))
