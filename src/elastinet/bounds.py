@@ -28,8 +28,6 @@ from .geometry import (
     PolylineEnergy,
     VertexAngleSet,
     checked_energy,
-    endpoint_tangent_array,
-    endpoint_tangents,
     external_angle,
     points_diameter,
 )
@@ -114,15 +112,14 @@ class PiecewiseClosedCurve:
 
     def corner_angles(self) -> VertexAngleSet:
         """Corner i turns from the end of arc i into the start of arc i + 1."""
-        tau = endpoint_tangent_array(self.arcs)
+        tau = np.stack([a.end_tangents for a in self.arcs])
         angles = tuple(external_angle(a, b) for a, b in zip(tau[:, 1], np.roll(tau[:, 0], -1, axis=0)))
         return VertexAngleSet(angles, tuple(i for i, th in enumerate(angles) if abs(th - math.pi) < 1e-9))
 
 
 def _arc_kernel(arc: DiscreteCurve) -> PolylineEnergy:
     """The discrete energy of an open arc clamped to its estimated end tangents."""
-    tau0, tau1 = endpoint_tangents(arc)
-    return checked_energy(arc.points, False, tau0, tau1)
+    return checked_energy(arc.points, False, *arc.end_tangents)
 
 
 def _abs_turning(out: PolylineEnergy) -> float:
@@ -199,7 +196,7 @@ def amgm_energy_bound(curve_or_loop, c: float) -> AmGmCheck:
     if isinstance(curve_or_loop, PiecewiseClosedCurve):
         kernels = [_arc_kernel(a) for a in curve_or_loop.arcs]
     elif isinstance(curve_or_loop, DiscreteCurve):
-        kernels = [checked_energy(curve_or_loop.points, curve_or_loop.closed)]
+        kernels = [curve_or_loop.kernel]
     else:
         raise InvalidInputError("expected a DiscreteCurve or PiecewiseClosedCurve")
     total_k = float(sum(_abs_turning(out) for out in kernels))
@@ -246,7 +243,7 @@ def theta_lower_bound_check(theta: Network) -> ThetaBoundCheck:
 
 def turning_cauchy_schwarz(curve: DiscreteCurve) -> InequalityCheck:
     """integral |k| ds <= sqrt(E * L), sharp for constant curvature."""
-    out = checked_energy(curve.points, curve.closed)
+    out = curve.kernel
     lhs = _abs_turning(out)
     rhs = math.sqrt(max(out.elastic * out.length, 0.0))
     tol = _FLOAT_SLACK * (1.0 + rhs)
@@ -262,9 +259,9 @@ def tangent_gap_bound(curve: DiscreteCurve) -> InequalityCheck:
     """
     if curve.closed:
         raise InvalidInputError("expected an open curve")
-    tau0, tau1 = endpoint_tangents(curve)
+    tau0, tau1 = curve.end_tangents
     gap = float(np.linalg.norm(tau1 - tau0))
-    out = checked_energy(curve.points, False, tau0, tau1)
+    out = _arc_kernel(curve)
     rhs = math.sqrt((out.elastic + out.length) * out.length)
     tol = _FLOAT_SLACK * (1.0 + rhs)
     return InequalityCheck(lhs=gap, rhs=rhs, holds=bool(gap <= rhs + tol))

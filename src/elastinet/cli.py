@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    _FLOAT_SLACK,
     PiecewiseClosedCurve,
     amgm_energy_bound,
     drop_bound_check,
@@ -40,7 +41,7 @@ from .errors import (
     OptimizationError,
     ParseError,
 )
-from .geometry import DiscreteCurve, checked_energy
+from .geometry import DiscreteCurve
 from .minimize import (
     OptimizationConfig,
     minimize,
@@ -110,7 +111,7 @@ def cmd_energy(args) -> int:
 
 def _closed_to_piecewise(curve: DiscreteCurve, corner_threshold: float) -> PiecewiseClosedCurve:
     """Split a closed polyline into smooth arcs at sharp-turning vertices."""
-    psi = checked_energy(curve.points, curve.closed).psi
+    psi = curve.kernel.psi
     corners = np.nonzero(np.abs(psi) > corner_threshold)[0]
     pts = curve.points
     arcs = []
@@ -146,8 +147,9 @@ def cmd_bounds(args) -> int:
         if net.kind == "theta":  # F >= 4 pi and F_ij >= 8 pi / 3 need 120 degree junctions
             tb = theta_lower_bound_check(net)
             rows.append(("theta_4pi", tb.f_value, tb.bound, tb.holds))
+            pair_tol = _FLOAT_SLACK * (1.0 + tb.f_value)  # the tolerance of tb.pairs_hold
             for (i, j), fij in zip(((0, 1), (1, 2), (2, 0)), tb.pair_values):
-                rows.append((f"pair_F_{i}{j}", fij, tb.pair_bound, fij >= tb.pair_bound - 1e-9))
+                rows.append((f"pair_F_{i}{j}", fij, tb.pair_bound, fij >= tb.pair_bound - pair_tol))
             for i, j in ((0, 1), (1, 2), (2, 0)):
                 pb = pair_bound_check(pair_loop(net, i, j))
                 rows.append((f"pair_absk_{i}{j}", pb.lhs, pb.rhs, pb.holds))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, InvalidCurveError, NoOptimalRescaleError
 from .geometry import DiscreteCurve, PolylineEnergy, checked_energy, points_diameter, polyline_energy
-from .networks import Network, _clamps, scale_network
+from .networks import Network, _curve_terms, scale_network
 
 __all__ = [
     "CurveEnergy",
@@ -29,8 +29,6 @@ __all__ = [
     "polyline_energy",
     "PolylineEnergy",
 ]
-
-DEGENERATE_LENGTH_FACTOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,30 +58,32 @@ def curve_energy(curve: DiscreteCurve, clamp_start=None, clamp_end=None) -> tupl
 
 def elastic_energy(curve: DiscreteCurve) -> float:
     """Bending energy of a standalone curve; free ends carry no turning."""
-    return curve_energy(curve)[0]
+    return curve.kernel.elastic
 
 
 def penalized_energy(network: Network, alpha: float = 1.0) -> EnergyReport:
     """F_alpha of a network; near-zero-length curves contribute nothing."""
-    return _penalized_energy(network, alpha, [c.points for c in network.curves])
+    return _penalized_energy(network, alpha)
 
 
-def _penalized_energy(network: Network, alpha: float, point_sets) -> EnergyReport:
-    """``penalized_energy`` of the network's curves laid on ``point_sets``, one array per curve."""
+def _penalized_energy(network: Network, alpha: float, point_sets=None) -> EnergyReport:
+    """``penalized_energy`` of the network's curves laid on ``point_sets``, one array per curve, or on their own."""
     if not (alpha > 0) or not math.isfinite(alpha):
         raise InvalidConfigError("alpha must be positive and finite")
-    diam = points_diameter(point_sets)
+    if point_sets is None:
+        terms = network.curve_terms
+    else:
+        terms = _curve_terms(network, point_sets, points_diameter(point_sets))
     per, degenerate = [], []
     e_tot = l_tot = 0.0
-    for i, (c, points, clamps) in enumerate(zip(network.curves, point_sets, _clamps(network))):
-        out = checked_energy(points, c.closed, *clamps)
-        if out.length < DEGENERATE_LENGTH_FACTOR * diam:
+    for i, (elastic, length, is_degenerate) in enumerate(terms):
+        if is_degenerate:
             degenerate.append(i)
             per.append(CurveEnergy(0.0, 0.0, 0.0))
             continue
-        per.append(CurveEnergy(out.length, out.elastic, out.elastic + alpha * out.length))
-        e_tot += out.elastic
-        l_tot += out.length
+        per.append(CurveEnergy(length, elastic, elastic + alpha * length))
+        e_tot += elastic
+        l_tot += length
     penalized = e_tot + alpha * l_tot
     if not math.isfinite(penalized):
         raise InvalidConfigError(f"F_alpha overflows at alpha = {alpha:.6g}")

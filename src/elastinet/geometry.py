@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -73,14 +74,16 @@ class DiscreteCurve:
 
     ``closed`` curves wrap around (the closing edge is implicit, the first
     point is not repeated).  Consecutive points must be distinct, the discrete
-    analogue of |dγ/dx| != 0.
+    analogue of |dγ/dx| != 0.  ``points`` is a read-only copy of the input, so
+    ``kernel`` and ``end_tangents`` are computed once, on first use.
     """
 
     points: np.ndarray
     closed: bool = False
 
     def __post_init__(self):
-        pts = _as_points(self.points)
+        pts = _as_points(self.points).copy()
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         n_min = 3 if self.closed else 2
         if len(pts) < n_min:
@@ -99,7 +102,24 @@ class DiscreteCurve:
         return len(self.points)
 
     def reversed(self) -> "DiscreteCurve":
-        return DiscreteCurve(self.points[::-1].copy(), self.closed)
+        return DiscreteCurve(self.points[::-1], self.closed)
+
+    def __reduce__(self):  # copies and pickles are built afresh: read-only, with nothing cached
+        return DiscreteCurve, (self.points, self.closed)
+
+    @cached_property
+    def kernel(self) -> PolylineEnergy:
+        """``checked_energy(points, closed)``, computed once: the turning with free ends."""
+        out = checked_energy(self.points, self.closed)
+        out.psi.flags.writeable = out.ell.flags.writeable = False
+        return out
+
+    @cached_property
+    def end_tangents(self) -> np.ndarray:
+        """``endpoint_tangent_array([curve])[0]`` of an open curve, computed once: rows start, end."""
+        out = endpoint_tangent_array([self])[0]
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -289,7 +309,7 @@ def vertex_curvature(curve) -> tuple[np.ndarray, np.ndarray]:
     pts, closed = _points_of(curve)
     if len(pts) < 3:
         raise InvalidCurveError("curvature needs at least 3 points")
-    out = checked_energy(pts, closed)
+    out = curve.kernel if isinstance(curve, DiscreteCurve) else checked_energy(pts, closed)
     return out.psi / out.ell, out.ell
 
 

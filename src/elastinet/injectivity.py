@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import Network, network_diameter
+from .networks import Network
 
 __all__ = ["InjectivityReport", "injectivity_report"]
 
@@ -118,7 +118,7 @@ def injectivity_report(network: Network) -> InjectivityReport:
     segs = [_segments(c.points, c.closed) for c in curves]
     seg = np.concatenate(segs, axis=1)
     start, end = seg[:2], seg[2:]
-    eps = 1e-12 * max(network_diameter(network), 1e-30)
+    eps = 1e-12 * max(network.diameter, 1e-30)
 
     u, v = _candidate_pairs(np.minimum(start, end) - eps, np.maximum(start, end) + eps)
     # each coordinate holds segment u = (p, q) in row 0 and v = (r, s) in row 1;

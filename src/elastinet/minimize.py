@@ -50,7 +50,6 @@ from .networks import (
     Junction,
     Network,
     ValidationReport,
-    _clamps,
     _is_finite_number,
     end_slots,
     make_symmetric_double_drop,
@@ -152,7 +151,7 @@ class _PointDof:
 
     def __init__(self, network: Network):
         self.template = network
-        self.clamps = _clamps(network)
+        self.clamps = network.clamps
         self.splits = np.cumsum([c.n_points for c in network.curves])[:-1]
 
     def pack(self) -> np.ndarray:

@@ -3,7 +3,8 @@
 A network bundles one to three discrete curves with junction metadata.  At a
 constrained junction the admissible outgoing tangent directions are encoded as
 a single frame angle plus fixed per-curve offsets, which makes the prescribed
-angles exact by construction and cheap to validate.
+angles exact by construction and cheap to validate.  A network computes its
+``clamps``, ``diameter`` and ``curve_terms`` once, on first use.
 
 Kinds:
 
@@ -28,6 +29,7 @@ import math
 import numbers
 import reprlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .errors import (
 )
 from .geometry import (
     DiscreteCurve,
+    checked_energy,
     endpoint_tangent_array,
     points_diameter,
     resample_uniform,
@@ -92,6 +95,7 @@ _SHAPE = {
 KINDS = tuple(_SHAPE)
 
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
+DEGENERATE_LENGTH_FACTOR = 1e-12
 
 # Outgoing-direction offsets relative to the junction frame.  At the second
 # junction of a theta the cyclic order of the curves reverses.
@@ -184,6 +188,29 @@ class Network:
         elif self.prescribed_angles is not None:
             raise NetworkValidationError("prescribed angles only apply to generalized networks")
 
+    @cached_property
+    def diameter(self) -> float:
+        """``points_diameter`` of all the curves' points."""
+        return points_diameter([c.points for c in self.curves])
+
+    @cached_property
+    def curve_terms(self) -> tuple[tuple[float, float, bool], ...]:
+        """Each curve's (elastic, length, degenerate) under its junction clamps: ``penalized_energy`` at any alpha."""
+        return _curve_terms(self, [c.points for c in self.curves], self.diameter)
+
+    @cached_property
+    def clamps(self):
+        """``curve_clamps`` of every curve at once: row i holds curve i's start and end directions."""
+        if not self.junctions:
+            return ((None, None),) * len(self.curves)
+        jn, slots = self.junctions, end_slots(self.kind, len(self.curves))
+        angle = np.array([[jn[j].frame_angle + jn[j].offsets[s] for j, s in ends] for ends in slots])
+        clamps = np.empty(angle.shape + (2,))
+        clamps[..., 0], clamps[..., 1] = np.cos(angle), np.sin(angle)
+        clamps[:, 1] *= -1.0  # the frame arriving at each curve's end
+        clamps.flags.writeable = False
+        return clamps
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -193,7 +220,14 @@ class ValidationReport:
 
 
 def network_diameter(network: Network) -> float:
-    return points_diameter([c.points for c in network.curves])
+    return network.diameter
+
+
+def _curve_terms(network: Network, point_sets, diameter: float) -> tuple[tuple[float, float, bool], ...]:
+    """(elastic, length, degenerate) of each curve on ``point_sets``; free curves on their own points read ``kernel``."""
+    pairs = zip(network.curves, point_sets, network.clamps)
+    kernels = [c.kernel if p is c.points and cl[0] is None else checked_energy(p, c.closed, *cl) for c, p, cl in pairs]
+    return tuple((k.elastic, k.length, k.length < DEGENERATE_LENGTH_FACTOR * diameter) for k in kernels)
 
 
 def end_slots(kind: str, n_curves: int):
@@ -213,25 +247,13 @@ def end_slots(kind: str, n_curves: int):
     return ()
 
 
-def _clamps(network: Network):
-    """``curve_clamps`` of every curve at once: row i holds curve i's start and end directions."""
-    if not network.junctions:
-        return [(None, None)] * len(network.curves)
-    jn, slots = network.junctions, end_slots(network.kind, len(network.curves))
-    angle = np.array([[jn[j].frame_angle + jn[j].offsets[s] for j, s in ends] for ends in slots])
-    clamps = np.empty(angle.shape + (2,))
-    clamps[..., 0], clamps[..., 1] = np.cos(angle), np.sin(angle)
-    clamps[:, 1] *= -1.0  # the frame arriving at each curve's end
-    return clamps
-
-
 def curve_clamps(network: Network, i: int):
     """Prescribed endpoint travel directions of curve i, or (None, None).
 
     Returns (start direction, incoming direction at the end); both unit
     vectors for junction-constrained kinds.
     """
-    return tuple(_clamps(network)[i])
+    return tuple(network.clamps[i])
 
 
 def validate(network: Network, tol_pos: float | None = None, tol_ang: float = 1e-6) -> ValidationReport:
@@ -242,7 +264,7 @@ def validate(network: Network, tol_pos: float | None = None, tol_ang: float = 1e
     points of each curve, so exact constructions validate to round-off.
     """
     if tol_pos is None:
-        tol_pos = 1e-9 * max(network_diameter(network), 1e-30)
+        tol_pos = 1e-9 * max(network.diameter, 1e-30)
     if not (0.0 < tol_pos < math.inf and 0.0 < tol_ang < math.inf):
         raise InvalidInputError("tolerances must be positive and finite")
 
@@ -251,7 +273,7 @@ def validate(network: Network, tol_pos: float | None = None, tol_ang: float = 1e
         j = np.array(end_slots(network.kind, len(network.curves)))[..., 0]
         meet = np.array([jn.position for jn in network.junctions])[j]
         # each end's travel direction against its clamp, the same angle as outgoing against the frame
-        defect = float(np.abs(signed_angle(_clamps(network), endpoint_tangent_array(network.curves))).max())
+        defect = float(np.abs(signed_angle(network.clamps, endpoint_tangent_array(network.curves))).max())
     else:  # the ends of a drop, and of a double drop, meet at its first point
         meet = network.curves[0].points[0]
     if network.kind != "closed":

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import DiscreteCurve, vertex_arclengths, vertex_curvature
-from .networks import Network, _clamps, end_slots
+from .networks import Network, end_slots
 
 __all__ = [
     "ResidualReport",
@@ -94,7 +94,7 @@ def _residual_report(network: Network) -> ResidualReport:
     if not slots:
         return ResidualReport(interior, max_abs, (), ())
     scalars, vectors = [0.0] * len(network.junctions), [(0.0, 0.0)] * len(network.junctions)
-    for (_, kappa, s), ends, clamps in zip(profiles, slots, _clamps(network).tolist()):
+    for (_, kappa, s), ends, clamps in zip(profiles, slots, network.clamps.tolist()):
         s_in, k_in = s[[1, 2, 3, -4, -3, -2, -1]].tolist(), kappa[[0, 1, 2, -3, -2, -1]].tolist()
         at_ends = (_quadratic_eval(s_in[:3], k_in[:3], 0.0), _quadratic_eval(s_in[3:6], k_in[3:], s_in[6]))
         for (j, _), (k, dk), (tx, ty) in zip(ends, at_ends, clamps):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -271,6 +272,24 @@ class TestBoundsCommand:
         assert [row[0] for row in table] == (
             ["theta_4pi"] + [f"pair_F_{p}" for p in pairs] + [f"pair_absk_{p}" for p in pairs] + THETA_GAP_ROWS
         )
+
+    @pytest.mark.parametrize("below, holds, code", [(5e-9, True, 0), (1e-7, False, 3)])
+    def test_pair_rows_take_the_library_tolerance(self, tmp_path, monkeypatch, capsys, below, holds, code):
+        # F = 18.4 here, so pairs_hold allows 1e-9 (1 + F) = 1.9e-8 below 8 pi / 3
+        path = tmp_path / "bubble.json"
+        save_json(make_standard_double_bubble(optimal_bubble_radius(), 40), path)
+        library_check = cli.theta_lower_bound_check
+
+        def near_miss(net):
+            check = library_check(net)
+            pairs = (check.pair_bound - below,) + check.pair_values[1:]
+            return dataclasses.replace(check, pair_values=pairs, pairs_hold=holds)
+
+        monkeypatch.setattr(cli, "theta_lower_bound_check", near_miss)
+        assert main(["bounds", str(path)]) == code
+        rows = {line.split()[0]: line.split()[3] for line in capsys.readouterr().out.splitlines()[1:]}
+        assert rows["pair_F_01"] == str(holds)
+        assert [name for name, held in rows.items() if held == "False"] == ([] if holds else ["pair_F_01"])
 
     @pytest.mark.parametrize("alpha1, alpha2", [(0.6, 0.8), (1.0, 2.0), (0.5, 2.6)])
     def test_generalized_theta_skips_the_120_degree_bounds(self, tmp_path, capsys, alpha1, alpha2):

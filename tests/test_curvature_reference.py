@@ -412,15 +412,17 @@ def test_one_kernel_call_per_curve(monkeypatch):
     calls = []
     kernel = geometry.polyline_energy
     monkeypatch.setattr(geometry, "polyline_energy", lambda *args, **kw: calls.append(1) or kernel(*args, **kw))
-    net = make_standard_double_bubble(optimal_bubble_radius(), 30)
-    for check, n_curves in (
-        (lambda: junction_residuals(net), 3),
-        (lambda: amgm_energy_bound(pair_loop(net, 0, 1), 1.0), 2),
-        (lambda: amgm_energy_bound(net.curves[0], 1.0), 1),
-        (lambda: turning_cauchy_schwarz(net.curves[0]), 1),
-        (lambda: tangent_gap_bound(net.curves[0]), 1),
-        (lambda: arc_abs_curvature(net.curves[0]), 1),
+    # on a fresh network, then again on the same one: a curve's free-ended kernel is computed once
+    for check, n_curves, again in (
+        (lambda net: junction_residuals(net), 3, 0),
+        (lambda net: amgm_energy_bound(pair_loop(net, 0, 1), 1.0), 2, 2),
+        (lambda net: amgm_energy_bound(net.curves[0], 1.0), 1, 0),
+        (lambda net: turning_cauchy_schwarz(net.curves[0]), 1, 0),
+        (lambda net: tangent_gap_bound(net.curves[0]), 1, 1),
+        (lambda net: arc_abs_curvature(net.curves[0]), 1, 1),
     ):
-        calls.clear()
-        check()
-        assert len(calls) == n_curves
+        net = make_standard_double_bubble(optimal_bubble_radius(), 30)
+        for expected in (n_curves, again):
+            calls.clear()
+            check(net)
+            assert len(calls) == expected

@@ -131,12 +131,14 @@ class TestPolylineEnergy:
         points[4] = points[3]
         assert polyline_energy(points, True) is None
         assert polyline_energy(points[:6], False, (1.0, 0.0), (0.0, 1.0)) is None
+        with pytest.raises(InvalidCurveError):
+            checked_energy(points, closed=True)
+        # a curve's points are read-only, and a collapsed edge never makes one
         curve = make_circle(1.0, 12).curves[0]
-        curve.points[4] = curve.points[3]
+        with pytest.raises(ValueError):
+            curve.points[4] = curve.points[3]
         with pytest.raises(InvalidCurveError):
-            checked_energy(curve.points, closed=True)
-        with pytest.raises(InvalidCurveError):
-            penalized_energy(Network("closed", (curve,)))
+            DiscreteCurve(points, closed=True)
 
 
 class TestPenalizedEnergy:

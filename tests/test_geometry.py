@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -33,6 +35,32 @@ def wobbly_curve(rng, n=60, closed=True):
     th = 2.0 * np.pi * np.arange(n) / n
     r = 1.0 + 0.1 * np.cos(3 * th + rng.uniform(0, 2 * np.pi)) + 0.05 * np.sin(5 * th)
     return DiscreteCurve(np.column_stack([r * np.cos(th), r * np.sin(th)]), closed=closed)
+
+
+class TestReadOnlyPoints:
+    def test_writing_into_a_curve_raises(self):
+        curve = DiscreteCurve(circle_points(12), closed=True)
+        for points in (curve.points, curve.reversed().points, curve.points[2:5]):
+            with pytest.raises(ValueError):
+                points[0] = (5.0, 5.0)
+        with pytest.raises(ValueError):
+            curve.points += 1.0
+
+    def test_callers_array_stays_writable_and_unshared(self):
+        pts = circle_points(12)
+        curve = DiscreteCurve(pts, closed=True)
+        assert pts.dtype == np.float64 and pts.flags.writeable
+        assert not np.shares_memory(pts, curve.points)
+        before = curve.points.copy()
+        pts[3] = pts[4]  # would collapse an edge of the curve if it were shared
+        assert np.array_equal(curve.points, before)
+
+    def test_copies_and_pickles_stay_read_only(self):
+        curve = DiscreteCurve(circle_points(12), closed=True)
+        curve.kernel
+        for twin in (copy.copy(curve), copy.deepcopy(curve), pickle.loads(pickle.dumps(curve))):
+            assert np.array_equal(twin.points, curve.points) and twin.closed
+            assert not twin.points.flags.writeable and "kernel" not in vars(twin)
 
 
 class TestPolylineLength:
