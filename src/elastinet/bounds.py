@@ -28,6 +28,7 @@ from .geometry import (
     PolylineEnergy,
     VertexAngleSet,
     checked_energy,
+    endpoint_tangent_array,
     external_angle,
     points_diameter,
 )
@@ -112,14 +113,14 @@ class PiecewiseClosedCurve:
 
     def corner_angles(self) -> VertexAngleSet:
         """Corner i turns from the end of arc i into the start of arc i + 1."""
-        tau = np.stack([a.end_tangents for a in self.arcs])
+        tau = endpoint_tangent_array(self.arcs)
         angles = tuple(external_angle(a, b) for a, b in zip(tau[:, 1], np.roll(tau[:, 0], -1, axis=0)))
         return VertexAngleSet(angles, tuple(i for i, th in enumerate(angles) if abs(th - math.pi) < 1e-9))
 
 
-def _arc_kernel(arc: DiscreteCurve) -> PolylineEnergy:
-    """The discrete energy of an open arc clamped to its estimated end tangents."""
-    return checked_energy(arc.points, False, *arc.end_tangents)
+def _arc_kernels(arcs) -> list[PolylineEnergy]:
+    """The discrete energy of each open arc clamped to its estimated end tangents, from one tangent pass."""
+    return [checked_energy(a.points, False, *tau) for a, tau in zip(arcs, endpoint_tangent_array(arcs))]
 
 
 def _abs_turning(out: PolylineEnergy) -> float:
@@ -129,12 +130,12 @@ def _abs_turning(out: PolylineEnergy) -> float:
 
 def arc_abs_curvature(arc: DiscreteCurve) -> float:
     """Total |turning| of one open arc including the endpoint half-cells."""
-    return _abs_turning(_arc_kernel(arc))
+    return _abs_turning(_arc_kernels([arc])[0])
 
 
 def total_abs_curvature(curve: PiecewiseClosedCurve) -> float:
     """Discrete integral of |k| over the smooth arcs; corner angles excluded."""
-    return float(sum(arc_abs_curvature(a) for a in curve.arcs))
+    return float(sum(_abs_turning(out) for out in _arc_kernels(curve.arcs)))
 
 
 def gauss_bonnet_check(curve: PiecewiseClosedCurve) -> InequalityCheck:
@@ -194,7 +195,7 @@ def amgm_energy_bound(curve_or_loop, c: float) -> AmGmCheck:
     if not (c > 0):
         raise InvalidInputError("c must be positive")
     if isinstance(curve_or_loop, PiecewiseClosedCurve):
-        kernels = [_arc_kernel(a) for a in curve_or_loop.arcs]
+        kernels = _arc_kernels(curve_or_loop.arcs)
     elif isinstance(curve_or_loop, DiscreteCurve):
         kernels = [curve_or_loop.kernel]
     else:
@@ -259,9 +260,9 @@ def tangent_gap_bound(curve: DiscreteCurve) -> InequalityCheck:
     """
     if curve.closed:
         raise InvalidInputError("expected an open curve")
-    tau0, tau1 = curve.end_tangents
+    tau0, tau1 = endpoint_tangent_array([curve])[0]
     gap = float(np.linalg.norm(tau1 - tau0))
-    out = _arc_kernel(curve)
+    out = checked_energy(curve.points, False, tau0, tau1)
     rhs = math.sqrt((out.elastic + out.length) * out.length)
     tol = _FLOAT_SLACK * (1.0 + rhs)
     return InequalityCheck(lhs=gap, rhs=rhs, holds=bool(gap <= rhs + tol))

@@ -97,8 +97,8 @@ def scaling_identity_check(network: Network, alpha: float) -> float:
     f1 = penalized_energy(network, 1.0).penalized
     lam = alpha ** -0.5
     about = network.junctions[0].position if network.junctions else np.zeros(2)
-    points = [about + lam * (c.points - about) for c in network.curves]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = [about + lam * (c.points - about) for c in network.curves]
         try:
             f_alpha = _penalized_energy(network, alpha, points).penalized
         except InvalidCurveError:  # a dilated curve's own fault, such as edge lengths that overflow

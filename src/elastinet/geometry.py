@@ -75,7 +75,7 @@ class DiscreteCurve:
     ``closed`` curves wrap around (the closing edge is implicit, the first
     point is not repeated).  Consecutive points must be distinct, the discrete
     analogue of |dγ/dx| != 0.  ``points`` is a read-only copy of the input, so
-    ``kernel`` and ``end_tangents`` are computed once, on first use.
+    ``kernel`` is computed once, on first use.
     """
 
     points: np.ndarray
@@ -112,13 +112,6 @@ class DiscreteCurve:
         """``checked_energy(points, closed)``, computed once: the turning with free ends."""
         out = checked_energy(self.points, self.closed)
         out.psi.flags.writeable = out.ell.flags.writeable = False
-        return out
-
-    @cached_property
-    def end_tangents(self) -> np.ndarray:
-        """``endpoint_tangent_array([curve])[0]`` of an open curve, computed once: rows start, end."""
-        out = endpoint_tangent_array([self])[0]
-        out.flags.writeable = False
         return out
 
 

@@ -4,7 +4,8 @@ A network bundles one to three discrete curves with junction metadata.  At a
 constrained junction the admissible outgoing tangent directions are encoded as
 a single frame angle plus fixed per-curve offsets, which makes the prescribed
 angles exact by construction and cheap to validate.  A network computes its
-``clamps``, ``diameter`` and ``curve_terms`` once, on first use.
+``clamps``, ``diameter`` and ``curve_terms`` once, on first use; its copies
+and pickles are rebuilt through the constructor and carry no cache.
 
 Kinds:
 
@@ -187,6 +188,9 @@ class Network:
             object.__setattr__(self, "prescribed_angles", ang)
         elif self.prescribed_angles is not None:
             raise NetworkValidationError("prescribed angles only apply to generalized networks")
+
+    def __reduce__(self):  # copies and pickles are built afresh, with nothing cached
+        return Network, (self.kind, self.curves, self.junctions, self.prescribed_angles)
 
     @cached_property
     def diameter(self) -> float:

@@ -1,13 +1,16 @@
 """Cached geometry is invisible: every certification layer answers bit for bit alike.
 
-A curve computes its free-ended kernel and end tangents once, and a network
-its clamp table, diameter and per-curve energy terms.  Each layer must give
-the same answer on a cold network (a fresh ``deserialize`` of its JSON), on a
-warm one (after every layer has run, asked again in reverse order), and as
-the raw-points functions compute it.
+A curve computes its free-ended kernel once, and a network its clamp table,
+diameter and per-curve energy terms.  Each layer must give the same answer on
+a cold network (a fresh ``deserialize`` of its JSON), on a warm one (after
+every layer has run, asked again in reverse order), on a copy or pickle of a
+warm one, which carries no cache, and as the raw-points functions compute it.
 """
 
+import copy
 import dataclasses
+import math
+import pickle
 
 import numpy as np
 import pytest
@@ -165,8 +168,13 @@ def test_raw_points_route_answers_alike(name):
         assert _bits(checked_energy(c.points, c.closed)) == _bits(c.kernel)
         clamped = checked_energy(c.points, c.closed, *curve_clamps(net, i))
         assert _bits(net.curve_terms[i][:2]) == _bits((clamped.elastic, clamped.length))
-        if not c.closed:
-            assert _bits(endpoint_tangent_array([c.points])[0]) == _bits(c.end_tangents)
+        if not c.closed:  # the bounds' end tangents are those of the one batched estimator
+            tau0, tau1 = endpoint_tangent_array([c.points])[0]
+            out = checked_energy(c.points, False, tau0, tau1)
+            gap, rhs = float(np.linalg.norm(tau1 - tau0)), math.sqrt((out.elastic + out.length) * out.length)
+            check = tangent_gap_bound(c)
+            assert _bits((check.lhs, check.rhs)) == _bits((gap, rhs))
+            assert _bits(arc_abs_curvature(c)) == _bits(float(np.sum(np.abs(out.psi / out.ell) * out.ell)))
     for alpha in ALPHAS:
         cached = _bits(penalized_energy(net, alpha))
         # the curves' own arrays, and copies of them that no cache knows
@@ -189,6 +197,22 @@ def test_piecewise_curves_answer_alike():
 def test_cached_arrays_are_read_only():
     net = make_standard_double_bubble(0.9, 40)
     c = net.curves[0]
-    for array in (c.points, c.kernel.psi, c.kernel.ell, c.end_tangents, net.clamps, vertex_curvature(c)[1]):
+    for array in (c.points, c.kernel.psi, c.kernel.ell, net.clamps, vertex_curvature(c)[1]):
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_network_copies_carry_no_cache(duplicate):
+    for name in ("double_bubble", "generalized_bubble", "degenerate_eight", "solved_theta"):
+        net = deserialize(serialize(NETWORKS[name]))
+        answers = {layer: _answer(call) for layer, call in _layers(net).items()}
+        assert {"diameter", "clamps", "curve_terms"} <= set(vars(net))
+        twin = duplicate(net)
+        assert not {"diameter", "clamps", "curve_terms"} & set(vars(twin)), name
+        assert not twin.clamps.flags.writeable
+        assert {layer: _answer(call) for layer, call in _layers(twin).items()} == answers, name

@@ -217,6 +217,16 @@ class TestScalingIdentity:
         with pytest.raises(InvalidCurveError, match="edge lengths overflow"):
             scaling_identity_check(make_circle(1.0, 16), 1e-320)
 
+    @pytest.mark.parametrize(
+        "net",
+        [make_circle(1e150, 16), make_teardrop(20, 1e150), scale_network(make_standard_double_bubble(0.9, 20), 1e150)],
+        ids=lambda net: net.kind,
+    )
+    def test_infinite_dilation_is_the_curve_error_without_warnings(self, net):
+        """Points dilated to infinity raise the curve's error; no RuntimeWarning escapes (warnings are errors here)."""
+        with pytest.raises(InvalidCurveError, match="non-finite coordinates"):
+            scaling_identity_check(net, 5e-324)
+
 
 class TestOptimalRescale:
     def test_radius_two_circle(self):
