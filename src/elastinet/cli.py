@@ -45,7 +45,6 @@ from .geometry import DiscreteCurve
 from .minimize import (
     OptimizationConfig,
     minimize,
-    minimize_multilevel,
     recovery_sequence,
 )
 from .networks import (
@@ -151,7 +150,8 @@ def cmd_bounds(args) -> int:
             for (i, j), fij in zip(((0, 1), (1, 2), (2, 0)), tb.pair_values):
                 rows.append((f"pair_F_{i}{j}", fij, tb.pair_bound, fij >= tb.pair_bound - pair_tol))
             for i, j in ((0, 1), (1, 2), (2, 0)):
-                pb = pair_bound_check(pair_loop(net, i, j))
+                # each corner is between two end tangents that validate held within tol_ang of their frames
+                pb = pair_bound_check(pair_loop(net, i, j), 2.0 * args.tol_ang)
                 rows.append((f"pair_absk_{i}{j}", pb.lhs, pb.rhs, pb.holds))
         for i, c in enumerate(net.curves):
             tg = tangent_gap_bound(c)
@@ -186,8 +186,7 @@ def cmd_minimize(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     save_svg(net, os.path.join(args.out, "before.svg"))
 
-    levels = minimize_multilevel(net, config)[1] if args.multilevel else (minimize(net, config),)
-    result = levels[-1]
+    result = minimize(net, config)
     final = result.final
     if args.standard_frame:
         final = normalize_to_standard_frame(final)
@@ -220,9 +219,7 @@ def cmd_minimize(args) -> int:
         "wall_time_s": time.monotonic() - t0,
     }
     _write(os.path.join(args.out, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
-    steps = [level.iterations for level in levels]
-    per_rung = f": {' + '.join(map(str, steps))}" if len(steps) > 1 else ""
-    print(f"final F = {result.energy_trace[-1]:.6f} ({result.termination}, {sum(steps)} iterations{per_rung})")
+    print(f"final F = {result.energy_trace[-1]:.6f} ({result.termination}, {result.iterations} iterations)")
     return EXIT_OK
 
 
@@ -333,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minimize", parents=[network_input], help="descend the energy from a network file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--kind-config", dest="kind_config", help="OptimizationConfig overrides (JSON)")
-    p.add_argument("--no-multilevel", dest="multilevel", action="store_false")
+    p.add_argument("--no-multilevel", action="store_true", help="accepted and ignored: the solve has one level")
     p.add_argument("--standard-frame", action="store_true", dest="standard_frame")
-    p.set_defaults(func=cmd_minimize, multilevel=True)
+    p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("reference", help="construct a reference network")
     p.add_argument("--shape", choices=("circle", "double-bubble", "generalized"), required=True)

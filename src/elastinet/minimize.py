@@ -20,15 +20,15 @@ at most 31 rows that one batched dense solve finishes, plus a Schur
 complement over the bordering lengths, free frame, ``D = J_1 - J_0`` and
 closure rows.  An iterate's cos and sin come from one pass, the last of its
 restoration, shared by the closure, its Jacobian and the step.  The Hessian
-is shifted (Levenberg) until the step descends; each trial point is put back
+is shifted (Levenberg) until the step descends and the factorization counts
+no negative eigenvalue of it reduced to the closure equations' tangent space,
+so no step heads for a saddle; each trial point is put back
 onto the closure equations by Gauss-Newton and accepted on an Armijo
 decrease of F, or, where the predicted decrease is below the round-off of F,
 if F does not rise and ``|g|`` falls.  ``|g|`` is the norm of the gradient in the free variables
 projected onto the tangent space of the closure equations, the KKT residual;
 ``grad_tol`` and ``converged`` read it.
-``minimize_multilevel`` runs such a solve at the target and, only after a
-damped or shifted step or another end than ``converged`` or ``stalled``, a
-coarse rung and then the target, as before.
+``minimize_multilevel`` is the same single solve, as one level.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ DEGENERATION_FACTOR = 1e-3
 ARMIJO_C = 1e-4  # sufficient decrease of the line search
 STEP_MIN = 1e-12  # smallest step length it tries
 ROUND_OFF = 1e-12  # predicted decreases of F below this share are not tested on F
-COARSEST = 40  # fewest points per curve of the multilevel coarse rung
 
 
 @dataclass(frozen=True)
@@ -119,9 +118,7 @@ class OptimizationResult:
       the full step lower ``|g|`` where the predicted decrease of F is below
       its round-off (``ROUND_OFF``);
     * ``degeneration``: a curve shrank below ``DEGENERATION_FACTOR`` times the
-      network diameter;
-    * ``damped``: ``minimize_multilevel``'s first attempt took a step that is
-      not a full, unshifted Newton step; never returned by ``minimize``.
+      network diameter.
 
     ``resample_events`` is always empty, since the solver never resamples; it
     stays for readers of the older result format.
@@ -189,28 +186,36 @@ def discrete_gradient(network: Network) -> np.ndarray:
 # the solver
 
 
-def _tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     """Solve symmetric tridiagonal systems, one per lane, for many right-hand sides.
 
     ``diag`` is (n, lanes), ``off`` (n - 1, lanes) and ``rhs`` (n, lanes, k).
     Odd-even cyclic reduction without pivoting, on the system padded with identity
     rows to ``(b + 1) 2^p - 1`` rows: each of p levels eliminates the even rows of all
     lanes at once (a Schur complement), and one batched dense solve finishes the
-    b <= 31 rows left; O(n k) work and memory in O(log n) sweeps.
+    b <= 31 rows left; O(n k) work and memory in O(log n) sweeps.  Also returns the count of
+    non-positive pivots, the eliminated rows' and the LDL^T ones of the b rows left: the
+    systems' negative eigenvalues summed over lanes (Sylvester's law of inertia).
     """
     n, lanes = diag.shape
     block = 1 << (n // 32).bit_length()  # 2^levels: the fewest levels that leave at most 31 rows
     size = -(-(n + 1) // block) * block - 1
     d, e, r = np.ones((size, lanes, 1)), np.zeros((size + 1, lanes, 1)), np.zeros((size,) + rhs.shape[1:])
     d[:n, :, 0], e[1:n, :, 0], r[:n] = diag, off, rhs  # e[i] couples rows i-1, i
-    levels = []
+    levels, negative = [], 0
     while len(d) > 31:
         lo, hi, inv = e[0::2], e[1::2], 1.0 / d[0::2]  # the even rows' couplings and inverse pivots
+        negative += int(np.count_nonzero(~(d[0::2] > 0.0)))
         s_lo, s_hi, ri = lo * inv, hi * inv, r[0::2] * inv
         levels.append((s_lo, s_hi, ri))
         d = d[1::2] - hi[:-1] * s_hi[:-1] - lo[1:] * s_lo[1:]
         r = r[1::2] - hi[:-1] * ri[:-1] - lo[1:] * ri[1:]
         e = -lo * s_hi
+    for row, couplings in zip(d[:, :, 0].T.tolist(), (e[:-1, :, 0] ** 2).T.tolist()):
+        pivot = 1.0
+        for a, b in zip(row, couplings):  # a zero pivot is taken as the least negative float, as LAPACK's dstebz does
+            pivot = a - b / (pivot or -5e-324)
+            negative += not pivot > 0.0
     i, base = np.arange(len(d)), np.zeros((lanes, len(d), len(d)))  # the rows left, dense, lane by lane
     base[:, i, i], base[:, i[1:], i[:-1]], base[:, i[:-1], i[1:]] = d[:, :, 0].T, e[1:-1, :, 0].T, e[1:-1, :, 0].T
     x, zero = np.linalg.solve(base, r.transpose(1, 0, 2)).transpose(1, 0, 2), np.zeros((1,) + r.shape[1:])
@@ -219,7 +224,7 @@ def _tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
         x = np.empty((2 * len(ri) - 1,) + x.shape[1:])
         x[1::2] = xp[1:-1]
         x[0::2] = ri - s_lo * xp[:-1] - s_hi * xp[1:]
-    return x[:n]
+    return x[:n], negative
 
 
 class _Point(NamedTuple):
@@ -383,8 +388,10 @@ class _AngleForm:
         grad_norm = float(np.linalg.norm(g + jac.T @ mu))
         return _Point(z, cs, ds, s, *self._totals(lengths, d), g, jac, mu.reshape(-1, 2), grad_norm)
 
-    def step(self, p: _Point, shift: float) -> np.ndarray:
-        """Newton-KKT step at p with the Hessian shifted by ``shift``."""
+    def step(self, p: _Point, shift: float) -> tuple[np.ndarray, int]:
+        """Newton-KKT step at p with the Hessian shifted by ``shift``, and the negative eigenvalues of that Hessian
+        reduced to the closure equations' tangent space: the KKT matrix's, the tridiagonal blocks' plus the Schur
+        complement's (Haynsworth), less one per closure row (Gould, Math. Program. 32, 1985)."""
         nc, nf, nt, nh = self.nc, self.nf, self.nt, self.nh
         lengths = self.lengths(p.z)
         w = self.m / lengths
@@ -408,19 +415,22 @@ class _AngleForm:
         corner[nh:, :nh] = p.jac[:, nt:]
         corner[:nh, nh:] = p.jac[:, nt:].T
         rhs = np.concatenate([-p.g[:nt].reshape(nc, nf).T[:, :, None], border], axis=2)
-        solved = _tridiagonal_solve(diag[:, self.free].T + shift, np.broadcast_to(-2.0 * w, (nf - 1, nc)), rhs)
+        solved, negative = _tridiagonal_solve(diag[:, self.free].T + shift, np.broadcast_to(-2.0 * w, (nf - 1, nc)), rhs)
         y, ys, bt = solved[:, :, 0].ravel(), solved[:, :, 1:].reshape(nt, nb), border.reshape(nt, nb)
-        x_border = np.linalg.solve(corner - bt.T @ ys, np.concatenate([-p.g[nt:], np.zeros(2 * nc)]) - bt.T @ y)
+        schur = corner - bt.T @ ys
+        x_border = np.linalg.solve(schur, np.concatenate([-p.g[nt:], np.zeros(2 * nc)]) - bt.T @ y)
+        negative += int(np.count_nonzero(np.linalg.eigvalsh(schur) < 0.0)) - 2 * nc
         # the free angles are solved lane by lane, z holds them curve by curve
-        return np.concatenate([(y - ys @ x_border).reshape(nf, nc).T.ravel(), x_border[:nh]])
+        return np.concatenate([(y - ys @ x_border).reshape(nf, nc).T.ravel(), x_border[:nh]]), negative
 
-    def line_search(self, p: _Point) -> tuple[_Point, bool] | None:
-        """The next feasible iterate, on an Armijo decrease of F, and if it is the full, unshifted step; or None."""
+    def line_search(self, p: _Point) -> _Point | None:
+        """The next feasible iterate, on an Armijo decrease of F, or None; the step takes the first shift that leaves
+        no negative reduced eigenvalue and descends (Waechter and Biegler, Math. Program. 106, 2006)."""
         shifts = (2.0 * float(np.max(self.m / self.lengths(p.z))) * 10.0**k for k in range(-8, 9))
         for shift in itertools.chain([0.0], shifts):  # the Levenberg scale only once a shift is tried
-            dz = self.step(p, shift)
+            dz, negative = self.step(p, shift)
             slope = float(p.g @ dz)
-            if slope < 0.0:  # False for NaN too
+            if negative == 0 and slope < 0.0:  # False for NaN too
                 break
         else:
             return None
@@ -430,12 +440,12 @@ class _AngleForm:
             if restored is not None:
                 f = self.energy(*restored[:2])[0]
                 if f < p.f and f <= p.f + ARMIJO_C * t * slope:
-                    return self.evaluate(*restored), t == 1.0 and shift == 0.0
+                    return self.evaluate(*restored)
                 # a decrease below the round-off of F cannot show: judge the
                 # full step by |g| instead
                 if t == 1.0 and f <= p.f and -slope <= ROUND_OFF * p.f:
                     if (q := self.evaluate(*restored)).grad_norm < p.grad_norm:
-                        return q, shift == 0.0
+                        return q
             t *= 0.5
         return None
 
@@ -495,22 +505,19 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
 
     A double drop is solved as its first lobe plus that lobe's point
     reflection, so it is symmetric by construction and F and ``|g|`` are twice
-    the lobe's; the lobe is solved to half of ``grad_tol``.
+    the lobe's; the lobe is solved to half of ``grad_tol``.  At ``max_iters``
+    0 every network, a double drop included, is returned unchanged.
     """
-    return _minimize(network, config or OptimizationConfig(), False)
-
-
-def _minimize(network: Network, config: OptimizationConfig, stop_damped: bool) -> OptimizationResult:
-    """minimize(); with ``stop_damped``, ended ``damped`` by its first step that is not a full, unshifted Newton step."""
+    config = config or OptimizationConfig()
+    if config.max_iters == 0:
+        report = penalized_energy(network, 1.0)
+        return _result(network, [[report.penalized], [report.elastic], [report.length], [math.nan]], "max_iters", 0, config)
     if network.kind == "double_drop":
-        lobe = _minimize(Network("drop", (network.curves[0],)), replace(config, grad_tol=0.5 * config.grad_tol), stop_damped)
+        lobe = minimize(Network("drop", (network.curves[0],)), replace(config, grad_tol=0.5 * config.grad_tol))
         traces = (lobe.energy_trace, lobe.elastic_trace, lobe.length_trace, lobe.grad_norm_trace)
         return _result(
             make_symmetric_double_drop(lobe.final), [2.0 * t for t in traces], lobe.termination, lobe.iterations, config
         )
-    if config.max_iters == 0:
-        report = penalized_energy(network, 1.0)
-        return _result(network, [[report.penalized], [report.elastic], [report.length], [math.nan]], "max_iters", 0, config)
     form = _AngleForm(_pinned(network), config.n_per_curve)
     restored = form.restore(form.z0)
     if restored is None or not math.isfinite(form.energy(*restored[:2])[0]):
@@ -520,7 +527,7 @@ def _minimize(network: Network, config: OptimizationConfig, stop_damped: bool) -
         )
     p = form.evaluate(*restored)
     trace = [(p.f, p.elastic, p.length, p.grad_norm)]
-    it, stalled, damped = 0, False, False
+    it, stalled = 0, False
     while True:
         # a connected network's bounding-box diagonal is at most sqrt(2) times its length:
         # only a curve under 2 DEGENERATION_FACTOR of the total can be degenerate
@@ -531,17 +538,13 @@ def _minimize(network: Network, config: OptimizationConfig, stop_damped: bool) -
             termination = "degeneration"
         elif p.grad_norm <= config.grad_tol:
             termination = "converged"
-        elif damped:
-            termination = "damped"
         elif stalled:
             termination = "stalled"
         elif it >= config.max_iters:
             termination = "max_iters"
-        elif (step := form.line_search(p)) is None:
+        elif (q := form.line_search(p)) is None:
             termination = "line_search_failed"
         else:
-            q, full = step
-            damped = stop_damped and not full
             it += 1
             trace.append((q.f, q.elastic, q.length, q.grad_norm))
             stalled = 0.0 < p.f - q.f <= config.energy_rel_tol * max(abs(q.f), 1.0)
@@ -550,28 +553,13 @@ def _minimize(network: Network, config: OptimizationConfig, stop_damped: bool) -
         return _result(form.network(p.z, points), zip(*trace), termination, it, config)
 
 
-def _ladder(n_target: int) -> list[int]:
-    """Points per curve of each rung: n_target halved, rounding up, while the half is at least COARSEST, then n_target."""
-    coarse = n_target
-    while (half := (coarse + 1) // 2) >= COARSEST:
-        coarse = half
-    return sorted({coarse, n_target})
-
-
 def minimize_multilevel(
     network: Network, config: OptimizationConfig | None = None
 ) -> tuple[OptimizationResult, tuple[OptimizationResult, ...]]:
-    """Returns (final, all levels).  A solve at ``n_per_curve``, stopped (``damped``) at its first step that is not a
-    full, unshifted Newton step if ``_ladder`` has two rungs, is the only level if it converges or stalls (after full
-    steps only, which the ladder would repeat); if not, minimize() runs at each rung of ``_ladder`` from ``network``
-    after it, so the final result is bitwise the ladder's."""
-    config = config or OptimizationConfig()
-    rungs = _ladder(config.n_per_curve)
-    results = [_minimize(network, config, len(rungs) > 1)]
-    if len(rungs) > 1 and results[0].termination not in ("converged", "stalled"):
-        for n in rungs:
-            results.append(minimize(results[-1].final if len(results) > 1 else network, replace(config, n_per_curve=n)))
-    return results[-1], tuple(results)
+    """``minimize()`` as (final, all levels): the inertia-controlled shifts globalize Newton from rough starts,
+    so there is one level, at ``n_per_curve``."""
+    result = minimize(network, config)
+    return result, (result,)
 
 
 def minimize_symmetric_double_drop(
@@ -582,11 +570,10 @@ def minimize_symmetric_double_drop(
     """Minimize F over symmetric double drops from a drop or a double drop.
 
     A drop is first paired with its point reflection; the double drop is then
-    solved by ``minimize_multilevel``, or by one ``minimize`` call without
-    ``multilevel``.
+    solved by one ``minimize`` call, whatever ``multilevel`` says.
     """
     if initial.kind == "drop":
         initial = make_symmetric_double_drop(initial)
     elif initial.kind != "double_drop":
         raise InvalidInputError("expected a drop or double_drop network")
-    return minimize_multilevel(initial, config)[0] if multilevel else minimize(initial, config)
+    return minimize(initial, config)

@@ -13,10 +13,11 @@ import pytest
 from elastinet import cli, errors
 from elastinet.cli import main
 from elastinet.energy import optimal_rescale, penalized_energy
-from elastinet.minimize import OptimizationConfig, minimize, minimize_multilevel
+from elastinet.minimize import OptimizationConfig, minimize, minimize_symmetric_double_drop
 from elastinet.networks import (
     deserialize,
     load_json,
+    mirror_drop_curve,
     make_circle,
     make_ellipse,
     make_generalized_bubble,
@@ -291,6 +292,18 @@ class TestBoundsCommand:
         assert rows["pair_F_01"] == str(holds)
         assert [name for name, held in rows.items() if held == "False"] == ([] if holds else ["pair_F_01"])
 
+    def test_minimized_bubble_at_its_tolerance(self, tmp_path, capsys):
+        """A minimized theta that validates at --tol-ang is not refused for its corners: they take twice that tolerance."""
+        ref, out = tmp_path / "b.json", tmp_path / "out"
+        assert main(["reference", "--shape", "double-bubble", "--n", "40", "--out", str(ref)]) == 0
+        assert main(["minimize", str(ref), "--out", str(out)]) == 0
+        capsys.readouterr()
+        # its corner angles are off pi/3 by more than pair_bound_check's default 1e-2
+        assert main(["bounds", str(out / "network_final.json"), "--tol-ang", "5e-2"]) == 0
+        table = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[0] for row in table if row[0].startswith("pair_absk_")] == ["pair_absk_01", "pair_absk_12", "pair_absk_20"]
+        assert len(table) == 10 and all(row[3] == "True" for row in table)
+
     @pytest.mark.parametrize("alpha1, alpha2", [(0.6, 0.8), (1.0, 2.0), (0.5, 2.6)])
     def test_generalized_theta_skips_the_120_degree_bounds(self, tmp_path, capsys, alpha1, alpha2):
         # F >= 4 pi and F_ij >= 8 pi / 3 fail on these valid networks: 6.81 < 4 pi, F_01 < 8 pi / 3
@@ -352,6 +365,33 @@ class TestMinimizeCommand:
         back = load_json(out / "network_final.json")
         orig = load_json(circle_file)
         assert np.array_equal(back.curves[0].points, orig.curves[0].points)
+
+    @pytest.mark.parametrize(
+        "initial",
+        [
+            lambda: translate_network(make_symmetric_double_drop(make_teardrop(60)), (1.0, 2.0)),
+            lambda: Network("double_drop", (make_teardrop(40).curves[0], mirror_drop_curve(make_teardrop(60, 1.5).curves[0]))),
+        ],
+        ids=["translated", "asymmetric"],
+    )
+    def test_max_iters_zero_keeps_a_double_drop(self, tmp_path, initial):
+        """At max_iters 0 a double drop comes back bitwise, neither moved nor symmetrized, and its trace reads its F."""
+        net = initial()
+        f = penalized_energy(net).penalized
+        src, cfg, out = tmp_path / "input.json", tmp_path / "cfg.json", tmp_path / "run0"
+        save_json(net, src)
+        cfg.write_text(json.dumps({"max_iters": 0}))
+        assert main(["minimize", str(src), "--out", str(out), "--kind-config", str(cfg)]) == 0
+        config = OptimizationConfig(max_iters=0)
+        finals = [minimize(net, config).final, minimize_symmetric_double_drop(net, config).final]
+        for final in finals + [load_json(out / "network_final.json")]:
+            assert final.kind == "double_drop"
+            for got, want in zip(final.curves, net.curves, strict=True):
+                assert got.points.tobytes() == want.points.tobytes()
+        for result in (minimize(net, config), minimize_symmetric_double_drop(net, config)):
+            assert result.energy_trace.tolist() == [f]
+        rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert rows[:, 1].tolist() == [f]
 
     def test_ellipse_converges_to_four_pi(self, tmp_path, capsys):
         from elastinet.networks import make_ellipse
@@ -426,21 +466,22 @@ class TestMinimizeCommand:
         "initial, printed",
         [
             (lambda: optimal_rescale(make_teardrop(100))[1], "(converged, 5 iterations)"),
-            (lambda: make_ellipse(2.0, 1.0, 100), "(converged, 5 iterations: 1 + 4 + 0)"),
+            (lambda: make_ellipse(2.0, 1.0, 100), "(converged, 4 iterations)"),
         ],
         ids=["one-rung", "fallback"],
     )
     def test_prints_every_rung(self, tmp_path, capsys, initial, printed):
-        """The summary line counts the Newton steps of every level, and lists them after a fallback."""
+        """The summary line counts the Newton steps of the one solve, as result.json and trace.csv do."""
         src = tmp_path / "input.json"
         save_json(initial(), src)
         settings = {"n_per_curve": 100, "max_iters": 1000, "grad_tol": 1e-3}
-        cfg = tmp_path / "cfg.json"
+        cfg, out = tmp_path / "cfg.json", tmp_path / "run"
         cfg.write_text(json.dumps(settings))
-        assert main(["minimize", str(src), "--out", str(tmp_path / "run"), "--kind-config", str(cfg)]) == 0
-        result, levels = minimize_multilevel(load_json(src), OptimizationConfig(**settings))
+        assert main(["minimize", str(src), "--out", str(out), "--kind-config", str(cfg)]) == 0
+        result = minimize(load_json(src), OptimizationConfig(**settings))
         assert capsys.readouterr().out == f"final F = {result.energy_trace[-1]:.6f} {printed}\n"
-        assert sum(level.iterations for level in levels) == 5
+        assert json.loads((out / "result.json").read_text())["iterations"] == result.iterations
+        assert len((out / "trace.csv").read_text().splitlines()) == result.iterations + 2  # a header and the start
 
     @pytest.mark.parametrize("kind", ["theta", "double_drop"])
     def test_no_multilevel_is_one_minimize_call(self, tmp_path, kind):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 import tracemalloc
 
 from elastinet.energy import optimal_rescale, penalized_energy
-from elastinet.errors import ConstructionFailedError, InvalidConfigError, InvalidInputError, OptimizationError
+from elastinet.errors import ConstructionFailedError, InvalidConfigError, InvalidInputError
 from elastinet.geometry import DiscreteCurve, polyline_length
 from elastinet.minimize import (
     DEGENERATION_FACTOR,
@@ -21,7 +21,7 @@ from elastinet.minimize import (
     minimize_symmetric_double_drop,
     recovery_sequence,
 )
-from elastinet.minimize import _AngleForm, _ladder, _pinned, _tridiagonal_solve
+from elastinet.minimize import _AngleForm, _pinned, _tridiagonal_solve
 from elastinet.networks import (
     Network,
     end_slots,
@@ -301,25 +301,29 @@ def _random_connected(data):
     return dataclasses.replace(template, curves=tuple(DiscreteCurve(c) for c in curves))
 
 
+def _negative_count(result):
+    """The negative eigenvalues of the reduced Hessian at the result's final network, re-formed at its points per curve."""
+    form = _AngleForm(_pinned(result.final), result.config.n_per_curve)
+    return form.step(form.evaluate(*form.restore(form.z0)), 0.0)[1]
+
+
 class TestMinimizeFuzz:
-    """Seeded random thetas and drops: a typed outcome and the hard constraints.
+    """Seeded random thetas and drops: every one converges to a local minimum
+    within 40 Newton steps, and keeps the hard constraints.
 
     Embeddedness and ``validate`` are not required: several random thetas
-    converge to self-crossing critical points.
+    converge to self-crossing local minima.
     """
 
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("generator", [random_theta_network, random_drop], ids=["theta", "drop"])
     def test_outcome_and_constraints(self, generator, seed):
         cfg = OptimizationConfig(n_per_curve=60, max_iters=200)
-        try:
-            res = minimize(generator(np.random.default_rng(seed)), cfg)
-        except OptimizationError:
-            return
-        assert res.termination in ("converged", "stalled", "max_iters", "line_search_failed", "degeneration")
+        res = minimize(generator(np.random.default_rng(seed)), cfg)
+        assert res.termination == "converged" and res.iterations <= 40
+        assert res.grad_norm_trace[-1] <= cfg.grad_tol
         assert np.all(np.diff(res.energy_trace) <= 0.0)
-        if res.termination == "converged":
-            assert res.grad_norm_trace[-1] <= cfg.grad_tol
+        assert _negative_count(res) == 0
         final = res.final
         if final.kind == "drop":
             (c,) = final.curves
@@ -734,8 +738,16 @@ class TestAngleForm:
         n_con = 2 * form.nc
         kkt = np.block([[hess, p.jac.T], [p.jac, np.zeros((n_con, n_con))]])
         dense = np.linalg.solve(kkt, np.concatenate([-p.g, np.zeros(n_con)]))[: len(z)]
-        step = form.step(p, 0.0)
+        step, negative = form.step(p, 0.0)
         assert np.max(np.abs(step - dense)) <= 1e-6 * max(1.0, np.abs(dense).max())
+        # the KKT matrix has 2 curves negative eigenvalues more than the reduced Hessian; a negative
+        # shift of all but D's Hessian rows leaves that Hessian indefinite
+        shifted = np.ones(len(z))
+        shifted[form.nt + form.nc + 1 :] = 0.0
+        for shift in (0.0, -0.3 * np.abs(np.diag(hess)).max()):
+            kkt[: len(z), : len(z)] = hess + shift * np.diag(shifted)
+            want = np.count_nonzero(np.linalg.eigvalsh(kkt) < 0.0) - n_con
+            assert form.step(p, shift)[1] == want and (want > 0) == (shift < 0.0)
 
     def test_solve_descends_and_converges(self, kind):
         net = SOLVER_CASES[kind]()
@@ -779,7 +791,7 @@ def test_tridiagonal_solve_matches_dense_solve(n, lanes, k):
     for main, off in ((diag, general), (diag, broadcast), (indefinite, 0.5 * general)):
         inputs = [main, off, rhs]
         copies = [a.copy() for a in inputs]
-        x = _tridiagonal_solve(main, off, rhs)
+        x, negative = _tridiagonal_solve(main, off, rhs)
         assert x.shape == rhs.shape
         for a, a0 in zip(inputs, copies):
             assert np.array_equal(a, a0)
@@ -788,18 +800,27 @@ def test_tridiagonal_solve_matches_dense_solve(n, lanes, k):
             b = rhs[:, lane]
             assert np.abs(dense @ x[:, lane] - b).max() <= 1e-12 * np.abs(b).max()
             np.testing.assert_allclose(x[:, lane], np.linalg.solve(dense, b), rtol=0.0, atol=1e-12 * np.abs(b).max())
+            negative -= np.count_nonzero(np.linalg.eigvalsh(dense) < 0.0)
+        assert negative == 0  # the negative pivots are the negative eigenvalues, summed over lanes
+
+
+def test_tridiagonal_solve_counts_a_zero_pivot():
+    """A pivot of exactly 0 counts as negative, and the next one as positive, without a division by zero."""
+    x, negative = _tridiagonal_solve(np.array([[2.0], [0.5], [1.0]]), np.ones((2, 1)), np.ones((3, 1, 1)))
+    dense = np.array([[2.0, 1.0, 0.0], [1.0, 0.5, 1.0], [0.0, 1.0, 1.0]])  # its second pivot is 0.5 - 1 / 2 = 0
+    assert negative == np.count_nonzero(np.linalg.eigvalsh(dense) < 0.0) == 1
+    np.testing.assert_allclose(dense @ x[:, 0, 0], np.ones(3), rtol=0.0, atol=1e-14)
 
 
 def _newton_steps(network, n, steps):
-    """The F trace of the first ``steps`` Newton steps at n points per curve from network, and whether each was full."""
+    """The F trace of the first ``steps`` Newton steps at n points per curve from network."""
     form = _AngleForm(_pinned(network), n)
     p = form.evaluate(*form.restore(form.z0))
-    trace, full = [p.f], []
+    trace = [p.f]
     for _ in range(steps):
-        p, was_full = form.line_search(p)
+        p = form.line_search(p)
         trace.append(p.f)
-        full.append(was_full)
-    return trace, full
+    return trace
 
 
 FUZZED_STARTS = pytest.mark.parametrize(
@@ -810,37 +831,27 @@ FUZZED_STARTS = pytest.mark.parametrize(
 
 
 class TestLadders:
-    """Target-first multilevel solves: every trace descends; a damped attempt
-    at the target is followed by the converged rungs of ``_ladder``, and a
-    stalled one, all of whose steps were full, is the one level."""
+    """``minimize_multilevel`` solves at the target only: one level, whose
+    trace descends to a local minimum (no negative reduced eigenvalue), and
+    a stalled level is the replay of its Newton steps."""
 
     def _check(self, network, cfg, levels):
-        if levels[0].termination == "damped":
-            attempt, levels = levels[0], levels[1:]
-            assert [level.config.n_per_curve for level in levels] == _ladder(cfg.n_per_curve)
-            # the attempt is the target solve up to and including its first damped step
-            trace, full = _newton_steps(network, cfg.n_per_curve, attempt.iterations)
-            assert attempt.energy_trace.tolist() == trace
-            assert full == [True] * (attempt.iterations - 1) + [False]
-            assert np.all(np.diff(attempt.energy_trace) <= 0.0)
+        (level,) = levels
+        assert level.config.n_per_curve == cfg.n_per_curve
+        if level.termination == "stalled":
+            assert level.energy_trace.tolist() == _newton_steps(network, cfg.n_per_curve, level.iterations)
+            f = level.energy_trace
+            assert 0.0 < f[-2] - f[-1] <= cfg.energy_rel_tol * max(abs(f[-1]), 1.0)
+            assert level.grad_norm_trace[-1] > cfg.grad_tol
         else:
-            assert len(levels) == 1
-        for level in levels:
-            if level.termination == "stalled":
-                trace, full = _newton_steps(network, cfg.n_per_curve, level.iterations)
-                assert level.energy_trace.tolist() == trace
-                assert all(full)
-                f = level.energy_trace
-                assert 0.0 < f[-2] - f[-1] <= cfg.energy_rel_tol * max(abs(f[-1]), 1.0)
-                assert level.grad_norm_trace[-1] > cfg.grad_tol
-            else:
-                assert level.termination == "converged"
-                assert level.grad_norm_trace[-1] <= cfg.grad_tol
-            assert level.resample_events == ()
-            assert np.all(np.diff(level.energy_trace) <= 0.0)
+            assert level.termination == "converged"
+            assert level.grad_norm_trace[-1] <= cfg.grad_tol
+        assert level.resample_events == ()
+        assert np.all(np.diff(level.energy_trace) <= 0.0)
+        assert _negative_count(level) == 0
 
     def test_theta_ladder(self):
-        """From B_rbar, Newton at the target takes only full steps: one rung."""
+        """From B_rbar, Newton at the target converges in at most 3 steps: one rung."""
         cfg = OptimizationConfig(n_per_curve=200, max_iters=1000, grad_tol=1e-3, energy_rel_tol=1e-9)
         initial = make_standard_double_bubble(RBAR, 200)
         result, levels = minimize_multilevel(initial, cfg)
@@ -857,24 +868,26 @@ class TestLadders:
 
     @pytest.mark.parametrize("n", [8, 39, 40, 78, 79, 80, 156, 157, 200, 300, 800, 2000])
     def test_ladder_rule(self, n):
-        """One coarse rung, n halved (rounding up) while the half is at least 40, then n; one rung below 79."""
-        levels = _ladder(n)
-        # halving k times, rounding up each time, gives ceil(n / 2^k); the coarse rung is the last of these >= 40
-        halvings = [math.ceil(n / 2**k) for k in range(n.bit_length() + 1)]
-        assert levels == sorted({min([c for c in halvings if c >= 40], default=n), n})
-        assert math.ceil(levels[0] / 2) < 40
-        if n >= 79:
-            assert 40 <= levels[0] < 80
-        else:
-            assert levels == [n]
+        """One rung at every n, the target: ``minimize_multilevel`` returns ``minimize()``'s result as its one level."""
+        cfg = OptimizationConfig(n_per_curve=n, max_iters=3)
+        initial = make_ellipse(2.0, 1.0, 200)
+        result, levels = minimize_multilevel(initial, cfg)
+        assert len(levels) == 1 and levels[0] is result
+        assert result.config.n_per_curve == n
+        want = minimize(initial, cfg)
+        assert (result.termination, result.iterations) == (want.termination, want.iterations)
+        assert result.energy_trace.tobytes() == want.energy_trace.tobytes()
+        assert result.final.curves[0].points.tobytes() == want.final.curves[0].points.tobytes()
 
     @pytest.mark.parametrize("seed", range(20))
     @FUZZED_STARTS
     def test_fuzzed_ladder(self, generator, n, seed):
+        """Every fuzzed start converges at the target within 40 Newton steps, to a local minimum."""
         cfg = OptimizationConfig(n_per_curve=n)
         initial = generator(np.random.default_rng(seed))
         result, levels = minimize_multilevel(initial, cfg)
         self._check(initial, cfg, levels)
+        assert result.termination == "converged" and result.iterations <= 40
         if result.final.kind == "drop":
             (c,) = result.final.curves
             assert c.points[0].tobytes() == c.points[-1].tobytes()
@@ -884,22 +897,16 @@ class TestLadders:
     @pytest.mark.parametrize("seed", range(20))
     @FUZZED_STARTS
     def test_fallback_is_the_ladder(self, generator, n, seed):
-        """After a damped attempt, the levels are bitwise minimize() at each rung of _ladder from the start."""
+        """No coarse fallback: from every fuzzed start the one level is bitwise ``minimize()`` at the target."""
         cfg = OptimizationConfig(n_per_curve=n)
         initial = generator(np.random.default_rng(seed))
         result, levels = minimize_multilevel(initial, cfg)
-        if levels[0].termination != "damped":
-            assert len(levels) == 1
-            return
-        network = initial
-        for level, rung in zip(levels[1:], _ladder(n), strict=True):
-            want = minimize(network, dataclasses.replace(cfg, n_per_curve=rung))
-            assert (level.termination, level.iterations) == (want.termination, want.iterations)
-            assert level.energy_trace.tobytes() == want.energy_trace.tobytes()
-            for got, expected in zip(level.final.curves, want.final.curves, strict=True):
-                assert got.points.tobytes() == expected.points.tobytes()
-            network = want.final
-        assert result is levels[-1]
+        assert len(levels) == 1 and levels[0] is result
+        want = minimize(initial, cfg)
+        assert (result.termination, result.iterations) == (want.termination, want.iterations)
+        assert result.energy_trace.tobytes() == want.energy_trace.tobytes()
+        for got, expected in zip(result.final.curves, want.final.curves, strict=True):
+            assert got.points.tobytes() == expected.points.tobytes()
 
     @pytest.mark.parametrize("n", [400, 800])
     def test_theta_first_order_bias(self, n):
@@ -908,40 +915,34 @@ class TestLadders:
         initial = make_standard_double_bubble(RBAR, 200)
         result, levels = minimize_multilevel(initial, cfg)
         self._check(initial, cfg, levels)
-        assert sum(level.iterations for level in levels) <= 8
+        assert result.iterations <= 8
         assert result.energy_trace[-1] - 18.3111919385 == pytest.approx(5.85 / n, rel=0.02)
 
     @pytest.mark.parametrize(
-        "initial, n, target, terminations, steps",
+        "initial, n, target, steps",
         [
-            (lambda: make_ellipse(2.0, 1.0, 200), 200, 4 * np.pi, ["damped", "converged", "converged"], [1, 4, 0]),
-            (lambda: optimal_rescale(make_teardrop(300))[1], 300, 10.60375, ["converged"], [5]),
+            (lambda: make_ellipse(2.0, 1.0, 200), 200, 4 * np.pi, 4),
+            (lambda: optimal_rescale(make_teardrop(300))[1], 300, 10.60375, 5),
         ],
         ids=["ellipse", "teardrop"],
     )
-    def test_curve_ladder(self, initial, n, target, terminations, steps):
-        """The ellipse's first Newton step at the target is damped; the teardrop's are all full."""
+    def test_curve_ladder(self, initial, n, target, steps):
+        """The ellipse and the teardrop converge at the target in one rung."""
         cfg = OptimizationConfig(n_per_curve=n, max_iters=40000, grad_tol=1e-3, energy_rel_tol=3e-6)
         result, levels = minimize_multilevel(initial(), cfg)
-        assert [level.termination for level in levels] == terminations
-        assert [level.iterations for level in levels] == steps
+        assert [level.termination for level in levels] == ["converged"]
+        assert [level.iterations for level in levels] == [steps]
         self._check(initial(), cfg, levels)
         assert abs(result.energy_trace[-1] - target) < 1e-4 * target
 
     def test_stalled_attempt_is_kept(self):
-        """The ladder after a stalled attempt stalls too, at the same F and a larger |g|."""
+        """The teardrop at grad_tol 1e-9 stalls after 6 Newton steps at the target, in one rung."""
         cfg = OptimizationConfig(n_per_curve=300, max_iters=40000, grad_tol=1e-9, energy_rel_tol=3e-6)
         initial = optimal_rescale(make_teardrop(300))[1]
         result, levels = minimize_multilevel(initial, cfg)
         assert [level.termination for level in levels] == ["stalled"]
+        assert result.iterations == 6
         self._check(initial, cfg, levels)
-        network = initial
-        for n in _ladder(300):
-            ladder = minimize(network, dataclasses.replace(cfg, n_per_curve=n))
-            assert ladder.termination == "stalled"
-            network = ladder.final
-        assert ladder.energy_trace[-1] == pytest.approx(result.energy_trace[-1], rel=1e-14)
-        assert result.grad_norm_trace[-1] < ladder.grad_norm_trace[-1]
 
     def test_double_drop_gradient_honest(self):
         cfg = OptimizationConfig(n_per_curve=300, max_iters=40000, grad_tol=1e-3, energy_rel_tol=3e-6)
