@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -310,7 +311,9 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInputError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process."""
     parser = _Parser(prog="elastinet", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -321,18 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("energy", parents=[network_input], help="evaluate the penalized elastic energy of a network file")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--json", help="also write the report as JSON")
-    p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("bounds", parents=[network_input], help="run the curvature lower-bound checks")
     p.add_argument("--corner-threshold", type=float, default=0.5, dest="corner_threshold")
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("minimize", parents=[network_input], help="descend the energy from a network file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--kind-config", dest="kind_config", help="OptimizationConfig overrides (JSON)")
     p.add_argument("--no-multilevel", action="store_true", help="accepted and ignored: the solve has one level")
     p.add_argument("--standard-frame", action="store_true", dest="standard_frame")
-    p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("reference", help="construct a reference network")
     p.add_argument("--shape", choices=("circle", "double-bubble", "generalized"), required=True)
@@ -343,26 +343,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=400)
     p.add_argument("--out")
     p.add_argument("--standard-frame", action="store_true", dest="standard_frame")
-    p.set_defaults(func=cmd_reference)
 
     p = sub.add_parser("recovery", parents=[network_input], help="build the recovery theta-network of a degenerate input")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_recovery)
 
     p = sub.add_parser("sweep", help="tabulate the generalized bubble energy over an angle grid")
     p.add_argument("--alpha1-grid", required=True, dest="alpha1_grid")
     p.add_argument("--alpha2-grid", required=True, dest="alpha2_grid")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command; ``--help`` and ``--version`` exit through ``SystemExit(0)``."""
+    """Run ``cmd_<command>``, looked up by name; ``--help`` and ``--version`` exit through ``SystemExit(0)``."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ElastinetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(exc, types))

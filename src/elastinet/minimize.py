@@ -23,8 +23,8 @@ restoration, shared by the closure, its Jacobian and the step.  The Hessian
 is shifted (Levenberg) until the step descends and the factorization counts
 no negative eigenvalue of it reduced to the closure equations' tangent space,
 so no step heads for a saddle; each trial point is put back
-onto the closure equations by Gauss-Newton and accepted on an Armijo
-decrease of F, or, where the predicted decrease is below the round-off of F,
+onto the closure equations by Gauss-Newton, evaluated there once, and
+accepted on an Armijo decrease of F, or, where the predicted decrease is below the round-off of F,
 if F does not rise and ``|g|`` falls.  ``|g|`` is the norm of the gradient in the free variables
 projected onto the tangent space of the closure equations, the KKT residual;
 ``grad_tol`` and ``converged`` read it.
@@ -136,9 +136,6 @@ class OptimizationResult:
     config: OptimizationConfig
 
 
-_INFINITE = (math.inf, math.inf, math.inf)
-
-
 class _PointDof:
     """F of a network as a function of all its points, curve by curve.
 
@@ -161,7 +158,7 @@ class _PointDof:
     def value(self, x: np.ndarray):
         terms = self._terms(x, polyline_energy)
         if any(t is None for t in terms):
-            return _INFINITE
+            return math.inf, math.inf, math.inf
         e, l = sum(t.elastic for t in terms), sum(t.length for t in terms)
         return e + l, e, l
 
@@ -314,16 +311,6 @@ class _AngleForm:
             theta[:, -1] += z[self.nt + self.nc]
         return theta
 
-    def energy(self, z, theta=None) -> tuple[float, float, float]:
-        """(F, E, L) at z (angles theta), infinite where a length is not positive or an edge turns by pi."""
-        return self._totals(self.lengths(z), np.diff(self.angles(z) if theta is None else theta, axis=1))
-
-    def _totals(self, lengths, d) -> tuple[float, float, float]:
-        if not (lengths.min() > 0.0 and np.abs(d).max() < math.pi):
-            return _INFINITE
-        elastic, length = float(np.sum(self.m * np.sum(d * d, axis=1) / lengths)), float(lengths.sum())
-        return elastic + length, elastic, length
-
     def trig(self, theta):
         """cos and sin at angles theta, (2, curves, columns), and their sums over each row's edges, (curves, 2)."""
         cs = np.empty((2,) + theta.shape)
@@ -347,8 +334,9 @@ class _AngleForm:
             jac[:, :, nt + nc + 1 :] = -np.eye(2)
         return jac.reshape(2 * nc, nt + self.nh)
 
-    def restore(self, z):
-        """Gauss-Newton (least-change steps) onto the closure equations: (z, its angles, their ``trig``), or None.
+    def restore(self, z) -> _Point | None:
+        """The point that Gauss-Newton (least-change steps) reaches on the closure equations from z, ``evaluate``d,
+        or None: the line search judges a trial by the F and ``|g|`` of this point, the one it would keep.
 
         The lengths stay: a curve far from closing would otherwise be closed
         mostly by shrinking it towards a point.
@@ -362,7 +350,7 @@ class _AngleForm:
             if not (self.lengths(z).min() > 0.0 and math.isfinite(defect)):
                 return None
             if defect <= tol:
-                return z, theta, cs, sums
+                return self.evaluate(z, theta, cs, sums)
             jac = self.jacobian(z, cs, sums)
             jac[:, self.nt : self.nt + self.nc] = 0.0
             try:
@@ -370,9 +358,10 @@ class _AngleForm:
             except np.linalg.LinAlgError:
                 return None
         theta = self.angles(z)
-        return (z, theta, *self.trig(theta)) if defect <= 1e3 * tol else None
+        return self.evaluate(z, theta, *self.trig(theta)) if defect <= 1e3 * tol else None
 
     def evaluate(self, z, theta, cs, sums) -> _Point:
+        """The point at z (angles theta), F infinite where an edge turns by pi."""
         d = np.diff(theta, axis=1)
         lengths = self.lengths(z)
         w = self.m / lengths
@@ -386,7 +375,9 @@ class _AngleForm:
         jac = self.jacobian(z, cs, sums)
         mu = -np.linalg.solve(jac @ jac.T, jac @ g)
         grad_norm = float(np.linalg.norm(g + jac.T @ mu))
-        return _Point(z, cs, ds, s, *self._totals(lengths, d), g, jac, mu.reshape(-1, 2), grad_norm)
+        elastic, length = float(np.sum(self.m * s / lengths)), float(lengths.sum())  # m s / L: w s rounds differently
+        f = elastic + length if np.abs(d).max() < math.pi else math.inf
+        return _Point(z, cs, ds, s, f, elastic, length, g, jac, mu.reshape(-1, 2), grad_norm)
 
     def step(self, p: _Point, shift: float) -> tuple[np.ndarray, int]:
         """Newton-KKT step at p with the Hessian shifted by ``shift``, and the negative eigenvalues of that Hessian
@@ -436,16 +427,13 @@ class _AngleForm:
             return None
         t = 1.0
         while t >= STEP_MIN:
-            restored = self.restore(p.z + t * dz)
-            if restored is not None:
-                f = self.energy(*restored[:2])[0]
-                if f < p.f and f <= p.f + ARMIJO_C * t * slope:
-                    return self.evaluate(*restored)
+            if (q := self.restore(p.z + t * dz)) is not None:
+                if q.f < p.f and q.f <= p.f + ARMIJO_C * t * slope:
+                    return q
                 # a decrease below the round-off of F cannot show: judge the
                 # full step by |g| instead
-                if t == 1.0 and f <= p.f and -slope <= ROUND_OFF * p.f:
-                    if (q := self.evaluate(*restored)).grad_norm < p.grad_norm:
-                        return q
+                if t == 1.0 and q.f <= p.f and -slope <= ROUND_OFF * p.f and q.grad_norm < p.grad_norm:
+                    return q
             t *= 0.5
         return None
 
@@ -488,7 +476,7 @@ class _AngleForm:
 def _pinned(network: Network) -> Network:
     """A drop's closure point or the four-point moved to the origin."""
     if network.kind == "drop":
-        return Network("drop", (DiscreteCurve(network.curves[0].points - network.curves[0].points[0]),))
+        return translate_network(network, -network.curves[0].points[0])
     if network.kind == "degenerate_theta":
         return translate_network(network, -network.junctions[0].position)
     return network
@@ -519,13 +507,12 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
             make_symmetric_double_drop(lobe.final), [2.0 * t for t in traces], lobe.termination, lobe.iterations, config
         )
     form = _AngleForm(_pinned(network), config.n_per_curve)
-    restored = form.restore(form.z0)
-    if restored is None or not math.isfinite(form.energy(*restored[:2])[0]):
+    p = form.restore(form.z0)
+    if p is None or not math.isfinite(p.f):
         raise OptimizationError(
             f"the network has no closed equal-edge form at {config.n_per_curve} points per curve"
             " whose edges turn by less than pi"
         )
-    p = form.evaluate(*restored)
     trace = [(p.f, p.elastic, p.length, p.grad_norm)]
     it, stalled = 0, False
     while True:

@@ -715,6 +715,17 @@ def test_exit_code_of_every_error(monkeypatch, capsys):
         assert err.startswith("error: ") and err.endswith("boom\n") and len(err.splitlines()) == 1
 
 
+def test_one_parser_serves_every_call(capsys):
+    """The parser is built once per process; a usage error after a partial parse leaves the next call as the first."""
+    argv = ["reference", "--shape", "circle", "--n", "16"]
+    first = main(argv), capsys.readouterr()
+    assert first[0] == 0 and first[1].out.startswith("F = ") and first[1].err == ""
+    assert main(["reference", "--shape", "circle", "--standard-frame", "--n", "nope"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert (main(argv), capsys.readouterr()) == first
+    assert cli.build_parser() is cli.build_parser()
+
+
 def frozen_render_svg(network, width=640):
     """``render_svg`` as it formatted numpy scalars, point by point."""
     pts = np.vstack([c.points for c in network.curves])

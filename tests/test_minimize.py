@@ -304,7 +304,7 @@ def _random_connected(data):
 def _negative_count(result):
     """The negative eigenvalues of the reduced Hessian at the result's final network, re-formed at its points per curve."""
     form = _AngleForm(_pinned(result.final), result.config.n_per_curve)
-    return form.step(form.evaluate(*form.restore(form.z0)), 0.0)[1]
+    return form.step(form.restore(form.z0), 0.0)[1]
 
 
 class TestMinimizeFuzz:
@@ -658,7 +658,7 @@ def _perturbed_form(kind, n=16, scale=0.05, seed=0):
     rng = np.random.default_rng(seed)
     z = form.z0.copy()
     z[: form.nt] += rng.normal(0.0, scale, form.nt)
-    return form, form.restore(z)[0]
+    return form, form.restore(z).z
 
 
 def _trig(form, z):
@@ -689,7 +689,7 @@ class TestAngleForm:
         form, z = _perturbed_form(kind)
         net = form.network(z)
         assert net.kind == kind
-        assert form.energy(z)[0] == pytest.approx(penalized_energy(net).penalized, rel=1e-12, abs=0.0)
+        assert form.restore(z).f == pytest.approx(penalized_energy(net).penalized, rel=1e-12, abs=0.0)
         _check_incidence(net)
         edges = np.concatenate([np.linalg.norm(np.diff(c.points, axis=0), axis=1) for c in net.curves[:1]])
         assert np.ptp(edges) <= 1e-12 * edges.mean()
@@ -708,7 +708,7 @@ class TestAngleForm:
             zp, zm = z.copy(), z.copy()
             zp[i] += h
             zm[i] -= h
-            fd_g[i] = (form.energy(zp)[0] - form.energy(zm)[0]) / (2 * h)
+            fd_g[i] = (_evaluate(form, zp).f - _evaluate(form, zm).f) / (2 * h)
             fd_jac[:, i] = (form.closure(zp, _trig(form, zp)[1]) - form.closure(zm, _trig(form, zm)[1])).ravel() / (2 * h)
         denom = np.maximum(np.abs(p.g), 1e-3 * max(np.abs(p.g).max(), 1.0))
         assert np.max(np.abs(fd_g - p.g) / denom) < 1e-5
@@ -718,36 +718,39 @@ class TestAngleForm:
         assert np.max(np.abs(p.jac @ (p.g + p.jac.T @ p.mu.ravel()))) < 1e-10 * max(1.0, np.abs(p.g).max())
 
     def test_step_solves_the_dense_kkt_system(self, kind):
-        # Hessian of the Lagrangian by central differences of its gradient
-        form, z = _perturbed_form(kind, n=10)
-        p = _evaluate(form, z)
-        mu = p.mu.ravel()
+        # Hessian of the Lagrangian by central differences of its gradient, at a perturbed point and at the
+        # reference shape itself (scale 0), where the standard double bubble's straight middle curve puts a
+        # ~1e-33 entry on the diagonal of the border's Schur complement
+        for n, scale in ((10, 0.05), (10, 0.0), (16, 0.0), (40, 0.0)):
+            form, z = _perturbed_form(kind, n, scale)
+            p = _evaluate(form, z)
+            mu = p.mu.ravel()
 
-        def lagrangian_gradient(zz):
-            q = _evaluate(form, zz)
-            return q.g + q.jac.T @ mu
+            def lagrangian_gradient(zz):
+                q = _evaluate(form, zz)
+                return q.g + q.jac.T @ mu
 
-        h = 1e-6
-        hess = np.empty((len(z), len(z)))
-        for i in range(len(z)):
-            zp, zm = z.copy(), z.copy()
-            zp[i] += h
-            zm[i] -= h
-            hess[:, i] = (lagrangian_gradient(zp) - lagrangian_gradient(zm)) / (2 * h)
-        hess = 0.5 * (hess + hess.T)
-        n_con = 2 * form.nc
-        kkt = np.block([[hess, p.jac.T], [p.jac, np.zeros((n_con, n_con))]])
-        dense = np.linalg.solve(kkt, np.concatenate([-p.g, np.zeros(n_con)]))[: len(z)]
-        step, negative = form.step(p, 0.0)
-        assert np.max(np.abs(step - dense)) <= 1e-6 * max(1.0, np.abs(dense).max())
-        # the KKT matrix has 2 curves negative eigenvalues more than the reduced Hessian; a negative
-        # shift of all but D's Hessian rows leaves that Hessian indefinite
-        shifted = np.ones(len(z))
-        shifted[form.nt + form.nc + 1 :] = 0.0
-        for shift in (0.0, -0.3 * np.abs(np.diag(hess)).max()):
-            kkt[: len(z), : len(z)] = hess + shift * np.diag(shifted)
-            want = np.count_nonzero(np.linalg.eigvalsh(kkt) < 0.0) - n_con
-            assert form.step(p, shift)[1] == want and (want > 0) == (shift < 0.0)
+            h = 1e-6
+            hess = np.empty((len(z), len(z)))
+            for i in range(len(z)):
+                zp, zm = z.copy(), z.copy()
+                zp[i] += h
+                zm[i] -= h
+                hess[:, i] = (lagrangian_gradient(zp) - lagrangian_gradient(zm)) / (2 * h)
+            hess = 0.5 * (hess + hess.T)
+            n_con = 2 * form.nc
+            kkt = np.block([[hess, p.jac.T], [p.jac, np.zeros((n_con, n_con))]])
+            dense = np.linalg.solve(kkt, np.concatenate([-p.g, np.zeros(n_con)]))[: len(z)]
+            step, negative = form.step(p, 0.0)
+            assert np.max(np.abs(step - dense)) <= 1e-6 * max(1.0, np.abs(dense).max()), (n, scale)
+            # the KKT matrix has 2 curves negative eigenvalues more than the reduced Hessian; a negative
+            # shift of all but D's Hessian rows leaves that Hessian indefinite
+            shifted = np.ones(len(z))
+            shifted[form.nt + form.nc + 1 :] = 0.0
+            for shift in (0.0, -0.3 * np.abs(np.diag(hess)).max()):
+                kkt[: len(z), : len(z)] = hess + shift * np.diag(shifted)
+                want = np.count_nonzero(np.linalg.eigvalsh(kkt) < 0.0) - n_con
+                assert form.step(p, shift)[1] == want and (want > 0) == (shift < 0.0), (n, scale, shift)
 
     def test_solve_descends_and_converges(self, kind):
         net = SOLVER_CASES[kind]()
@@ -815,7 +818,7 @@ def test_tridiagonal_solve_counts_a_zero_pivot():
 def _newton_steps(network, n, steps):
     """The F trace of the first ``steps`` Newton steps at n points per curve from network."""
     form = _AngleForm(_pinned(network), n)
-    p = form.evaluate(*form.restore(form.z0))
+    p = form.restore(form.z0)
     trace = [p.f]
     for _ in range(steps):
         p = form.line_search(p)
