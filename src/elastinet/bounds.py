@@ -77,6 +77,7 @@ class ThetaBoundCheck:
     holds: bool
     pair_values: tuple[float, float, float]
     pair_bound: float
+    pair_holds: tuple[bool, bool, bool]  # F_01, F_12, F_20 >= pair_bound, within the float slack
     pairs_hold: bool
     identity_defect: float
 
@@ -228,7 +229,7 @@ def theta_lower_bound_check(theta: Network) -> ThetaBoundCheck:
     pairs = (per[0] + per[1], per[1] + per[2], per[2] + per[0])
     pair_bound = 8.0 * math.pi / 3.0
     tol = _FLOAT_SLACK * (1.0 + f_val)
-    pairs_hold = all(p >= pair_bound - tol for p in pairs)
+    pair_holds = tuple(bool(p >= pair_bound - tol) for p in pairs)
     identity_defect = abs(0.5 * sum(pairs) - f_val)
     holds = bool(f_val >= 4.0 * math.pi - tol)
     return ThetaBoundCheck(
@@ -237,7 +238,8 @@ def theta_lower_bound_check(theta: Network) -> ThetaBoundCheck:
         holds=holds,
         pair_values=pairs,
         pair_bound=pair_bound,
-        pairs_hold=bool(pairs_hold),
+        pair_holds=pair_holds,
+        pairs_hold=all(pair_holds),
         identity_defect=identity_defect,
     )
 

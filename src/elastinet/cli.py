@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    _FLOAT_SLACK,
     PiecewiseClosedCurve,
     amgm_energy_bound,
     drop_bound_check,
@@ -147,9 +146,8 @@ def cmd_bounds(args) -> int:
         if net.kind == "theta":  # F >= 4 pi and F_ij >= 8 pi / 3 need 120 degree junctions
             tb = theta_lower_bound_check(net)
             rows.append(("theta_4pi", tb.f_value, tb.bound, tb.holds))
-            pair_tol = _FLOAT_SLACK * (1.0 + tb.f_value)  # the tolerance of tb.pairs_hold
-            for (i, j), fij in zip(((0, 1), (1, 2), (2, 0)), tb.pair_values):
-                rows.append((f"pair_F_{i}{j}", fij, tb.pair_bound, fij >= tb.pair_bound - pair_tol))
+            for (i, j), fij, held in zip(((0, 1), (1, 2), (2, 0)), tb.pair_values, tb.pair_holds):
+                rows.append((f"pair_F_{i}{j}", fij, tb.pair_bound, held))
             for i, j in ((0, 1), (1, 2), (2, 0)):
                 # each corner is between two end tangents that validate held within tol_ang of their frames
                 pb = pair_bound_check(pair_loop(net, i, j), 2.0 * args.tol_ang)

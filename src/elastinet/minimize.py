@@ -19,7 +19,7 @@ right-hand sides, O(m) work and memory in O(log m) vectorized sweeps down to
 at most 31 rows that one batched dense solve finishes, plus a Schur
 complement over the bordering lengths, free frame, ``D = J_1 - J_0`` and
 closure rows.  An iterate's cos and sin come from one pass, the last of its
-restoration, shared by the closure, its Jacobian and the step.  The Hessian
+restoration, shared by the closure, its Jacobian, the step and the points.  The Hessian
 is shifted (Levenberg) until the step descends and the factorization counts
 no negative eigenvalue of it reduced to the closure equations' tangent space,
 so no step heads for a saddle; each trial point is put back
@@ -338,27 +338,27 @@ class _AngleForm:
         """The point that Gauss-Newton (least-change steps) reaches on the closure equations from z, ``evaluate``d,
         or None: the line search judges a trial by the F and ``|g|`` of this point, the one it would keep.
 
-        The lengths stay: a curve far from closing would otherwise be closed
-        mostly by shrinking it towards a point.
+        A point is accepted on its own closure defect: at most tol, or 1e3 tol after the 12th and last update.
+        The lengths stay: a curve far from closing would otherwise be closed mostly by shrinking it towards a point.
         """
-        tol = 1e-15 * max(1.0, float(np.abs(self.lengths(z)).sum()))
-        for _ in range(12):
+        if not self.lengths(z).min() > 0.0:
+            return None
+        tol = 1e-15 * max(1.0, float(self.lengths(z).sum()))
+        for updates_left in range(12, -1, -1):
             theta = self.angles(z)
             cs, sums = self.trig(theta)
             c = self.closure(z, sums).ravel()
             defect = float(np.max(np.abs(c)))
-            if not (self.lengths(z).min() > 0.0 and math.isfinite(defect)):
-                return None
-            if defect <= tol:
+            if defect <= (tol if updates_left else 1e3 * tol):
                 return self.evaluate(z, theta, cs, sums)
+            if not (updates_left and math.isfinite(defect)):
+                return None
             jac = self.jacobian(z, cs, sums)
             jac[:, self.nt : self.nt + self.nc] = 0.0
             try:
                 z = z - jac.T @ np.linalg.solve(jac @ jac.T, c)
             except np.linalg.LinAlgError:
                 return None
-        theta = self.angles(z)
-        return self.evaluate(z, theta, *self.trig(theta)) if defect <= 1e3 * tol else None
 
     def evaluate(self, z, theta, cs, sums) -> _Point:
         """The point at z (angles theta), F infinite where an edge turns by pi."""
@@ -445,31 +445,30 @@ class _AngleForm:
         half = 0.5 * z[self.nt + self.nc + 1 :]
         return [(self.center - half, junctions[0].frame_angle), (self.center + half, float(z[self.nt + self.nc]))]
 
-    def points(self, z) -> list[np.ndarray]:
-        """Each curve's points at z: one cumulative sum of its edges from its
-        start, a junction or the template's first point, with the last point
-        set on its end.  A junction curve's last edge is laid back from its
-        end, so it stays on the frame ray."""
-        edges = self.angles(z)[:, : self.m]
-        h = self.lengths(z) / self.m
-        steps = h[:, None, None] * np.stack([np.cos(edges), np.sin(edges)], axis=-1)
-        frames = self.frames(z)
+    def points(self, p: _Point) -> list[np.ndarray]:
+        """Each curve's points at p: one cumulative sum of its edges, from the
+        cos and sin p carries, from its start, a junction or the template's
+        first point, with the last point set on its end.  A junction curve's
+        last edge is laid back from its end, so it stays on the frame ray."""
+        h = self.lengths(p.z) / self.m
+        steps = h[:, None, None] * np.moveaxis(p.cs[:, :, : self.m], 0, -1)
+        frames = self.frames(p.z)
         origin = self.template.curves[0].points[0]
         anchors = [(frames[js][0], frames[je][0]) for (js, _), (je, _) in self.slots] or [(origin, origin)]
         curves = []
         for (start, end), step in zip(anchors, steps):
-            p = start + np.concatenate([np.zeros((1, 2)), np.cumsum(step, axis=0)])
-            p[-1] = end
+            x = start + np.concatenate([np.zeros((1, 2)), np.cumsum(step, axis=0)])
+            x[-1] = end
             if self.slots:
-                p[-2] = end - step[-1]
-            curves.append(p[: self.n])
+                x[-2] = end - step[-1]
+            curves.append(x[: self.n])
         return curves
 
-    def network(self, z, points=None) -> Network:
-        """The network at z, built from its ``points(z)`` if given."""
-        points = self.points(z) if points is None else points
-        curves = tuple(DiscreteCurve(p, c.closed) for p, c in zip(points, self.template.curves))
-        junctions = tuple(Junction(pos, a, j.offsets) for (pos, a), j in zip(self.frames(z), self.template.junctions))
+    def network(self, p: _Point, points=None) -> Network:
+        """The network at p, built from its ``points(p)`` if given."""
+        points = self.points(p) if points is None else points
+        curves = tuple(DiscreteCurve(x, c.closed) for x, c in zip(points, self.template.curves))
+        junctions = tuple(Junction(pos, a, j.offsets) for (pos, a), j in zip(self.frames(p.z), self.template.junctions))
         return Network(self.template.kind, curves, junctions, self.template.prescribed_angles)
 
 
@@ -519,7 +518,7 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
         # a connected network's bounding-box diagonal is at most sqrt(2) times its length:
         # only a curve under 2 DEGENERATION_FACTOR of the total can be degenerate
         lengths = form.lengths(p.z)
-        points = form.points(p.z) if lengths.min() < 2.0 * DEGENERATION_FACTOR * lengths.sum() else None
+        points = form.points(p) if lengths.min() < 2.0 * DEGENERATION_FACTOR * lengths.sum() else None
         diameter = 0.0 if points is None else points_diameter(points)
         if lengths.min() < DEGENERATION_FACTOR * diameter:
             termination = "degeneration"
@@ -537,7 +536,7 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
             stalled = 0.0 < p.f - q.f <= config.energy_rel_tol * max(abs(q.f), 1.0)
             p = q
             continue
-        return _result(form.network(p.z, points), zip(*trace), termination, it, config)
+        return _result(form.network(p, points), zip(*trace), termination, it, config)
 
 
 def minimize_multilevel(

@@ -644,9 +644,8 @@ def recovery_sequence(degenerate: Network, n: int) -> Network:
     (j,) = degenerate.junctions
     net = translate_network(degenerate, -j.position)
     (j,) = net.junctions
-    dirs = [j.frame_angle + off for off in j.offsets]
-    want = [math.pi / 3.0, 2.0 * math.pi / 3.0, 5.0 * math.pi / 3.0, 4.0 * math.pi / 3.0]
-    mism = max(abs(float(signed_angle(unit(d), unit(w)))) for d, w in zip(dirs, want))
+    want = [math.pi / 3.0 + off for off in DEGENERATE_OFFSET_VARIANTS[0]]
+    mism = max(abs(float(signed_angle(unit(j.frame_angle + off), unit(w)))) for off, w in zip(j.offsets, want))
     if mism > 1e-6:
         raise ConstructionFailedError(
             "input must be oriented with curve 0 leaving at 60 degrees (four-point frame pi/3)"
@@ -662,9 +661,8 @@ def recovery_sequence(degenerate: Network, n: int) -> Network:
     bridge = DiscreteCurve(np.array([[0.0, 0.0], 0.5 * w, w]), closed=False)
     new_curves.append(bridge)
 
-    two_thirds = 2.0 * math.pi / 3.0
-    j_r = Junction(np.zeros(2), math.pi / 3.0, (0.0, 2.0 * two_thirds, two_thirds))
-    j_l = Junction(w.copy(), 0.0, (two_thirds, 2.0 * two_thirds, 0.0))
+    j_r = Junction(np.zeros(2), math.pi / 3.0, THETA_OFFSETS_END)
+    j_l = Junction(w.copy(), 0.0, THETA_OFFSETS_START[1:] + THETA_OFFSETS_START[:1])
     return Network("theta", tuple(new_curves), (j_r, j_l))
 
 

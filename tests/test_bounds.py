@@ -22,6 +22,7 @@ from elastinet.networks import (
     Network,
     make_circle,
     make_degenerate_figure_eight,
+    make_generalized_bubble,
     make_standard_double_bubble,
     make_teardrop,
     optimal_bubble_radius,
@@ -196,8 +197,15 @@ class TestThetaLowerBound:
         assert check.holds
         assert check.f_value == pytest.approx(18.4059, rel=1e-3)
         assert check.f_value >= 4 * np.pi
-        assert check.pairs_hold
+        assert check.pair_holds == (True, True, True) and check.pairs_hold
         assert check.identity_defect <= 1e-12
+
+    def test_pair_verdicts_of_a_generalized_theta(self):
+        # only F_01 of this generalized theta falls below the 120 degree pair bound 8 pi / 3
+        check = theta_lower_bound_check(make_generalized_bubble(0.5, 3.0, 60))
+        assert check.pair_values[0] < check.pair_bound < min(check.pair_values[1:])
+        assert check.pair_holds == (False, True, True)
+        assert not check.pairs_hold
 
     def test_fuzzed_thetas(self):
         rng = np.random.default_rng(12)

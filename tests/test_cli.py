@@ -276,7 +276,7 @@ class TestBoundsCommand:
 
     @pytest.mark.parametrize("below, holds, code", [(5e-9, True, 0), (1e-7, False, 3)])
     def test_pair_rows_take_the_library_tolerance(self, tmp_path, monkeypatch, capsys, below, holds, code):
-        # F = 18.4 here, so pairs_hold allows 1e-9 (1 + F) = 1.9e-8 below 8 pi / 3
+        # F = 18.4 here, so the library's pair verdicts allow 1e-9 (1 + F) = 1.9e-8 below 8 pi / 3
         path = tmp_path / "bubble.json"
         save_json(make_standard_double_bubble(optimal_bubble_radius(), 40), path)
         library_check = cli.theta_lower_bound_check
@@ -284,7 +284,8 @@ class TestBoundsCommand:
         def near_miss(net):
             check = library_check(net)
             pairs = (check.pair_bound - below,) + check.pair_values[1:]
-            return dataclasses.replace(check, pair_values=pairs, pairs_hold=holds)
+            verdicts = (holds,) + check.pair_holds[1:]
+            return dataclasses.replace(check, pair_values=pairs, pair_holds=verdicts, pairs_hold=holds)
 
         monkeypatch.setattr(cli, "theta_lower_bound_check", near_miss)
         assert main(["bounds", str(path)]) == code

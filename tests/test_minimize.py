@@ -687,9 +687,10 @@ def _check_incidence(net):
 class TestAngleForm:
     def test_energy_is_that_of_the_rebuilt_network(self, kind):
         form, z = _perturbed_form(kind)
-        net = form.network(z)
+        p = form.restore(z)
+        net = form.network(p)
         assert net.kind == kind
-        assert form.restore(z).f == pytest.approx(penalized_energy(net).penalized, rel=1e-12, abs=0.0)
+        assert p.f == pytest.approx(penalized_energy(net).penalized, rel=1e-12, abs=0.0)
         _check_incidence(net)
         edges = np.concatenate([np.linalg.norm(np.diff(c.points, axis=0), axis=1) for c in net.curves[:1]])
         assert np.ptp(edges) <= 1e-12 * edges.mean()
@@ -697,6 +698,24 @@ class TestAngleForm:
     def test_closure_restored(self, kind):
         form, z = _perturbed_form(kind)
         assert np.max(np.abs(form.closure(z, _trig(form, z)[1]))) <= 1e-15 * max(1.0, form.lengths(z).sum())
+
+    @pytest.mark.parametrize("spread", [1e-4, 1e-6])
+    def test_last_restoration_pass_returns_a_measured_point(self, kind, spread, monkeypatch):
+        # nearly equal free angles leave every curve far from closing, and the
+        # Gauss-Newton passes stall at round-off, so restore reaches its last pass
+        form = _AngleForm(_pinned(SOLVER_CASES[kind]()), 16)
+        z = form.z0.copy()
+        z[: form.nt] = np.random.default_rng(0).normal(0.0, spread, form.nt)
+        assert np.max(np.abs(form.closure(z, _trig(form, z)[1]))) > 0.1
+        measured = []
+        closure = form.closure
+        monkeypatch.setattr(form, "closure", lambda zz, sums: measured.append(zz) or closure(zz, sums))
+        q = form.restore(z)
+        assert len(measured) == 13  # 12 updates, and every point measured
+        if q is not None:
+            cs, sums = _trig(form, q.z)
+            assert q.z is measured[-1] and np.array_equal(q.cs, cs)
+            assert np.max(np.abs(closure(q.z, sums))) <= 1e3 * 1e-15 * max(1.0, form.lengths(z).sum())
 
     def test_gradient_and_jacobian_match_central_differences(self, kind):
         form, z = _perturbed_form(kind)
