@@ -22,10 +22,10 @@ closure rows.  An iterate's cos and sin come from one pass, the last of its
 restoration, shared by the closure, its Jacobian, the step and the points.  The Hessian
 is shifted (Levenberg) until the step descends and the factorization counts
 no negative eigenvalue of it reduced to the closure equations' tangent space,
-so no step heads for a saddle; each trial point is put back
-onto the closure equations by Gauss-Newton, evaluated there once, and
-accepted on an Armijo decrease of F, or, where the predicted decrease is below the round-off of F,
-if F does not rise and ``|g|`` falls.  ``|g|`` is the norm of the gradient in the free variables
+so no step heads for a saddle; each trial point is put back onto the closure equations by
+Gauss-Newton and evaluated there once.  A step whose predicted decrease exceeds the round-off
+of F is halved until F falls by Armijo's rule; any other is taken whole, if ``|g|`` falls and F
+rises by at most that round-off.  ``|g|`` is the norm of the gradient in the free variables
 projected onto the tangent space of the closure equations, the KKT residual;
 ``grad_tol`` and ``converged`` read it.
 ``minimize_multilevel`` is the same single solve, as one level.
@@ -74,7 +74,7 @@ __all__ = [
 DEGENERATION_FACTOR = 1e-3
 ARMIJO_C = 1e-4  # sufficient decrease of the line search
 STEP_MIN = 1e-12  # smallest step length it tries
-ROUND_OFF = 1e-12  # predicted decreases of F below this share are not tested on F
+ROUND_OFF = 1e-12  # round-off of F as a share of F: a step predicted to change F less is judged by |g|
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,11 @@ class OptimizationResult:
     """Outcome of one run.  ``termination`` is one of:
 
     * ``converged``: ``|g|`` reached ``grad_tol``;
-    * ``stalled``: a step lowered F, by at most ``energy_rel_tol`` relative
-      to F, while ``|g|`` stayed above ``grad_tol``;
+    * ``stalled``: a step accepted on Armijo's rule lowered F by at most
+      ``energy_rel_tol`` relative to F, while ``|g|`` stayed above ``grad_tol``;
     * ``max_iters``: the iteration budget ran out;
-    * ``line_search_failed``: no step down to ``STEP_MIN`` lowered F, nor did
-      the full step lower ``|g|`` where the predicted decrease of F is below
-      its round-off (``ROUND_OFF``);
+    * ``line_search_failed``: no step down to ``STEP_MIN`` met Armijo's rule, or, below F's round-off
+      (``ROUND_OFF``), the full step did not lower ``|g|`` or raised F by more than ``ROUND_OFF`` F;
     * ``degeneration``: a curve shrank below ``DEGENERATION_FACTOR`` times the
       network diameter.
 
@@ -414,9 +413,11 @@ class _AngleForm:
         # the free angles are solved lane by lane, z holds them curve by curve
         return np.concatenate([(y - ys @ x_border).reshape(nf, nc).T.ravel(), x_border[:nh]]), negative
 
-    def line_search(self, p: _Point) -> _Point | None:
-        """The next feasible iterate, on an Armijo decrease of F, or None; the step takes the first shift that leaves
-        no negative reduced eigenvalue and descends (Waechter and Biegler, Math. Program. 106, 2006)."""
+    def line_search(self, p: _Point) -> tuple[_Point, bool] | None:
+        """The next feasible iterate and whether it was accepted on F, or None.  The step takes the first shift that
+        leaves no negative reduced eigenvalue and descends (Waechter and Biegler, Math. Program. 106, 2006).  Where its
+        predicted decrease is at most ``ROUND_OFF`` F, only the full step is tried, kept if ``|g|`` falls and F rises
+        by at most that (Hager and Zhang, SIAM J. Optim. 16, 2005); elsewhere, Armijo backtracking to ``STEP_MIN``."""
         shifts = (2.0 * float(np.max(self.m / self.lengths(p.z))) * 10.0**k for k in range(-8, 9))
         for shift in itertools.chain([0.0], shifts):  # the Levenberg scale only once a shift is tried
             dz, negative = self.step(p, shift)
@@ -425,15 +426,13 @@ class _AngleForm:
                 break
         else:
             return None
+        if -slope <= ROUND_OFF * p.f:
+            q = self.restore(p.z + dz)
+            return (q, False) if q is not None and q.f <= p.f + ROUND_OFF * p.f and q.grad_norm < p.grad_norm else None
         t = 1.0
         while t >= STEP_MIN:
-            if (q := self.restore(p.z + t * dz)) is not None:
-                if q.f < p.f and q.f <= p.f + ARMIJO_C * t * slope:
-                    return q
-                # a decrease below the round-off of F cannot show: judge the
-                # full step by |g| instead
-                if t == 1.0 and q.f <= p.f and -slope <= ROUND_OFF * p.f and q.grad_norm < p.grad_norm:
-                    return q
+            if (q := self.restore(p.z + t * dz)) is not None and q.f < p.f and q.f <= p.f + ARMIJO_C * t * slope:
+                return q, True
             t *= 0.5
         return None
 
@@ -528,12 +527,13 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
             termination = "stalled"
         elif it >= config.max_iters:
             termination = "max_iters"
-        elif (q := form.line_search(p)) is None:
+        elif (step := form.line_search(p)) is None:
             termination = "line_search_failed"
         else:
+            q, on_f = step
             it += 1
             trace.append((q.f, q.elastic, q.length, q.grad_norm))
-            stalled = 0.0 < p.f - q.f <= config.energy_rel_tol * max(abs(q.f), 1.0)
+            stalled = on_f and 0.0 < p.f - q.f <= config.energy_rel_tol * max(abs(q.f), 1.0)
             p = q
             continue
         return _result(form.network(p, points), zip(*trace), termination, it, config)

@@ -8,7 +8,13 @@ import numpy as np
 
 from elastinet.bounds import PiecewiseClosedCurve
 from elastinet.geometry import DiscreteCurve, rotate_points, unit
-from elastinet.networks import THETA_OFFSETS_END, THETA_OFFSETS_START, Junction, Network
+from elastinet.networks import (
+    DEGENERATE_OFFSET_VARIANTS,
+    THETA_OFFSETS_END,
+    THETA_OFFSETS_START,
+    Junction,
+    Network,
+)
 
 
 def _fourier_bump(rng, t: np.ndarray, scale: float, modes: int = 3) -> np.ndarray:
@@ -59,13 +65,13 @@ def _hermite(p0, v0, p1, v1, t: np.ndarray) -> np.ndarray:
     return h00 * p0 + h10 * v0 + h01 * p1 + h11 * v1
 
 
-def random_theta_network(rng, n: int = 70) -> Network:
-    """Random valid theta: Hermite curves honoring random 120 degree frames."""
+def _random_theta(rng, n, kind, start_offsets, end_offsets, prescribed_angles=None) -> Network:
+    """Three Hermite curves from junction 0 at the origin to junction 1, leaving and arriving along random frames."""
     p2 = rng.uniform(1.0, 2.0) * unit(rng.uniform(0.0, 2.0 * np.pi))
     f1 = rng.uniform(0.0, 2.0 * np.pi)
     f2 = rng.uniform(0.0, 2.0 * np.pi)
-    j1 = Junction(np.zeros(2), f1, THETA_OFFSETS_START)
-    j2 = Junction(p2, f2, THETA_OFFSETS_END)
+    j1 = Junction(np.zeros(2), f1, start_offsets)
+    j2 = Junction(p2, f2, end_offsets)
     dist = float(np.linalg.norm(p2))
     t = np.linspace(0.0, 1.0, n)
     curves = []
@@ -78,7 +84,38 @@ def random_theta_network(rng, n: int = 70) -> Network:
         pts[0] = 0.0
         pts[-1] = p2
         curves.append(DiscreteCurve(pts))
-    return Network("theta", tuple(curves), (j1, j2))
+    return Network(kind, tuple(curves), (j1, j2), prescribed_angles)
+
+
+def random_theta_network(rng, n: int = 70) -> Network:
+    """Random valid theta: Hermite curves honoring random 120 degree frames."""
+    return _random_theta(rng, n, "theta", THETA_OFFSETS_START, THETA_OFFSETS_END)
+
+
+def random_generalized_theta(rng, n: int = 70) -> Network:
+    """Random valid generalized theta: prescribed sectors alpha1, alpha2 in [0.6, 2.6], the third above 0.6,
+    joined by Hermite curves as in ``random_theta_network``."""
+    while True:
+        a1, a2 = sorted(rng.uniform(0.6, 2.6, 2))
+        if a1 + a2 < 2.0 * np.pi - 0.6:
+            break
+    start, end = (0.0, a1, a1 + a2), (0.0, 2.0 * np.pi - a1, 2.0 * np.pi - a1 - a2)
+    return _random_theta(rng, n, "generalized_theta", start, end, (a1, a2, 2.0 * np.pi - a1 - a2))
+
+
+def random_degenerate_theta(rng, n: int = 70) -> Network:
+    """Random valid degenerate theta: two Hermite loops at a four-point with a random frame and either
+    offset pattern; lobe i leaves through slot 2i and returns through slot 2i + 1."""
+    j = Junction(np.zeros(2), rng.uniform(0.0, 2.0 * np.pi), DEGENERATE_OFFSET_VARIANTS[rng.integers(2)])
+    t = np.linspace(0.0, 1.0, n)
+    lobes = []
+    for i in range(2):
+        v0 = rng.uniform(2.0, 4.0) * j.outgoing_dir(2 * i)
+        v1 = rng.uniform(2.0, 4.0) * (-j.outgoing_dir(2 * i + 1))
+        pts = _hermite(np.zeros(2), v0, np.zeros(2), v1, t)
+        pts[0] = pts[-1] = 0.0
+        lobes.append(DiscreteCurve(pts))
+    return Network("degenerate_theta", tuple(lobes), (j,))
 
 
 def random_drop(rng, n: int = 90) -> Network:

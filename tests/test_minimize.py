@@ -12,6 +12,7 @@ from elastinet.errors import ConstructionFailedError, InvalidConfigError, Invali
 from elastinet.geometry import DiscreteCurve, polyline_length
 from elastinet.minimize import (
     DEGENERATION_FACTOR,
+    ROUND_OFF,
     OptimizationConfig,
     discrete_gradient,
     dof_map,
@@ -37,7 +38,7 @@ from elastinet.networks import (
     translate_network,
     validate,
 )
-from random_networks import random_drop, random_theta_network
+from random_networks import random_degenerate_theta, random_drop, random_generalized_theta, random_theta_network
 
 RBAR = optimal_bubble_radius()
 
@@ -187,6 +188,36 @@ class TestMinimize:
         assert res.iterations < cfg.max_iters
         assert res.grad_norm_trace[-1] < 1e-9
 
+    @pytest.mark.parametrize(
+        "alpha1, alpha2", [(1.2, 1.5), tuple(np.linspace(0.6, 2.0 * np.pi - 1.8, 12)[[3, 7]])], ids=["bubble", "grid-cell"]
+    )
+    def test_endgame_below_round_off_converges(self, alpha1, alpha2):
+        # Newton's last steps predict a fall of F below its round-off, which
+        # F cannot show; the full step is judged by |g| and F may rise by one ulp
+        cfg = OptimizationConfig(n_per_curve=100, max_iters=300, grad_tol=1e-9)
+        res = minimize(make_generalized_bubble(alpha1, alpha2, 100), cfg)
+        assert res.termination == "converged"
+        f = res.energy_trace
+        assert np.all(np.diff(f) <= ROUND_OFF * f[:-1])
+
+    def test_round_off_regime_tries_the_full_step_only(self, monkeypatch):
+        form = _AngleForm(_pinned(make_generalized_bubble(1.2, 1.5, 100)), 100)
+        p = form.restore(form.z0)
+        for _ in range(4):
+            p, on_f = form.line_search(p)
+            assert on_f
+        dz, _ = form.step(p, 0.0)
+        assert 0.0 < -(p.g @ dz) <= ROUND_OFF * p.f  # the fifth step predicts a fall of F below its round-off
+        restore, trials = form.restore, []
+        monkeypatch.setattr(form, "restore", lambda z: trials.append(z) or restore(z))
+        q, on_f = form.line_search(p)
+        assert len(trials) == 1 and not on_f
+        assert q.grad_norm < p.grad_norm and q.f <= p.f + ROUND_OFF * p.f
+        # the same step, had it raised F by more than its round-off, is refused without backtracking
+        raised = q._replace(f=p.f + 2.0 * ROUND_OFF * p.f)
+        monkeypatch.setattr(form, "restore", lambda z: trials.append(z) or raised)
+        assert form.line_search(p) is None and len(trials) == 2
+
     def test_degeneration_detected(self):
         deg = make_degenerate_figure_eight(60)
         theta = recovery_sequence(deg, 2000)  # middle curve of length 5e-4
@@ -307,38 +338,52 @@ def _negative_count(result):
     return form.step(form.restore(form.z0), 0.0)[1]
 
 
+FUZZ_GENERATORS = pytest.mark.parametrize(
+    "generator",
+    [random_theta_network, random_drop, random_generalized_theta, random_degenerate_theta],
+    ids=["theta", "drop", "generalized", "degenerate"],
+)
+
+
 class TestMinimizeFuzz:
-    """Seeded random thetas and drops: every one converges to a local minimum
-    within 40 Newton steps, and keeps the hard constraints.
+    """Seeded random networks of every kind with a junction, and drops: every
+    one converges to a local minimum within 40 Newton steps, or a generalized
+    theta degenerates, and keeps the hard constraints.  At ``grad_tol`` 1e-9
+    the last steps predict falls of F below its round-off, and F may rise by
+    at most ``ROUND_OFF`` F per step.
 
     Embeddedness and ``validate`` are not required: several random thetas
     converge to self-crossing local minima.
     """
 
-    @pytest.mark.parametrize("seed", range(20))
-    @pytest.mark.parametrize("generator", [random_theta_network, random_drop], ids=["theta", "drop"])
-    def test_outcome_and_constraints(self, generator, seed):
-        cfg = OptimizationConfig(n_per_curve=60, max_iters=200)
+    def _solve(self, generator, seed, n, grad_tol):
+        cfg = OptimizationConfig(n_per_curve=n, max_iters=200, grad_tol=grad_tol)
         res = minimize(generator(np.random.default_rng(seed)), cfg)
+        if res.termination == "degeneration":
+            # generalized seeds 9 and 12 start with two crossings, and their first curve collapses;
+            # its edges are too short for their directions to hold the frame rays to 1e-12
+            assert generator is random_generalized_theta
+            return res.energy_trace
         assert res.termination == "converged" and res.iterations <= 40
         assert res.grad_norm_trace[-1] <= cfg.grad_tol
-        assert np.all(np.diff(res.energy_trace) <= 0.0)
         assert _negative_count(res) == 0
-        final = res.final
-        if final.kind == "drop":
-            (c,) = final.curves
+        if res.final.kind == "drop":
+            (c,) = res.final.curves
             assert c.points[0].tobytes() == c.points[-1].tobytes()
-            return
-        for c, ((js, ss), (je, se)) in zip(final.curves, end_slots(final.kind, len(final.curves))):
-            start, end = final.junctions[js], final.junctions[je]
-            assert c.points[0].tobytes() == start.position.tobytes()
-            assert c.points[-1].tobytes() == end.position.tobytes()
-            for edge, ray in (
-                (c.points[1] - c.points[0], start.outgoing_dir(ss)),
-                (c.points[-2] - c.points[-1], end.outgoing_dir(se)),
-            ):
-                direction = edge / np.linalg.norm(edge)
-                assert abs(direction[0] * ray[1] - direction[1] * ray[0]) <= 1e-12 and direction @ ray > 0.0
+        _check_incidence(res.final)
+        return res.energy_trace
+
+    @pytest.mark.parametrize("seed", range(20))
+    @FUZZ_GENERATORS
+    def test_outcome_and_constraints(self, generator, seed):
+        assert np.all(np.diff(self._solve(generator, seed, 60, 1e-4)) <= 0.0)
+
+    @pytest.mark.parametrize("n", [60, 200])
+    @pytest.mark.parametrize("seed", range(20))
+    @FUZZ_GENERATORS
+    def test_endgame_below_round_off(self, generator, seed, n):
+        f = self._solve(generator, seed, n, 1e-9)
+        assert np.all(np.diff(f) <= ROUND_OFF * f[:-1])
 
 
 class TestSymmetricDoubleDrop:
@@ -793,7 +838,7 @@ def test_solution_does_not_depend_on_scale(kind, n):
     cfg = OptimizationConfig(n_per_curve=n, max_iters=200, grad_tol=1e-9, energy_rel_tol=1e-15)
     results = [minimize(scale_network(SOLVER_CASES[kind](), s, about=(0.0, 0.0)), cfg) for s in (0.01, 1.0, 100.0)]
     for res in results:
-        assert res.termination in ("converged", "stalled", "line_search_failed")
+        assert res.termination == "converged"
     f = [res.energy_trace[-1] for res in results]
     assert max(f) - min(f) <= 1e-9 * f[1]
 
@@ -840,7 +885,7 @@ def _newton_steps(network, n, steps):
     p = form.restore(form.z0)
     trace = [p.f]
     for _ in range(steps):
-        p = form.line_search(p)
+        p, _ = form.line_search(p)
         trace.append(p.f)
     return trace
 
