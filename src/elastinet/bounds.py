@@ -147,19 +147,15 @@ def gauss_bonnet_check(curve: PiecewiseClosedCurve) -> InequalityCheck:
     return InequalityCheck(lhs=lhs, rhs=rhs, holds=bool(lhs >= rhs - tol))
 
 
-def _drop_loop(drop: Network) -> PiecewiseClosedCurve:
-    (curve,) = drop.curves
-    gap = float(np.linalg.norm(curve.points[0] - curve.points[-1]))
-    if gap > 1e-6 * max(1.0, curve.points.__abs__().max()):
-        raise InvalidInputError("drop endpoints do not coincide")
-    return PiecewiseClosedCurve((curve,), closure_tol=1e-6)
-
-
 def drop_bound_check(drop: Network) -> InequalityCheck:
     """integral |k| ds >= pi for a drop (one free corner of arbitrary angle)."""
     if drop.kind != "drop":
         raise InvalidInputError(f"expected a drop network, got {drop.kind!r}")
-    lhs = total_abs_curvature(_drop_loop(drop))
+    (curve,) = drop.curves
+    gap = float(np.linalg.norm(curve.points[0] - curve.points[-1]))
+    if gap > min(1e-6 * max(1.0, np.abs(curve.points).max()), 1e-6 * drop.diameter + 1e-6):
+        raise InvalidInputError(f"drop endpoints do not coincide (gap {gap:g})")
+    lhs = arc_abs_curvature(curve)
     tol = _FLOAT_SLACK * (1.0 + lhs)
     return InequalityCheck(lhs=lhs, rhs=math.pi, holds=bool(lhs >= math.pi - tol))
 

@@ -1,4 +1,5 @@
-"""Crossing audit of a network: transversal self-intersections and crossings.
+"""Crossing audit of a network: transversal self-intersections and crossings,
+found among the pairs of segments that share a cell of a multi-level grid.
 
 ``elastinet.minimize`` re-exports both names, where the audit used to live.
 """
@@ -32,21 +33,22 @@ def _segments(points: np.ndarray, closed: bool) -> np.ndarray:
     return np.concatenate([pts[:, : end.shape[1]], end])
 
 
-# Boxes that would touch more grid cells than this are tested directly
-# against every box they overlap, so one long edge cannot make the grid's
-# incidences quadratic.
-_MAX_CELLS_PER_BOX = 64
+# A box is owned by the finest grid on which it touches at most about this many cells.
+_CELLS = 64
 
 
 def _candidate_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairs ``u < v`` of boxes that may overlap, each pair once; box k spans
     ``lo[:, k]`` to ``hi[:, k]``, row 0 in x and row 1 in y.
 
-    The grid cells are the squares ``[m h, (m + 1) h)`` of a lattice through
-    the origin, with ``h`` twice the middle (upper median) box size.  A box's
-    cell range comes from monotone rounding of its corners, so two boxes that
-    share a point share a cell.  Boxes over ``_MAX_CELLS_PER_BOX`` cells (long
-    edges) are paired instead with every box whose box overlaps theirs.
+    Grid l has the square cells ``[m h 2**l, (m + 1) h 2**l)`` of a lattice
+    through the origin, with ``h`` twice the middle (upper median) box size.
+    A box is owned by the finest grid on which it touches about ``_CELLS``
+    cells at most, and visits the coarser grids that own a box, one row on
+    each.  Cell ranges come from monotone rounding of the corners, so two
+    boxes that share a point share a cell on every grid that holds both.
+    Only owners start pairs, each in the lowest cell of both rows' ranges,
+    so two boxes meet once, on the grid of the larger one.
     """
     k = lo.shape[1]
     extent = hi - lo
@@ -54,44 +56,46 @@ def _candidate_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nda
     size = 2.0 * float(np.partition(sizes, k // 2)[k // 2])
     reach = float(max(hi.max(), -lo.min()))  # the largest |coordinate|, as lo <= hi
     h = max(size, reach * 2.0**-50)  # cell indices stay below 2**50
-    f_lo = np.floor(lo / h)
-    width = np.floor(hi / h) - f_lo + 1  # cells per box along x and along y
-    n_cells = width[0] * width[1]
-    is_long = n_cells > _MAX_CELLS_PER_BOX
-    grid = np.flatnonzero(~is_long)
-    lx, ly = np.take(f_lo, grid, axis=1).astype(np.int64)
-    span = width[1, grid].astype(np.int64)
-    n_cells = n_cells[grid].astype(np.int64)
-    # one incidence per (box, cell) it touches, in box order
-    at = np.repeat(np.arange(len(grid)), n_cells)
+    lo, hi = lo / h, hi / h
+    box, tag = np.arange(k), 0  # the box of each row: one row per box on its own grid first
+    wx, wy = extent / h
+    if ((wx + 1) * (wy + 1)).max() > _CELLS:
+        # the coarsening 2**l at which (wx / 2**l + 1) (wy / 2**l + 1) = _CELLS, up to round-off
+        s = wx + wy
+        need = (s + np.sqrt(s * s + 4 * (_CELLS - 1) * wx * wy)) / (2 * (_CELLS - 1))
+        level = np.maximum(np.ceil(np.log2(need)), 0).astype(np.int64)
+        used = np.flatnonzero(np.bincount(level))
+        visits = [np.flatnonzero(level < g) for g in used[1:]]
+        box = np.concatenate([box, *visits])
+        grid = np.concatenate([level, np.repeat(used[1:], [len(v) for v in visits])])
+        scale = np.exp2(-grid)
+        lo, hi = lo[:, box] * scale, hi[:, box] * scale
+        tag = grid << 52  # one range of cell indices per grid
+    f_lo = np.floor(lo)
+    width = np.floor(hi) - f_lo + 1  # cells per row along x and along y
+    lx, ly = f_lo.astype(np.int64)
+    lx += tag
+    span = width[1].astype(np.int64)
+    n_cells = (width[0] * width[1]).astype(np.int64)
+    # one incidence per (row, cell) it touches, in row order
+    at = np.repeat(np.arange(len(box)), n_cells)
     row, col = np.divmod(np.arange(len(at)) - np.repeat(np.cumsum(n_cells) - n_cells, n_cells), span[at])
     cx, cy = lx[at] + row, ly[at] + col
-    # sorted by cell; lexsort is stable, so the boxes in a cell stay in order
-    order = np.lexsort((cy, cx))
-    at, cx, cy = at[order], cx[order], cy[order]
-    # every incidence pairs with the later ones in its cell
+    order = np.lexsort((cy, cx))  # by cell; stable, so a cell's owners come first, in order
+    at, cx, cy, left, bottom = at[order], cx[order], cy[order], (row == 0)[order], (col == 0)[order]
+    # every owner incidence pairs with the later ones in its cell
     run = np.ones(len(at) + 1, dtype=bool)
     run[1:-1] = (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])
     run = np.flatnonzero(run)  # where each cell's incidences start, then len(at)
     later = np.repeat(run[1:], run[1:] - run[:-1]) - np.arange(1, len(at) + 1)
+    later[at >= k] = 0  # visitors start no pair
     first = np.repeat(np.arange(len(at)), later)
-    second = np.arange(1, len(first) + 1) + first - np.repeat(np.cumsum(later) - later, later)
-    a, b = at[first], at[second]
-    # keep a pair only in the lowest cell of both boxes' common range
-    keep = (cx[first] == np.maximum(lx[a], lx[b])) & (cy[first] == np.maximum(ly[a], ly[b]))
-    us, vs = [grid[a[keep]]], [grid[b[keep]]]
-
-    long_boxes = np.flatnonzero(is_long)
-    block = max(1, 2**20 // k)
-    for start in range(0, len(long_boxes), block):
-        rows = long_boxes[start : start + block]
-        overlap = ((lo[:, None] <= hi[:, rows, None]) & (hi[:, None] >= lo[:, rows, None])).all(axis=0)
-        # a pair of long boxes is taken from its first box only
-        overlap &= ~is_long | (np.arange(k) > rows[:, None])
-        r, other = np.nonzero(overlap)
-        us.append(np.minimum(rows[r], other))
-        vs.append(np.maximum(rows[r], other))
-    return np.concatenate(us), np.concatenate(vs)
+    second = np.arange(len(first)) + np.repeat(np.arange(1, len(at) + 1) - np.cumsum(later) + later, later)
+    # keep a pair only in the lowest cell of both rows' common range: the lowest
+    # column of one row's range (left) and the lowest line of one (bottom)
+    keep = (left[first] | left[second]) & (bottom[first] | bottom[second])
+    u, v = box[at[first[keep]]], box[at[second[keep]]]
+    return (np.minimum(u, v), np.maximum(u, v)) if len(box) > k else (u, v)  # visitors come in any order
 
 
 def injectivity_report(network: Network) -> InjectivityReport:
@@ -104,15 +108,14 @@ def injectivity_report(network: Network) -> InjectivityReport:
     along a curve) are not crossings.  Endpoints closer than ``1e-12`` times
     the network diameter count as shared.
 
-    The segments of all curves are bucketed at once into a uniform grid
-    whose square cells are twice the middle segment box, and only pairs of
-    segments that share a cell are tested.  A segment whose box would cover
-    more than ``_MAX_CELLS_PER_BOX`` cells (a long edge) is tested instead
-    against every segment whose box overlaps its own.  The boxes of crossing
-    segments always overlap, so the counts are exact: the same as testing
-    every pair.  For curves sampled at comparable spacing, time and memory
-    are O(k) expected in the total number of segments k, plus O(k) per long
-    edge.
+    The segments' boxes are bucketed at once into square grids whose cells
+    are twice the middle segment box times powers of 2: each box into the
+    finest grid on which it touches at most about 64 cells, and into every
+    coarser grid in use.  Only segments that share a cell are tested; the
+    boxes of crossing segments overlap, so the counts are exact, the same
+    as testing every pair.  Memory is O(k) per grid in use in the number of
+    segments k, and time O(k) for curves sampled at comparable spacing, also
+    with long edges between them, as in a comb.
     """
     curves, n = network.curves, len(network.curves)
     segs = [_segments(c.points, c.closed) for c in curves]

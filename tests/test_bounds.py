@@ -135,6 +135,15 @@ class TestDropBound:
         with pytest.raises(InvalidInputError):
             drop_bound_check(make_circle(1.0, 32))
 
+    @pytest.mark.parametrize("gap", [2e-5, 2e-4])
+    def test_open_drop_far_from_the_origin(self, gap):
+        # one closure test, relative to the drop's size, whatever its distance from the origin
+        pts = make_teardrop(60).curves[0].points + [100.0, 0.0]
+        assert drop_bound_check(Network("drop", (DiscreteCurve(pts),))).holds
+        pts[-1, 1] += gap
+        with pytest.raises(InvalidInputError, match=r"^drop endpoints do not coincide \(gap "):
+            drop_bound_check(Network("drop", (DiscreteCurve(pts),)))
+
 
 class TestPairBound:
     def test_bubble_arc_segment_pair(self):

@@ -13,8 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from elastinet import bounds, geometry, networks, stationarity
+from elastinet import geometry, networks, stationarity
 from elastinet.bounds import (
+    PiecewiseClosedCurve,
     amgm_energy_bound,
     arc_abs_curvature,
     drop_bound_check,
@@ -200,7 +201,7 @@ def test_bound_checks(net):
 
     loops = []
     if net.kind == "drop":
-        loops.append(bounds._drop_loop(net))
+        loops.append(PiecewiseClosedCurve(net.curves, closure_tol=1e-6))
         assert drop_bound_check(net).lhs == frozen_arc(net.curves[0])[0]
     if net.kind in ("theta", "generalized_theta"):
         loops += [pair_loop(net, i, j) for i, j in ((0, 1), (1, 2), (2, 0))]

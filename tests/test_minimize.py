@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import tracemalloc
 
 from elastinet.energy import optimal_rescale, penalized_energy
 from elastinet.errors import ConstructionFailedError, InvalidConfigError, InvalidInputError
-from elastinet.geometry import DiscreteCurve, polyline_length
+from elastinet.geometry import DiscreteCurve, edge_lengths, polyline_length
 from elastinet.minimize import (
     DEGENERATION_FACTOR,
     ROUND_OFF,
@@ -537,6 +538,68 @@ def _gerono(m):
     return np.vstack([half, half * [1.0, -1.0]])  # pi < t < 2 pi
 
 
+def _comb(n):
+    """Closed comb of n points: teeth 1/3 tall, three 1e-3 steps along the top
+    and the bottom between teeth, closed below; a quarter of its edges are long."""
+    step, tall = 1e-3, 1.0 / 3.0
+    x = 6 * step * np.arange(n // 8)[:, None] + step * np.array([0, 0, 1, 2, 3, 3, 4, 5])
+    y = np.broadcast_to(tall * np.array([0, 1, 1, 1, 1, 0, 0, 0]), x.shape)
+    end = 6 * step * (n // 8)
+    pts = np.vstack([np.column_stack([x.ravel(), y.ravel()]), [[end, 0.0], [end, -tall], [0.0, -tall]]])
+    return Network("closed", (DiscreteCurve(pts, closed=True),))
+
+
+def _jump_walk(rng, n):
+    """A closed random walk of 0.01 steps with jumps at scales 0.01 to 1000."""
+    steps = 0.01 * rng.normal(size=(n, 2))
+    jumps = rng.random(n) < 0.1
+    steps[jumps] *= 10.0 ** rng.uniform(0.0, 5.0, (np.count_nonzero(jumps), 1))
+    return Network("closed", (DiscreteCurve(np.cumsum(steps, axis=0), closed=True),))
+
+
+def _star(rng, n, m):
+    """The star polygon {n/m}, n prime: its first chord one edge, each other cut
+    into 1 to 64 equal pieces at random."""
+    corners = np.exp(1j * (2.0 * np.pi * m * np.arange(n + 1) / n + rng.uniform(0.0, 2.0 * np.pi)))
+    pieces = 2 ** rng.integers(0, 7, n)
+    pieces[0] = 1
+    z = np.concatenate([a + (b - a) * np.arange(p) / p for a, b, p in zip(corners[:-1], corners[1:], pieces)])
+    return Network("closed", (DiscreteCurve(np.column_stack([z.real, z.imag]), closed=True),))
+
+
+def _with_chords(net, rng):
+    """The network with two runs of interior points cut out of each curve: long chords."""
+    curves = []
+    for c in net.curves:
+        pts = c.points
+        for _ in range(2):
+            i = int(rng.integers(1, len(pts) // 2))
+            pts = np.delete(pts, np.s_[i : i + int(rng.integers(1, len(pts) // 2))], axis=0)
+        curves.append(DiscreteCurve(pts, closed=c.closed))
+    return Network(net.kind, tuple(curves), net.junctions)
+
+
+def _spiral(n):
+    """A spiral whose radius grows over 12 decades in 30 turns, closed by two long chords."""
+    t = np.linspace(0.0, 1.0, n)
+    z = 10.0 ** (12.0 * t - 6.0) * np.exp(60j * np.pi * t)
+    z = np.append(z, 2e6 * (1 + 1j))
+    return Network("closed", (DiscreteCurve(np.column_stack([z.real, z.imag]), closed=True),))
+
+
+def _long_edge_networks(seed):
+    """Seeded networks whose edges span several decades, from one walk, star, drop and double drop."""
+    rng = np.random.default_rng(seed)
+    drop = _with_chords(random_drop(rng, n=int(rng.integers(100, 300))), rng)
+    n = int(rng.choice([5, 7, 11, 13, 17, 19, 23]))
+    return (
+        _jump_walk(rng, int(rng.integers(50, 400))),
+        _star(rng, n, int(rng.integers(2, n // 2 + 1))),
+        _jittered(drop, rng, 0.01),
+        _jittered(make_symmetric_double_drop(drop), rng, 0.01),
+    )
+
+
 class TestInjectivity:
     def test_circle_simple(self):
         report = injectivity_report(make_circle(1.0, 100))
@@ -634,6 +697,42 @@ class TestInjectivity:
         b = DiscreteCurve(np.vstack([[1000.0, 0.0] - steps, [[0.0, 1000.0]]]))
         report = assert_matches_all_pairs(Network("double_drop", (a, b)))
         assert report.pairwise_crossings == ((0, 1, 1),)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_all_pairs_on_long_edges(self, seed):
+        walk, star, drop, double = _long_edge_networks(seed)
+        reports = [assert_matches_all_pairs(net) for net in (walk, star, drop, double)]
+        edges = edge_lengths(walk.curves[0].points, closed=True)
+        assert edges.max() > 1e4 * np.median(edges)
+        assert reports[1].total > 0
+
+    def test_spiral_over_twelve_decades(self):
+        net = _spiral(600)
+        edges = edge_lengths(net.curves[0].points, closed=True)
+        assert edges.max() > 1e12 * edges.min()
+        assert assert_matches_all_pairs(net).total > 0
+
+    def test_comb_work_grows_linearly(self):
+        # a quarter of the comb's edges are long, and the audit's work still grows linearly
+        assert assert_matches_all_pairs(_comb(2000)).total == 0
+
+        def cpu(net):
+            times = []
+            for _ in range(5):
+                start = time.process_time()
+                injectivity_report(net)
+                times.append(time.process_time() - start)
+            return min(times)
+
+        assert cpu(_comb(16000)) < 16 * cpu(_comb(2000))
+        net = _comb(8000)
+        tracemalloc.start()
+        try:
+            injectivity_report(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     @pytest.mark.parametrize("spike", [False, True])
     def test_memory_stays_linear(self, spike):
