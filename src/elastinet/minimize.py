@@ -7,10 +7,11 @@ curve has m edges of length ``h = L / m`` at angles ``theta``, energy
 ``h sum (cos, sin)(theta) = J_end - J_start``.  A closed curve's row of
 angles ends with one more, its first plus its total turning, which enters the
 energy but not the closure.  Junction curves start and end with an edge along
-the junction frame.  The rigid motions are removed by
-pinning a closed curve's first point and angle, a drop's first angle (its
-closure point sits at the origin), a theta's junction midpoint and frame of
-junction 0, and a degenerate theta's four-point and frame.
+the junction frame.  One gauge removes the rigid motions of every kind: the
+gauge point, junction 0 or else the first curve's first point, and the first
+curve's first angle stay where the input has them.  Every curve runs from the
+gauge point to one shared end: junction 1, at ``D`` from junction 0, for a
+theta, and the gauge point again for every other kind.
 
 Each step is a Newton step on the KKT conditions (Nocedal and Wright, ch.
 18): one cyclic-reduction solve (Buzbee, Golub and Nielson, SIAM J. Numer.
@@ -54,7 +55,6 @@ from .networks import (
     end_slots,
     make_symmetric_double_drop,
     recovery_sequence,
-    translate_network,
     validate,
 )
 
@@ -110,9 +110,10 @@ class OptimizationConfig:
 class OptimizationResult:
     """Outcome of one run.  ``termination`` is one of:
 
-    * ``converged``: ``|g|`` reached ``grad_tol``;
+    * ``converged``: ``|g|`` reached ``grad_tol`` at a point whose Hessian, reduced to the closure
+      equations' tangent space, has no negative eigenvalue;
     * ``stalled``: a step accepted on Armijo's rule lowered F by at most
-      ``energy_rel_tol`` relative to F, while ``|g|`` stayed above ``grad_tol``;
+      ``energy_rel_tol`` relative to F, at a point that had not converged;
     * ``max_iters``: the iteration budget ran out;
     * ``line_search_failed``: no step down to ``STEP_MIN`` met Armijo's rule, or, below F's round-off
       (``ROUND_OFF``), the full step did not lower ``|g|`` or raised F by more than ``ROUND_OFF`` F;
@@ -296,7 +297,6 @@ class _AngleForm:
         header = [[length for _, length in profiles]]
         if self.free_frame:
             j0, j1 = junctions
-            self.center = 0.5 * (j0.position + j1.position)
             header += [[j1.frame_angle], j1.position - j0.position]
         self.z0 = np.concatenate([theta[:, self.free].ravel()] + header)
 
@@ -436,48 +436,36 @@ class _AngleForm:
             t *= 0.5
         return None
 
-    def frames(self, z) -> list[tuple[np.ndarray, float]]:
-        """The position and frame angle of each junction at z."""
-        junctions = self.template.junctions
-        if not self.free_frame:
-            return [(j.position, j.frame_angle) for j in junctions]
-        half = 0.5 * z[self.nt + self.nc + 1 :]
-        return [(self.center - half, junctions[0].frame_angle), (self.center + half, float(z[self.nt + self.nc]))]
+    def ends(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """The start and end that all curves share at z: the gauge point, and junction 1 for a theta, else the gauge
+        point again."""
+        t = self.template
+        start = t.junctions[0].position if t.junctions else t.curves[0].points[0]
+        return start, (start + z[self.nt + self.nc + 1 :] if self.free_frame else start)
 
     def points(self, p: _Point) -> list[np.ndarray]:
         """Each curve's points at p: one cumulative sum of its edges, from the
-        cos and sin p carries, from its start, a junction or the template's
-        first point, with the last point set on its end.  A junction curve's
-        last edge is laid back from its end, so it stays on the frame ray."""
+        cos and sin p carries, from the shared start, with the last point set
+        on the shared end.  A junction curve's last edge is laid back from its
+        end, so it stays on the frame ray."""
         h = self.lengths(p.z) / self.m
         steps = h[:, None, None] * np.moveaxis(p.cs[:, :, : self.m], 0, -1)
-        frames = self.frames(p.z)
-        origin = self.template.curves[0].points[0]
-        anchors = [(frames[js][0], frames[je][0]) for (js, _), (je, _) in self.slots] or [(origin, origin)]
-        curves = []
-        for (start, end), step in zip(anchors, steps):
-            x = start + np.concatenate([np.zeros((1, 2)), np.cumsum(step, axis=0)])
-            x[-1] = end
-            if self.slots:
-                x[-2] = end - step[-1]
-            curves.append(x[: self.n])
-        return curves
+        start, end = self.ends(p.z)
+        x = start + np.concatenate([np.zeros((self.nc, 1, 2)), np.cumsum(steps, axis=1)], axis=1)
+        x[:, -1] = end
+        if self.slots:
+            x[:, -2] = end - steps[:, -1]
+        return list(x[:, : self.n])
 
     def network(self, p: _Point, points=None) -> Network:
-        """The network at p, built from its ``points(p)`` if given."""
+        """The network at p, built from its ``points(p)`` if given.  Only a theta's junction 1 moves."""
+        t = self.template
         points = self.points(p) if points is None else points
-        curves = tuple(DiscreteCurve(x, c.closed) for x, c in zip(points, self.template.curves))
-        junctions = tuple(Junction(pos, a, j.offsets) for (pos, a), j in zip(self.frames(p.z), self.template.junctions))
-        return Network(self.template.kind, curves, junctions, self.template.prescribed_angles)
-
-
-def _pinned(network: Network) -> Network:
-    """A drop's closure point or the four-point moved to the origin."""
-    if network.kind == "drop":
-        return translate_network(network, -network.curves[0].points[0])
-    if network.kind == "degenerate_theta":
-        return translate_network(network, -network.junctions[0].position)
-    return network
+        curves = tuple(DiscreteCurve(x, c.closed) for x, c in zip(points, t.curves))
+        junctions = t.junctions
+        if self.free_frame:
+            junctions = (junctions[0], Junction(self.ends(p.z)[1], p.z[self.nt + self.nc], junctions[1].offsets))
+        return Network(t.kind, curves, junctions, t.prescribed_angles)
 
 
 def _result(final: Network, traces, termination: str, iterations: int, config: OptimizationConfig) -> OptimizationResult:
@@ -504,7 +492,7 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
         return _result(
             make_symmetric_double_drop(lobe.final), [2.0 * t for t in traces], lobe.termination, lobe.iterations, config
         )
-    form = _AngleForm(_pinned(network), config.n_per_curve)
+    form = _AngleForm(network, config.n_per_curve)
     p = form.restore(form.z0)
     if p is None or not math.isfinite(p.f):
         raise OptimizationError(
@@ -521,7 +509,7 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
         diameter = 0.0 if points is None else points_diameter(points)
         if lengths.min() < DEGENERATION_FACTOR * diameter:
             termination = "degeneration"
-        elif p.grad_norm <= config.grad_tol:
+        elif p.grad_norm <= config.grad_tol and form.step(p, 0.0)[1] == 0:
             termination = "converged"
         elif stalled:
             termination = "stalled"

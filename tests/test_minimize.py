@@ -23,7 +23,7 @@ from elastinet.minimize import (
     minimize_symmetric_double_drop,
     recovery_sequence,
 )
-from elastinet.minimize import _AngleForm, _pinned, _tridiagonal_solve
+from elastinet.minimize import _AngleForm, _tridiagonal_solve
 from elastinet.networks import (
     Network,
     end_slots,
@@ -136,15 +136,6 @@ class TestDofMap:
         dof = dof_map(net)
         assert dof.value(dof.pack())[0] == pytest.approx(penalized_energy(net).penalized, rel=1e-14)
 
-    def test_only_a_lone_four_point_is_pinned(self):
-        cfg = OptimizationConfig(n_per_curve=30, max_iters=30, grad_tol=1e-12)
-        deg = minimize(translate_network(make_degenerate_figure_eight(60), (0.3, -0.2)), cfg).final
-        np.testing.assert_array_equal(deg.junctions[0].position, [0.0, 0.0])
-        bubble = make_standard_double_bubble(RBAR, 30)
-        theta = minimize(bubble, cfg).final
-        for moved, start in zip(theta.junctions, bubble.junctions):
-            assert np.linalg.norm(moved.position - start.position) > 1e-8
-
     def test_collapsed_edge_has_infinite_value(self):
         dof = dof_map(make_standard_double_bubble(RBAR, 16))
         x = dof.pack()
@@ -189,6 +180,48 @@ class TestMinimize:
         assert res.iterations < cfg.max_iters
         assert res.grad_norm_trace[-1] < 1e-9
 
+    def test_converged_means_a_negative_count_of_zero(self):
+        # the start already has |g| below grad_tol, at a point with one negative reduced eigenvalue
+        net, cfg = random_theta_network(np.random.default_rng(16)), OptimizationConfig(n_per_curve=60, grad_tol=31.0)
+        form = _AngleForm(net, cfg.n_per_curve)
+        start = form.restore(form.z0)
+        assert start.grad_norm <= cfg.grad_tol and form.step(start, 0.0)[1] == 1
+        res = minimize(net, cfg)
+        assert res.termination == "converged" and res.iterations > 0
+        assert res.grad_norm_trace[-1] <= cfg.grad_tol and _negative_count(res) == 0
+
+    def _fail_at_the_third_iterate(self, monkeypatch, name, broken):
+        """Solve an ellipse with ``_AngleForm.<name>`` replaced by ``broken(original, form, ...)`` from the third
+        line search on, and check that the run ends ``line_search_failed`` at its second accepted iterate."""
+        net = make_ellipse(2.0, 1.0, 60)
+        cfg = OptimizationConfig(n_per_curve=60, max_iters=2, grad_tol=1e-12)
+        want = minimize(net, cfg)
+        searches, line_search, original = [], _AngleForm.line_search, getattr(_AngleForm, name)
+        monkeypatch.setattr(_AngleForm, "line_search", lambda form, p: searches.append(p) or line_search(form, p))
+        monkeypatch.setattr(
+            _AngleForm, name, lambda form, *a: broken(original, form, *a) if len(searches) > 2 else original(form, *a)
+        )
+        got = minimize(net, dataclasses.replace(cfg, max_iters=100))
+        assert got.termination == "line_search_failed" and got.iterations == 2 and len(searches) == 3
+        assert np.array_equal(got.energy_trace, want.energy_trace)
+        assert np.array_equal(got.final.curves[0].points, want.final.curves[0].points)
+
+    def test_line_search_fails_when_no_shift_leaves_count_zero(self, monkeypatch):
+        shifts = []
+
+        def step(original, form, p, shift):
+            shifts.append(shift)
+            dz, negative = original(form, p, shift)
+            return dz, negative + 1
+
+        self._fail_at_the_third_iterate(monkeypatch, "step", step)
+        assert len(shifts) == 18 and shifts[0] == 0.0  # no shift, then the 17 Levenberg shifts
+
+    def test_line_search_fails_when_backtracking_reaches_step_min(self, monkeypatch):
+        trials = []
+        self._fail_at_the_third_iterate(monkeypatch, "restore", lambda original, form, z: trials.append(z))
+        assert len(trials) == 40  # steps 1, 1/2, ..., 2^-39: the last not below STEP_MIN, so in the Armijo regime
+
     @pytest.mark.parametrize(
         "alpha1, alpha2", [(1.2, 1.5), tuple(np.linspace(0.6, 2.0 * np.pi - 1.8, 12)[[3, 7]])], ids=["bubble", "grid-cell"]
     )
@@ -202,7 +235,7 @@ class TestMinimize:
         assert np.all(np.diff(f) <= ROUND_OFF * f[:-1])
 
     def test_round_off_regime_tries_the_full_step_only(self, monkeypatch):
-        form = _AngleForm(_pinned(make_generalized_bubble(1.2, 1.5, 100)), 100)
+        form = _AngleForm(make_generalized_bubble(1.2, 1.5, 100), 100)
         p = form.restore(form.z0)
         for _ in range(4):
             p, on_f = form.line_search(p)
@@ -335,7 +368,7 @@ def _random_connected(data):
 
 def _negative_count(result):
     """The negative eigenvalues of the reduced Hessian at the result's final network, re-formed at its points per curve."""
-    form = _AngleForm(_pinned(result.final), result.config.n_per_curve)
+    form = _AngleForm(result.final, result.config.n_per_curve)
     return form.step(form.restore(form.z0), 0.0)[1]
 
 
@@ -452,6 +485,24 @@ class TestRecoverySequence:
         assert report.valid
         assert report.angle_defect <= 1e-9
         assert theta.kind == "theta"
+
+    @pytest.mark.parametrize("n", [60, 80])
+    def test_cut_on_a_vertex(self, n):
+        # with each flat cap edge halved, the apex is a vertex and each lobe is cut there, without a new point:
+        # the cut lands 9e-16 above the apex at 60 points and on it, from the edge below, at 80
+        deg = make_degenerate_figure_eight(n)
+        curves = []
+        for c in deg.curves:
+            p = c.points
+            flat = np.nonzero(p[1:, 1] == p[:-1, 1])[0]
+            curves.append(DiscreteCurve(np.insert(p, flat + 1, 0.5 * (p[flat] + p[flat + 1]), axis=0)))
+        deg = dataclasses.replace(deg, curves=tuple(curves))
+        f_in = penalized_energy(deg).penalized
+        for k in (10, 100, 1000):
+            theta = recovery_sequence(deg, k)
+            assert penalized_energy(theta).penalized - f_in == pytest.approx(3.0 / k, abs=1e-13)
+            assert theta.kind == "theta" and validate(theta).valid
+            assert [c.n_points for c in theta.curves] == [c.n_points + 1 for c in curves] + [3]
 
     def test_orientation_premise_enforced(self):
         from elastinet.networks import rotate_network
@@ -798,7 +849,7 @@ SOLVER_CASES = {
 
 def _perturbed_form(kind, n=16, scale=0.05, seed=0):
     """The case's angle form at a perturbed point back on the closure equations."""
-    form = _AngleForm(_pinned(SOLVER_CASES[kind]()), n)
+    form = _AngleForm(SOLVER_CASES[kind](), n)
     rng = np.random.default_rng(seed)
     z = form.z0.copy()
     z[: form.nt] += rng.normal(0.0, scale, form.nt)
@@ -847,7 +898,7 @@ class TestAngleForm:
     def test_last_restoration_pass_returns_a_measured_point(self, kind, spread, monkeypatch):
         # nearly equal free angles leave every curve far from closing, and the
         # Gauss-Newton passes stall at round-off, so restore reaches its last pass
-        form = _AngleForm(_pinned(SOLVER_CASES[kind]()), 16)
+        form = _AngleForm(SOLVER_CASES[kind](), 16)
         z = form.z0.copy()
         z[: form.nt] = np.random.default_rng(0).normal(0.0, spread, form.nt)
         assert np.max(np.abs(form.closure(z, _trig(form, z)[1]))) > 0.1
@@ -928,6 +979,29 @@ class TestAngleForm:
             _check_incidence(res.final)
 
 
+def _gauge_point(network):
+    return network.junctions[0].position if network.junctions else network.curves[0].points[0]
+
+
+@pytest.mark.parametrize("kind", list(SOLVER_CASES))
+def test_gauge_point_stays_where_the_input_has_it(kind):
+    # z holds no position, so a moved input takes the same steps to the moved answer,
+    # with its gauge point, junction 0 or the first curve's first point, kept bit for bit
+    cfg = OptimizationConfig(n_per_curve=30, max_iters=200, grad_tol=1e-9)
+    here = minimize(SOLVER_CASES[kind](), cfg)
+    moved = translate_network(SOLVER_CASES[kind](), (0.3, -0.2))
+    there = minimize(moved, cfg)
+    assert _gauge_point(there.final).tobytes() == _gauge_point(moved).tobytes()
+    assert there.termination == here.termination == "converged" and there.iterations == here.iterations
+    want, tol = translate_network(here.final, (0.3, -0.2)), 1e-12 * network_diameter(here.final)
+    for a, b in zip(there.final.curves, want.curves):
+        assert np.abs(a.points - b.points).max() <= tol
+    for a, b in zip(there.final.junctions, want.junctions):
+        assert np.abs(a.position - b.position).max() <= tol
+    if there.final.junctions:
+        _check_incidence(there.final)
+
+
 @pytest.mark.parametrize("kind", list(SOLVER_CASES))
 @pytest.mark.parametrize("n", [8, 24])
 def test_solution_does_not_depend_on_scale(kind, n):
@@ -980,7 +1054,7 @@ def test_tridiagonal_solve_counts_a_zero_pivot():
 
 def _newton_steps(network, n, steps):
     """The F trace of the first ``steps`` Newton steps at n points per curve from network."""
-    form = _AngleForm(_pinned(network), n)
+    form = _AngleForm(network, n)
     p = form.restore(form.z0)
     trace = [p.f]
     for _ in range(steps):
