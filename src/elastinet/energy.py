@@ -1,7 +1,7 @@
 """Network functionals over the kernel ``geometry.polyline_energy``.
 
 F_alpha = integral of k^2 ds + alpha * length, curve by curve with the
-junction clamps of ``networks.curve_clamps``, and the scaling identity,
+junction clamps of ``Network.clamps``, and the scaling identity,
 optimal rescaling and equipartition defect built on it.  ``polyline_energy``
 and ``PolylineEnergy`` are re-exported from here.
 """
@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidCurveError, NoOptimalRescaleError
-from .geometry import DiscreteCurve, PolylineEnergy, checked_energy, points_diameter, polyline_energy
+from .geometry import DiscreteCurve, PolylineEnergy, points_diameter, polyline_energy
 from .networks import Network, _curve_terms, scale_network
 
 __all__ = [
     "CurveEnergy",
     "EnergyReport",
     "elastic_energy",
-    "curve_energy",
     "penalized_energy",
     "scaling_identity_check",
     "optimal_rescale",
@@ -48,12 +47,6 @@ class EnergyReport:
     alpha: float
     per_curve: tuple[CurveEnergy, ...]
     degenerate_curves: tuple[int, ...] = ()
-
-
-def curve_energy(curve: DiscreteCurve, clamp_start=None, clamp_end=None) -> tuple[float, float]:
-    """(elastic, length) of one curve with optional clamped ends."""
-    out = checked_energy(curve.points, curve.closed, clamp_start, clamp_end)
-    return out.elastic, out.length
 
 
 def elastic_energy(curve: DiscreteCurve) -> float:

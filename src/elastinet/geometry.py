@@ -21,7 +21,7 @@ The total signed turning of a closed polygon is then an exact multiple of the
 winding, the discrete energy of a sampled circular arc matches the continuum
 to O(h^2), and the discrete Cauchy-Schwarz and Gauss-Bonnet chains used by
 the bound checks hold exactly.  On request the kernel also returns the exact
-gradient with respect to the points and to the two clamp angles.
+gradient with respect to the points.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "vertex_arclengths",
     "external_angle",
     "signed_angle",
-    "endpoint_tangents",
     "endpoint_tangent_array",
     "rot90",
     "unit",
@@ -206,9 +205,8 @@ def signed_angle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 class PolylineEnergy(NamedTuple):
     """Turning angles, dual lengths and totals of one polyline.
 
-    ``grad`` is dF/dpoints for F = E + L, and ``d_start`` and ``d_end`` are
-    dF/d(angle) of the start and end clamp directions (zero without a clamp);
-    all three are filled in only when the gradient is requested.
+    ``grad`` is dF/dpoints for F = E + L, filled in only when the gradient
+    is requested.
     """
 
     psi: np.ndarray
@@ -216,8 +214,6 @@ class PolylineEnergy(NamedTuple):
     elastic: float
     length: float
     grad: np.ndarray | None = None
-    d_start: float = 0.0
-    d_end: float = 0.0
 
 
 def polyline_energy(points, closed=False, clamp_start=None, clamp_end=None, gradient=False):
@@ -280,9 +276,7 @@ def polyline_energy(points, closed=False, clamp_start=None, clamp_end=None, grad
     if closed:
         grad[0] += grad[-1]
         grad = grad[:-1]
-    d_start = -float(cw[0]) if lead and not closed else 0.0
-    d_end = float(cw[-1]) if tail else 0.0
-    return PolylineEnergy(psi, ell, elastic, length, grad, d_start, d_end)
+    return PolylineEnergy(psi, ell, elastic, length, grad)
 
 
 def checked_energy(points, closed=False, clamp_start=None, clamp_end=None, gradient=False) -> PolylineEnergy:
@@ -350,11 +344,6 @@ def endpoint_tangent_array(curves) -> np.ndarray:
     # one (1, 2) @ (2, 2) product per end, as rotate_points takes it: bitwise its rotation
     turned = (t[..., None, :] @ np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2, 2))[..., 0, :]
     return np.where(two_point[:, None, None], t, turned)
-
-
-def endpoint_tangents(curve) -> tuple[np.ndarray, np.ndarray]:
-    """The start and end tangents of one open curve (see ``endpoint_tangent_array``)."""
-    return tuple(endpoint_tangent_array([curve])[0])
 
 
 def resample_uniform(curve, n: int) -> DiscreteCurve:

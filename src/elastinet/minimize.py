@@ -478,9 +478,10 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
     """Newton-KKT descent of F over the network's equal-edge tangent-angle form.
 
     A double drop is solved as its first lobe plus that lobe's point
-    reflection, so it is symmetric by construction and F and ``|g|`` are twice
-    the lobe's; the lobe is solved to half of ``grad_tol``.  At ``max_iters``
-    0 every network, a double drop included, is returned unchanged.
+    reflection through the four-point, which stays where the input has it, so
+    it is symmetric by construction and F and ``|g|`` are twice the lobe's; the
+    lobe is solved to half of ``grad_tol``.  At ``max_iters`` 0 every network,
+    a double drop included, is returned unchanged.
     """
     config = config or OptimizationConfig()
     if config.max_iters == 0:
@@ -489,9 +490,10 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
     if network.kind == "double_drop":
         lobe = minimize(Network("drop", (network.curves[0],)), replace(config, grad_tol=0.5 * config.grad_tol))
         traces = (lobe.energy_trace, lobe.elastic_trace, lobe.length_trace, lobe.grad_norm_trace)
-        return _result(
-            make_symmetric_double_drop(lobe.final), [2.0 * t for t in traces], lobe.termination, lobe.iterations, config
-        )
+        (curve,) = lobe.final.curves
+        four = curve.points[0]  # both ends of the lobe, bitwise: so are the reflection's
+        pair = Network("double_drop", (curve, DiscreteCurve(four - (curve.points[::-1] - four))))
+        return _result(pair, [2.0 * t for t in traces], lobe.termination, lobe.iterations, config)
     form = _AngleForm(network, config.n_per_curve)
     p = form.restore(form.z0)
     if p is None or not math.isfinite(p.f):

@@ -60,8 +60,6 @@ __all__ = [
     "Network",
     "ValidationReport",
     "validate",
-    "network_diameter",
-    "curve_clamps",
     "end_slots",
     "translate_network",
     "rotate_network",
@@ -204,7 +202,7 @@ class Network:
 
     @cached_property
     def clamps(self):
-        """``curve_clamps`` of every curve at once: row i holds curve i's start and end directions."""
+        """Row i: curve i's start direction and the direction arriving at its end, or (None, None) without junctions."""
         if not self.junctions:
             return ((None, None),) * len(self.curves)
         jn, slots = self.junctions, end_slots(self.kind, len(self.curves))
@@ -221,10 +219,6 @@ class ValidationReport:
     valid: bool
     junction_gap: float
     angle_defect: float
-
-
-def network_diameter(network: Network) -> float:
-    return network.diameter
 
 
 def _curve_terms(network: Network, point_sets, diameter: float) -> tuple[tuple[float, float, bool], ...]:
@@ -249,15 +243,6 @@ def end_slots(kind: str, n_curves: int):
     if kind == "degenerate_theta":
         return tuple(((0, 2 * i), (0, 2 * i + 1)) for i in range(n_curves))
     return ()
-
-
-def curve_clamps(network: Network, i: int):
-    """Prescribed endpoint travel directions of curve i, or (None, None).
-
-    Returns (start direction, incoming direction at the end); both unit
-    vectors for junction-constrained kinds.
-    """
-    return tuple(network.clamps[i])
 
 
 def validate(network: Network, tol_pos: float | None = None, tol_ang: float = 1e-6) -> ValidationReport:

@@ -32,14 +32,12 @@ from elastinet.errors import ElastinetError
 from elastinet.geometry import (
     checked_energy,
     endpoint_tangent_array,
-    endpoint_tangents,
     points_diameter,
     vertex_curvature,
 )
 from elastinet.minimize import OptimizationConfig, injectivity_report, minimize, recovery_sequence
 from elastinet.networks import (
     Network,
-    curve_clamps,
     deserialize,
     make_circle,
     make_degenerate_figure_eight,
@@ -48,7 +46,6 @@ from elastinet.networks import (
     make_standard_double_bubble,
     make_symmetric_double_drop,
     make_teardrop,
-    network_diameter,
     optimal_bubble_radius,
     serialize,
     validate,
@@ -111,12 +108,12 @@ def _layers(net):
     """Every certification layer, by name, as a call on ``net``."""
     layers = {
         "validate": lambda: validate(net, tol_ang=5e-2),
-        "diameter": lambda: network_diameter(net),
+        "diameter": lambda: net.diameter,
         "injectivity": lambda: injectivity_report(net),
         "round_trip": lambda: deserialize(serialize(net)),
         "optimal_rescale": lambda: optimal_rescale(net),
         "equipartition": lambda: equipartition_defect(net),
-        "clamps": lambda: [curve_clamps(net, i) for i in range(len(net.curves))],
+        "clamps": lambda: [tuple(clamps) for clamps in net.clamps],
         "end_tangents": lambda: endpoint_tangent_array(net.curves),
     }
     for alpha in ALPHAS:
@@ -129,7 +126,7 @@ def _layers(net):
         layers[f"amgm{i}"] = lambda c=c: amgm_energy_bound(c, 1.0)
         layers[f"tangent_gap{i}"] = lambda c=c: tangent_gap_bound(c)
         layers[f"arc_abs_curvature{i}"] = lambda c=c: arc_abs_curvature(c)
-        layers[f"endpoint_tangents{i}"] = lambda c=c: endpoint_tangents(c)
+        layers[f"end_tangents{i}"] = lambda c=c: endpoint_tangent_array([c])
         layers[f"drop_bound{i}"] = lambda c=c: drop_bound_check(Network("drop", (c,)))
     if net.junctions:
         layers["junction_residuals"] = lambda: junction_residuals(net)
@@ -163,10 +160,10 @@ def test_cold_and_warm_networks_answer_alike(name):
 @pytest.mark.parametrize("name", list(NETWORKS))
 def test_raw_points_route_answers_alike(name):
     net = deserialize(serialize(NETWORKS[name]))
-    assert _bits(network_diameter(net)) == _bits(points_diameter([c.points for c in net.curves]))
+    assert _bits(net.diameter) == _bits(points_diameter([c.points for c in net.curves]))
     for i, c in enumerate(net.curves):
         assert _bits(checked_energy(c.points, c.closed)) == _bits(c.kernel)
-        clamped = checked_energy(c.points, c.closed, *curve_clamps(net, i))
+        clamped = checked_energy(c.points, c.closed, *net.clamps[i])
         assert _bits(net.curve_terms[i][:2]) == _bits((clamped.elastic, clamped.length))
         if not c.closed:  # the bounds' end tangents are those of the one batched estimator
             tau0, tau1 = endpoint_tangent_array([c.points])[0]

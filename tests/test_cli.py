@@ -105,6 +105,10 @@ class TestEnergyCommand:
                 b'{"kind": "drop", "curves": [{"points": [[0.5, 0], [true, 1.5], [0.5, 0]]}]}',
                 "/curves/0/points/1: expected a finite [x, y] pair",
             ),
+            (
+                json.dumps({**serialize(make_standard_double_bubble(1.0, 20)), "junctions": [5, 6]}).encode(),
+                "/junctions/0: junction must be an object",
+            ),
         ],
         ids=[
             "not_utf8",
@@ -115,6 +119,7 @@ class TestEnergyCommand:
             "theta_angles",
             "boolean_among_integers",
             "boolean_among_floats",
+            "junction_not_an_object",
         ],
     )
     def test_unparsable_file_exits_2(self, tmp_path, capsys, data, message):

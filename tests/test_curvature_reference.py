@@ -30,7 +30,6 @@ from elastinet.bounds import (
 from elastinet.geometry import (
     DiscreteCurve,
     endpoint_tangent_array,
-    endpoint_tangents,
     polyline_length,
     signed_angle,
     vertex_curvature,
@@ -42,7 +41,6 @@ from elastinet.networks import (
     THETA_OFFSETS_START,
     Junction,
     Network,
-    curve_clamps,
     deserialize,
     end_slots,
     make_circle,
@@ -104,7 +102,7 @@ def frozen_elastic(psi, ell):
 
 def frozen_arc(arc):
     """(sum |kappa| ell, E, L) of an arc clamped to its estimated end tangents."""
-    psi, ell = frozen_cells(arc.points, False, *endpoint_tangents(arc))
+    psi, ell = frozen_cells(arc.points, False, *endpoint_tangent_array([arc])[0])
     return frozen_abs_turning(psi, ell), frozen_elastic(psi, ell), polyline_length(arc)
 
 
@@ -113,12 +111,13 @@ def frozen_offsets(kind, curves, frames, angles):
     if kind == "degenerate_theta":
         dirs = []
         for c in curves:
-            tau0, tau1 = endpoint_tangents(c)
+            tau0, tau1 = endpoint_tangent_array([c])[0]
             dirs.extend([tau0, -tau1])
         per_junction = [dirs]
         candidates = sorted(set(DEGENERATE_OFFSET_VARIANTS[0]) | set(DEGENERATE_OFFSET_VARIANTS[1]))
     else:
-        per_junction = [[endpoint_tangents(c)[0] for c in curves], [-endpoint_tangents(c)[1] for c in curves]]
+        tangents = [endpoint_tangent_array([c])[0] for c in curves]
+        per_junction = [[t[0] for t in tangents], [-t[1] for t in tangents]]
         if angles is None:
             candidates = list(THETA_OFFSETS_START)
         else:
@@ -208,7 +207,7 @@ def test_bound_checks(net):
         per = []
         e_tot = l_tot = 0.0
         for i, c in enumerate(net.curves):
-            psi, ell = frozen_cells(c.points, False, *curve_clamps(net, i))
+            psi, ell = frozen_cells(c.points, False, *net.clamps[i])
             elastic, length = frozen_elastic(psi, ell), polyline_length(c)
             per.append(elastic + length)
             e_tot += elastic
@@ -258,7 +257,7 @@ def test_deserialize_rebuilds_the_per_kind_slots(net):
 
 
 def frozen_endpoint_tangents(points):
-    """End tangents as ``endpoint_tangents`` took them, one curve at a time."""
+    """End tangents estimated one curve at a time, as before the array pass."""
 
     def direction(e):
         return (e / np.linalg.norm(e, axis=1)[:, None])[0]
@@ -390,7 +389,7 @@ def test_one_tangent_pass_matches_the_per_curve_estimates():
     stacked = endpoint_tangent_array(curves)
     for c, (start, end) in zip(curves, stacked):
         want = frozen_endpoint_tangents(c.points)
-        for got in ((start, end), endpoint_tangents(c)):
+        for got in ((start, end), endpoint_tangent_array([c])[0]):
             _same(got[0], want[0])
             _same(got[1], want[1])
 

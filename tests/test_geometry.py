@@ -10,7 +10,7 @@ from elastinet.errors import ContractViolationError, InvalidCurveError
 from elastinet.geometry import (
     DiscreteCurve,
     edge_tangents,
-    endpoint_tangents,
+    endpoint_tangent_array,
     external_angle,
     polyline_energy,
     polyline_length,
@@ -167,21 +167,21 @@ class TestEndpointTangents:
             pts = rng.normal(size=(int(rng.integers(3, 12)), 2))
             psi = polyline_energy(pts).psi
             t = edge_tangents(pts)
-            tau0, tau1 = endpoint_tangents(DiscreteCurve(pts))
+            tau0, tau1 = endpoint_tangent_array([DiscreteCurve(pts)])[0]
             assert np.array_equal(tau0, rotate_points(t[:1], -0.5 * psi[0])[0])
             assert np.array_equal(tau1, rotate_points(t[-1:], 0.5 * psi[-1])[0])
 
     def test_exact_on_arcs_and_segments(self):
         arc = circle_points(64)[:9]
-        tau0, tau1 = endpoint_tangents(DiscreteCurve(arc))
+        tau0, tau1 = endpoint_tangent_array([DiscreteCurve(arc)])[0]
         assert np.allclose(tau0, [0.0, 1.0], atol=1e-14)
         assert np.allclose(tau1, [-arc[-1, 1], arc[-1, 0]], atol=1e-14)
         segment = DiscreteCurve(np.array([[0.0, 0.0], [3.0, 4.0]]))
-        assert all(np.array_equal(tau, [0.6, 0.8]) for tau in endpoint_tangents(segment))
+        assert all(np.array_equal(tau, [0.6, 0.8]) for tau in endpoint_tangent_array([segment])[0])
 
     def test_closed_curve_rejected(self):
         with pytest.raises(InvalidCurveError):
-            endpoint_tangents(unit_square())
+            endpoint_tangent_array([unit_square()])
 
 
 class TestVertexCurvature:

@@ -1,9 +1,33 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import pytest
+
+import elastinet
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = [m.name for m in pkgutil.iter_modules(elastinet.__path__)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_star_import_resolves_every_listed_name(module):
+    # a name left in __all__ after its definition is gone makes ``import *`` raise
+    namespace = {}
+    exec(f"from elastinet.{module} import *", namespace)
+    assert set(getattr(importlib.import_module(f"elastinet.{module}"), "__all__", ())) <= set(namespace)
+
+
+def test_package_exports_names_its_modules_list():
+    namespace = {}
+    exec("from elastinet import *", namespace)
+    exported = {name for name, value in namespace.items() if not isinstance(value, types.ModuleType)}
+    listed = set().union(*(getattr(importlib.import_module(f"elastinet.{m}"), "__all__", ()) for m in MODULES))
+    assert exported - {"__builtins__"} <= listed
 
 
 def test_library_and_cli_load_no_scipy():

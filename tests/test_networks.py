@@ -23,7 +23,6 @@ from elastinet.networks import (
     THETA_OFFSETS_START,
     Junction,
     Network,
-    curve_clamps,
     deserialize,
     end_slots,
     generalized_bubble_energy,
@@ -150,7 +149,7 @@ class TestEndSlots:
     def test_curve_clamps_match_per_kind_formulas(self):
         for net in _reference_networks():
             for i in range(len(net.curves)):
-                for got, want in zip(curve_clamps(net, i), _per_kind_clamps(net, i)):
+                for got, want in zip(net.clamps[i], _per_kind_clamps(net, i)):
                     if want is None:
                         assert got is None
                     else:

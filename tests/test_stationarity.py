@@ -5,7 +5,6 @@ from elastinet.errors import InvalidInputError
 from elastinet.geometry import DiscreteCurve, vertex_arclengths, vertex_curvature
 from elastinet.minimize import OptimizationConfig, minimize_multilevel
 from elastinet.networks import (
-    curve_clamps,
     make_circle,
     make_degenerate_figure_eight,
     make_generalized_bubble,
@@ -75,7 +74,7 @@ def per_kind_junction_sums(network):
             curve = network.curves[i]
             k0, d0, k1, d1 = endpoint_curvature(vertex_curvature(curve)[0], vertex_arclengths(curve))
             k, dk = (k0, d0) if end == 0 else (k1, d1)
-            tau = np.asarray(curve_clamps(network, i)[end], float)
+            tau = network.clamps[i][end]
             scalar += k
             vector = vector + 2.0 * dk * np.array([-tau[1], tau[0]]) + k * k * tau
         scalars.append(scalar)
