@@ -35,6 +35,7 @@ def _segments(points: np.ndarray, closed: bool) -> np.ndarray:
 
 # A box is owned by the finest grid on which it touches at most about this many cells.
 _CELLS = 64
+_TINY = 2.0**-5  # a box smaller than this many base cells owns the grid of cells twice its size
 
 
 def _candidate_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -44,11 +45,12 @@ def _candidate_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nda
     Grid l has the square cells ``[m h 2**l, (m + 1) h 2**l)`` of a lattice
     through the origin, with ``h`` twice the middle (upper median) box size.
     A box is owned by the finest grid on which it touches about ``_CELLS``
-    cells at most, and visits the coarser grids that own a box, one row on
-    each.  Cell ranges come from monotone rounding of the corners, so two
-    boxes that share a point share a cell on every grid that holds both.
-    Only owners start pairs, each in the lowest cell of both rows' ranges,
-    so two boxes meet once, on the grid of the larger one.
+    cells at most, one under ``_TINY h`` by the grid of cells twice its size
+    (or the finest with cell indices below 2**50), and visits the coarser
+    grids that own a box, one row on each.  Cell ranges come from monotone
+    rounding of the corners, so two boxes that share a point share a cell on
+    every grid that holds both.  Only owners start pairs, each in the lowest
+    cell of both rows' ranges, so two boxes meet once, on the larger's grid.
     """
     k = lo.shape[1]
     extent = hi - lo
@@ -59,18 +61,21 @@ def _candidate_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nda
     lo, hi = lo / h, hi / h
     box, tag = np.arange(k), 0  # the box of each row: one row per box on its own grid first
     wx, wy = extent / h
-    if ((wx + 1) * (wy + 1)).max() > _CELLS:
+    tiny = sizes < _TINY * h
+    if ((wx + 1) * (wy + 1)).max() > _CELLS or tiny.any():
         # the coarsening 2**l at which (wx / 2**l + 1) (wy / 2**l + 1) = _CELLS, up to round-off
         s = wx + wy
         need = (s + np.sqrt(s * s + 4 * (_CELLS - 1) * wx * wy)) / (2 * (_CELLS - 1))
-        level = np.maximum(np.ceil(np.log2(need)), 0).astype(np.int64)
-        used = np.flatnonzero(np.bincount(level))
+        finest = int(np.ceil(np.log2(reach / h))) - 50  # cell indices stay below 2**50 on every grid
+        level = np.ceil(np.log2(np.where(tiny, 2.0 * sizes / h, need)))
+        level = np.maximum(level, np.where(tiny, finest, 0)).astype(np.int64)
+        used = np.flatnonzero(np.bincount(level - finest)) + finest
         visits = [np.flatnonzero(level < g) for g in used[1:]]
         box = np.concatenate([box, *visits])
         grid = np.concatenate([level, np.repeat(used[1:], [len(v) for v in visits])])
         scale = np.exp2(-grid)
         lo, hi = lo[:, box] * scale, hi[:, box] * scale
-        tag = grid << 52  # one range of cell indices per grid
+        tag = (grid - finest) << 52  # one range of cell indices per grid
     f_lo = np.floor(lo)
     width = np.floor(hi) - f_lo + 1  # cells per row along x and along y
     lx, ly = f_lo.astype(np.int64)
@@ -110,12 +115,13 @@ def injectivity_report(network: Network) -> InjectivityReport:
 
     The segments' boxes are bucketed at once into square grids whose cells
     are twice the middle segment box times powers of 2: each box into the
-    finest grid on which it touches at most about 64 cells, and into every
-    coarser grid in use.  Only segments that share a cell are tested; the
-    boxes of crossing segments overlap, so the counts are exact, the same
-    as testing every pair.  Memory is O(k) per grid in use in the number of
-    segments k, and time O(k) for curves sampled at comparable spacing, also
-    with long edges between them, as in a comb.
+    finest grid on which it touches at most about 64 cells (a box under 1/32
+    of the base cell: cells twice its size), and into every coarser grid in
+    use.  Only segments that share a cell are tested; the boxes of crossing
+    segments overlap, so the counts are exact, the same as testing every
+    pair.  Memory is O(k) per grid in use in the number of segments k, and
+    time O(k) for curves sampled at comparable spacing, also with long edges
+    between them, as in a comb, or falling edge lengths, as in a spiral.
     """
     curves, n = network.curves, len(network.curves)
     segs = [_segments(c.points, c.closed) for c in curves]

@@ -490,9 +490,7 @@ def minimize(network: Network, config: OptimizationConfig | None = None) -> Opti
     if network.kind == "double_drop":
         lobe = minimize(Network("drop", (network.curves[0],)), replace(config, grad_tol=0.5 * config.grad_tol))
         traces = (lobe.energy_trace, lobe.elastic_trace, lobe.length_trace, lobe.grad_norm_trace)
-        (curve,) = lobe.final.curves
-        four = curve.points[0]  # both ends of the lobe, bitwise: so are the reflection's
-        pair = Network("double_drop", (curve, DiscreteCurve(four - (curve.points[::-1] - four))))
+        pair = make_symmetric_double_drop(lobe.final)
         return _result(pair, [2.0 * t for t in traces], lobe.termination, lobe.iterations, config)
     form = _AngleForm(network, config.n_per_curve)
     p = form.restore(form.z0)

@@ -45,6 +45,7 @@ from .errors import (
 from .geometry import (
     DiscreteCurve,
     checked_energy,
+    edge_tangents,
     endpoint_tangent_array,
     points_diameter,
     resample_uniform,
@@ -402,16 +403,16 @@ def make_teardrop(n: int, scale: float = 1.0) -> Network:
 
 
 def mirror_drop_curve(curve: DiscreteCurve) -> DiscreteCurve:
-    """Point reflection through the origin with reversed parametrization."""
-    return DiscreteCurve((-curve.points[::-1]).copy(), closed=False)
+    """Point reflection through the curve's first point p, reversed: γ2(t) = 2p - γ(1-t)."""
+    four = curve.points[0]
+    return DiscreteCurve(four - (curve.points[::-1] - four), closed=False)
 
 
 def make_symmetric_double_drop(drop: Network) -> Network:
-    """Pair a drop γ with its point reflection γ2(t) = -γ(1-t)."""
+    """Pair a drop γ with its point reflection through its closure point, where the drop lies."""
     if drop.kind != "drop":
         raise InvalidInputError("expected a drop network")
-    c1 = drop.curves[0]
-    c1 = DiscreteCurve(c1.points - c1.points[0], closed=False)
+    (c1,) = drop.curves
     return Network("double_drop", (c1, mirror_drop_curve(c1)))
 
 
@@ -572,11 +573,8 @@ def _first_horizontal_cut(curve: DiscreteCurve) -> float:
     that line.  A run of exactly horizontal edges is cut at its center,
     keeping the cut away from any vertex that carries turning.
     """
-    pts = curve.points
-    e = pts[1:] - pts[:-1]
-    a = np.linalg.norm(e, axis=1)
-    ty = e[:, 1] / a
-    s = np.concatenate([[0.0], np.cumsum(a)])
+    ty = edge_tangents(curve)[:, 1]
+    s = vertex_arclengths(curve)
     mids = 0.5 * (s[:-1] + s[1:])
 
     zero = np.nonzero(ty == 0.0)[0]
@@ -620,15 +618,14 @@ def recovery_sequence(degenerate: Network, n: int) -> Network:
     degrees (frame pi/3, first offset pairing); each curve is cut at its
     first horizontal-tangent point, the trailing halves are shifted left by
     1/n, and the three gaps are bridged by straight horizontal segments, so
-    F grows by exactly 3/n up to round-off.
+    F grows by exactly 3/n up to round-off.  Junction 0 stays on the
+    four-point, junction 1 lies 1/n to its left: nothing moves to the origin.
     """
     if degenerate.kind != "degenerate_theta":
         raise InvalidInputError("recovery sequences start from degenerate theta networks")
     if n < 1:
         raise InvalidInputError("n must be a positive integer")
     (j,) = degenerate.junctions
-    net = translate_network(degenerate, -j.position)
-    (j,) = net.junctions
     want = [math.pi / 3.0 + off for off in DEGENERATE_OFFSET_VARIANTS[0]]
     mism = max(abs(float(signed_angle(unit(j.frame_angle + off), unit(w)))) for off, w in zip(j.offsets, want))
     if mism > 1e-6:
@@ -638,16 +635,14 @@ def recovery_sequence(degenerate: Network, n: int) -> Network:
 
     w = np.array([-1.0 / n, 0.0])
     new_curves = []
-    for c in net.curves:
-        s_cut = _first_horizontal_cut(c)
-        head, tail = _split_at_arclength(c, s_cut)
-        pts = np.vstack([head, tail + w])
-        new_curves.append(DiscreteCurve(pts, closed=False))
-    bridge = DiscreteCurve(np.array([[0.0, 0.0], 0.5 * w, w]), closed=False)
-    new_curves.append(bridge)
+    for c in degenerate.curves:
+        head, tail = _split_at_arclength(c, _first_horizontal_cut(c))
+        new_curves.append(DiscreteCurve(np.vstack([head, tail + w]), closed=False))
+    four = j.position
+    new_curves.append(DiscreteCurve(np.array([four, four + 0.5 * w, four + w]), closed=False))
 
-    j_r = Junction(np.zeros(2), math.pi / 3.0, THETA_OFFSETS_END)
-    j_l = Junction(w.copy(), 0.0, THETA_OFFSETS_START[1:] + THETA_OFFSETS_START[:1])
+    j_r = Junction(four, math.pi / 3.0, THETA_OFFSETS_END)
+    j_l = Junction(four + w, 0.0, THETA_OFFSETS_START[1:] + THETA_OFFSETS_START[:1])
     return Network("theta", tuple(new_curves), (j_r, j_l))
 
 

@@ -7,9 +7,10 @@ import numpy as np
 from .networks import Network
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+_WIDTH = 640  # pixels; the height follows the drawing's aspect ratio
 
 
-def render_svg(network: Network, width: int = 640) -> str:
+def render_svg(network: Network) -> str:
     """Fixed-viewBox drawing: curves stroked per index, junctions dotted."""
     pts = np.vstack([c.points for c in network.curves])
     lo = pts.min(axis=0)
@@ -20,7 +21,7 @@ def render_svg(network: Network, width: int = 640) -> str:
     hi = hi + margin
     w = float(hi[0] - lo[0])
     h = float(hi[1] - lo[1])
-    height = int(round(width * h / w))
+    height = int(round(_WIDTH * h / w))
     stroke = 0.004 * max(w, h)
 
     def mapped(p):
@@ -28,7 +29,7 @@ def render_svg(network: Network, width: int = 640) -> str:
         return p[:, 0], hi[1] - p[:, 1] + lo[1]
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" '
         f'viewBox="{lo[0]:.6g} {lo[1]:.6g} {w:.6g} {h:.6g}">'
     ]
     for i, c in enumerate(network.curves):
@@ -50,6 +51,6 @@ def render_svg(network: Network, width: int = 640) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_svg(network: Network, path, width: int = 640) -> None:
+def save_svg(network: Network, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(network, width))
+        fh.write(render_svg(network))

@@ -42,3 +42,40 @@ def test_a_failed_run_drops_its_pair_and_marks_the_workload():
     assert summary["scaled_cpu_s"]["pairs"] == 1
     assert summary["scaled_cpu_s"]["parent"]["runs"] == 2
     assert summary["scaled_cpu_s"]["change"]["runs"] == 1
+
+
+PARENT = [10.0, 10.1, 9.9, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0, 10.0]  # median 10.0, IQR 0.175
+
+
+def test_gain_wins_nine_pairs_by_more_than_the_parents_iqr():
+    change = [v - 1.0 for v in PARENT[:9]] + [10.5]
+    assert bench_pairs.verdict(PARENT, change, "lower", 0.1) == "gain"
+    assert bench_pairs.verdict([-v for v in PARENT], [-v for v in change], "higher", 0.1) == "gain"
+    # eight wins of ten are no gain, however large the lead
+    assert bench_pairs.verdict(PARENT, change[:8] + [10.5, 10.5], "lower", 0.1) == "unchanged"
+
+
+def test_regression_is_a_median_worse_by_more_than_the_bound():
+    change = [1.2 * v for v in PARENT]
+    assert bench_pairs.verdict(PARENT, change, "lower", 0.1) == "regression"
+    assert bench_pairs.verdict(PARENT, change, "lower", 0.25) == "unchanged"
+
+
+def test_unresolved_when_the_parents_spread_is_wider_than_the_bound():
+    parent = [5.0, 15.0] * 5  # median 10, IQR 10 against a slack of 1
+    assert bench_pairs.verdict(parent, parent[::-1], "lower", 0.1) == "unresolved"
+    # unless every change run beats every parent run
+    parent = [10.0] * 5 + [30.0] * 5
+    assert bench_pairs.verdict(parent, [9.5] * 10, "lower", 0.1) == "unchanged"
+
+
+def test_unchanged_within_the_bound():
+    change = PARENT[1:] + PARENT[:1]
+    assert bench_pairs.verdict(PARENT, change, "lower", 0.1) == "unchanged"
+
+
+def test_summary_carries_a_verdict_for_each_bounded_metric():
+    runs = {"parent": [_run(v) for v in PARENT], "change": [_run(1.2 * v) for v in PARENT]}
+    summary = bench_pairs.summarize(runs, {"scaled_cpu_s": "lower", "rate": "higher"}, {"scaled_cpu_s": 0.1})
+    assert summary["scaled_cpu_s"]["verdict"] == "regression"
+    assert "verdict" not in summary["rate"]

@@ -477,8 +477,42 @@ class TestSymmetricDoubleDrop:
         assert np.array_equal(double.final.curves[0].points, lobe.final.curves[0].points)
         assert double.termination == "converged" and double.config == cfg
 
+    @pytest.mark.parametrize("delta", [(0.25, -0.5), (1e4, -7e3)])
+    def test_moved_drop_is_solved_where_it_lies(self, delta):
+        cfg = OptimizationConfig(n_per_curve=60)
+        here = minimize_symmetric_double_drop(make_teardrop(60), cfg)
+        moved = translate_network(make_teardrop(60), delta)
+        there = minimize_symmetric_double_drop(moved, cfg)
+        four = moved.curves[0].points[0].tobytes()
+        assert [c.points[i].tobytes() for c in there.final.curves for i in (0, -1)] == [four] * 4
+        assert (there.termination, there.iterations) == (here.termination, here.iterations) == ("converged", 5)
+        if delta == (0.25, -0.5):  # far out, the coordinates' own round-off reads 3.3e-12
+            want = translate_network(here.final, delta)
+            for a, b in zip(there.final.curves, want.curves):
+                assert np.abs(a.points - b.points).max() <= 1e-12 * here.final.diameter
+
+    def test_moved_drop_is_paired_where_it_lies(self):
+        drop = translate_network(make_teardrop(60), (0.25, -0.5))
+        c1, c2 = make_symmetric_double_drop(drop).curves
+        assert c1.points.tobytes() == drop.curves[0].points.tobytes()
+        four = drop.curves[0].points[0].tobytes()
+        assert c2.points[0].tobytes() == c2.points[-1].tobytes() == four
+        np.testing.assert_allclose(c2.points, 2.0 * c1.points[0] - c1.points[::-1], rtol=0.0, atol=1e-15)
+
 
 class TestRecoverySequence:
+    @pytest.mark.parametrize("delta", [(0.0, 0.0), (0.25, -0.5), (1e3, -7.0)])
+    def test_built_at_the_four_point(self, delta):
+        deg = translate_network(make_degenerate_figure_eight(80), delta)
+        four = deg.junctions[0].position
+        f_in = penalized_energy(deg).penalized
+        for n in (10, 100, 1000):
+            theta = recovery_sequence(deg, n)
+            j0, j1 = (j.position for j in theta.junctions)
+            assert j0.tobytes() == four.tobytes()
+            assert j1.tobytes() == (four + [-1.0 / n, 0.0]).tobytes()
+            assert penalized_energy(theta).penalized - f_in == pytest.approx(3.0 / n, abs=1e-9)
+
     def test_defect_is_three_over_n(self):
         deg = make_degenerate_figure_eight(240)
         f_in = penalized_energy(deg).penalized
@@ -808,6 +842,19 @@ class TestInjectivity:
         assert report.total == 0
         # all pairs of 20000 segments would need one 400 MB mask per k x k array
         assert peak < 64 * 2**20
+
+    def test_tiny_boxes_own_finer_grids(self):
+        # the spiral's inner edges are far below the base cell; in the base grid's
+        # few cells around the origin they would pair quadratically (113 MB traced)
+        net = _spiral(4000)
+        tracemalloc.start()
+        try:
+            report = injectivity_report(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert (report.self_intersections, report.pairwise_crossings) == all_pairs_report(net)
 
 
 class TestDegenerateDescent:

@@ -13,8 +13,10 @@ output names both revisions and the git object ids of ``src``, ``bench`` and
 measured code.  It keeps every run's result (the last line of standard
 output) and ``info:`` line (standard error), and a summary per workload and
 end-to-end metric: median, IQR (25th to 75th percentile, linear
-interpolation), minimum and maximum per side, and the number of pairs in
-which the change reads better, in the direction ``BENCHMARK.json`` declares.
+interpolation), minimum and maximum per side, the number of pairs in which
+the change reads better, in the direction ``BENCHMARK.json`` declares, and a
+verdict from that direction and the metric's ``bound``, a share of the
+parent's median (see ``verdict``).
 """
 
 from __future__ import annotations
@@ -72,8 +74,33 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1, "min": min(values), "max": max(values), "runs": len(values)}
 
 
-def summarize(runs: dict, better: dict) -> dict:
-    """Per metric: each side's spread and the pairs the change wins."""
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """One metric's paired runs, judged in order:
+
+    - ``gain``: the change wins at least 9 in 10 pairs, ties counting for
+      neither, and its median is better by more than the parent's IQR;
+    - ``regression``: its median is worse by more than ``bound`` times the
+      parent's;
+    - ``unresolved``: the parent's IQR is wider than that, and not every
+      change run is better than every parent run;
+    - ``unchanged``: otherwise.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    p, c = [sign * v for v in parent], [sign * v for v in change]  # lower is better on both
+    lead = statistics.median(p) - statistics.median(c)
+    iqr, slack = spread(p)["iqr"], bound * abs(statistics.median(p))
+    if sum(b < a for a, b in zip(p, c)) >= 0.9 * len(p) and lead > iqr:
+        return "gain"
+    if -lead > slack:
+        return "regression"
+    if iqr > slack and max(c) >= min(p):
+        return "unresolved"
+    return "unchanged"
+
+
+def summarize(runs: dict, better: dict, bounds: dict | None = None) -> dict:
+    """Per metric: each side's spread, the pairs the change wins and, for a
+    metric that ``bounds`` names, its verdict."""
     results = {side: [r["result"] for r in runs[side]] for side in SIDES}
     summary = {"all_correct": all(r is not None and r["correct"] for side in SIDES for r in results[side])}
     summary["failed"] = {side: sum(r["failed"] for r in results[side] if r) for side in SIDES}
@@ -85,6 +112,8 @@ def summarize(runs: dict, better: dict) -> dict:
         wins = sum((c < p) if direction == "lower" else (c > p) for p, c in pairs)
         summary[name] = {side: spread([v for v in values[side] if v is not None]) for side in SIDES}
         summary[name].update(change_better_pairs=wins, pairs=len(pairs))
+        if bounds and name in bounds:
+            summary[name]["verdict"] = verdict(*zip(*pairs), direction, bounds[name])
     return summary
 
 
@@ -102,6 +131,7 @@ def main(argv=None) -> int:
     revs = {side: checkout(rev, trees[side]) for side, rev in zip(SIDES, (args.parent, args.change))}
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     seconds = declared["run_seconds"]
 
     report = {
@@ -122,7 +152,7 @@ def main(argv=None) -> int:
             for side in order:
                 runs[side].append(run_once(trees[side], workload, seed, seconds))
                 print(f"{workload} seed {seed} {side}: {json.dumps(runs[side][-1]['result'])}", file=sys.stderr)
-        report["summary"][workload] = summarize(runs, better)
+        report["summary"][workload] = summarize(runs, better, bounds)
         for side in SIDES:
             report["runs"][side][workload] = runs[side]
         args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
