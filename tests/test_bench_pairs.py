@@ -17,6 +17,10 @@ def _run(value, correct=True, failed=0):
     return {"result": {"correct": correct, "attempted": 10, "failed": failed, "metrics": metrics}}
 
 
+BETTER = {"scaled_cpu_s": "lower", "rate": "higher"}
+BOUNDS = {"scaled_cpu_s": 0.1, "rate": 0.1}
+
+
 def test_spread_is_median_and_quartile_distance():
     s = bench_pairs.spread([4.0, 1.0, 3.0, 2.0, 5.0])
     assert s == {"median": 3.0, "iqr": 2.0, "min": 1.0, "max": 5.0, "runs": 5}
@@ -25,7 +29,7 @@ def test_spread_is_median_and_quartile_distance():
 
 def test_pairs_are_won_in_the_declared_direction():
     runs = {"parent": [_run(v) for v in (2.0, 2.0, 2.0)], "change": [_run(v) for v in (1.0, 3.0, 2.0)]}
-    summary = bench_pairs.summarize(runs, {"scaled_cpu_s": "lower", "rate": "higher"})
+    summary = bench_pairs.summarize(runs, BETTER, BOUNDS)
     assert summary["all_correct"]
     # a tie counts for neither side
     assert summary["scaled_cpu_s"]["change_better_pairs"] == 1
@@ -36,7 +40,7 @@ def test_pairs_are_won_in_the_declared_direction():
 
 def test_a_failed_run_drops_its_pair_and_marks_the_workload():
     runs = {"parent": [_run(2.0), _run(2.0, failed=1)], "change": [{"result": None}, _run(1.0, correct=False)]}
-    summary = bench_pairs.summarize(runs, {"scaled_cpu_s": "lower"})
+    summary = bench_pairs.summarize(runs, {"scaled_cpu_s": "lower"}, BOUNDS)
     assert not summary["all_correct"]
     assert summary["failed"] == {"parent": 1, "change": 0}
     assert summary["scaled_cpu_s"]["pairs"] == 1
@@ -74,8 +78,20 @@ def test_unchanged_within_the_bound():
     assert bench_pairs.verdict(PARENT, change, "lower", 0.1) == "unchanged"
 
 
-def test_summary_carries_a_verdict_for_each_bounded_metric():
+def test_summary_carries_a_verdict_for_each_metric():
     runs = {"parent": [_run(v) for v in PARENT], "change": [_run(1.2 * v) for v in PARENT]}
-    summary = bench_pairs.summarize(runs, {"scaled_cpu_s": "lower", "rate": "higher"}, {"scaled_cpu_s": 0.1})
+    summary = bench_pairs.summarize(runs, BETTER, BOUNDS)
     assert summary["scaled_cpu_s"]["verdict"] == "regression"
-    assert "verdict" not in summary["rate"]
+    assert summary["rate"]["verdict"] == "regression"
+
+
+def test_no_gain_while_the_change_fails_more_operations():
+    faster = [v - 1.0 for v in PARENT]
+    runs = {"parent": [_run(v) for v in PARENT], "change": [_run(v) for v in faster]}
+    assert bench_pairs.summarize(runs, BETTER, BOUNDS)["scaled_cpu_s"]["verdict"] == "gain"
+    runs["change"][0] = _run(faster[0], failed=1)
+    summary = bench_pairs.summarize(runs, BETTER, BOUNDS)
+    assert summary["scaled_cpu_s"]["verdict"] == summary["rate"]["verdict"] == "unchanged"
+    # as many failures on both sides leave the gain
+    runs["parent"][0] = _run(PARENT[0], failed=1)
+    assert bench_pairs.summarize(runs, BETTER, BOUNDS)["scaled_cpu_s"]["verdict"] == "gain"

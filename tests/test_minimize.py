@@ -856,6 +856,18 @@ class TestInjectivity:
         assert peak < 64 * 2**20
         assert (report.self_intersections, report.pairwise_crossings) == all_pairs_report(net)
 
+    def test_tiny_box_far_from_the_origin(self):
+        # an edge one ulp of its coordinates tall crosses a unit edge 3e5 from the
+        # origin: its grid of cells twice its size would need cell indices past
+        # 2**50, so it owns the finest grid that keeps them below
+        o = np.array([3e5, -2e5])
+        pts = o + [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 0.0], [1.0, 0.0], [0.5, 0.5]]
+        pts[4, 1] = np.nextafter(o[1], -np.inf)
+        pts[5] = np.nextafter(pts[5], np.inf)
+        net = Network("closed", (DiscreteCurve(pts, closed=True),))
+        assert np.linalg.norm(pts[5] - pts[4]) < 1e-15 * np.abs(o).max()
+        assert assert_matches_all_pairs(net).self_intersections == (3,)
+
 
 class TestDegenerateDescent:
     def test_four_point_pairing_held_while_descending(self):

@@ -16,7 +16,8 @@ end-to-end metric: median, IQR (25th to 75th percentile, linear
 interpolation), minimum and maximum per side, the number of pairs in which
 the change reads better, in the direction ``BENCHMARK.json`` declares, and a
 verdict from that direction and the metric's ``bound``, a share of the
-parent's median (see ``verdict``).
+parent's median (see ``verdict``); a change whose runs fail more
+operations than the parent's gains nothing.
 """
 
 from __future__ import annotations
@@ -98,12 +99,13 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return "unchanged"
 
 
-def summarize(runs: dict, better: dict, bounds: dict | None = None) -> dict:
-    """Per metric: each side's spread, the pairs the change wins and, for a
-    metric that ``bounds`` names, its verdict."""
+def summarize(runs: dict, better: dict, bounds: dict) -> dict:
+    """Per metric: each side's spread, the pairs the change wins and its
+    verdict, no ``gain`` where the change fails more operations."""
     results = {side: [r["result"] for r in runs[side]] for side in SIDES}
     summary = {"all_correct": all(r is not None and r["correct"] for side in SIDES for r in results[side])}
     summary["failed"] = {side: sum(r["failed"] for r in results[side] if r) for side in SIDES}
+    more_failed = summary["failed"]["change"] > summary["failed"]["parent"]
     for name, direction in better.items():
         values = {side: [r["metrics"][name]["value"] if r else None for r in results[side]] for side in SIDES}
         pairs = [(p, c) for p, c in zip(values["parent"], values["change"]) if p is not None and c is not None]
@@ -112,8 +114,8 @@ def summarize(runs: dict, better: dict, bounds: dict | None = None) -> dict:
         wins = sum((c < p) if direction == "lower" else (c > p) for p, c in pairs)
         summary[name] = {side: spread([v for v in values[side] if v is not None]) for side in SIDES}
         summary[name].update(change_better_pairs=wins, pairs=len(pairs))
-        if bounds and name in bounds:
-            summary[name]["verdict"] = verdict(*zip(*pairs), direction, bounds[name])
+        judged = verdict(*zip(*pairs), direction, bounds[name])
+        summary[name]["verdict"] = "unchanged" if judged == "gain" and more_failed else judged
     return summary
 
 
